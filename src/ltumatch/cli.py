@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fuzz import FuzzConfig, run_campaign
 from .games import game_to_json, profile_from_dict, profile_to_dict
-from .gamesolve import expected_values, is_equilibrium
+from .gamesolve import is_equilibrium
 from .model import (
     LTUProblem,
     ManyToOneProblem,
@@ -57,14 +57,7 @@ from .model import (
 )
 from .oracle import enumerate_stable
 from .rationals import decimal_str, format_rational
-from .reduction import (
-    equilibrium_to_outcome,
-    normalize_outputs,
-    solve_stable,
-    solve_stable_m2o,
-    to_game,
-    to_game_n,
-)
+from .reduction import _solve_stable_m2o, equilibrium_to_outcome, solve_stable, to_game
 from .stability import blocking_pairs, verify_stable, verify_stable_m2o
 from .tu import build_counterexample, check_tu, exchange_test, rescale_to_tu
 
@@ -143,6 +136,10 @@ def _violation_dict(v):
     }
 
 
+def _dot(a, b) -> Fraction:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def _print_outcome(problem: LTUProblem, outcome, fmt, indent: str = "") -> None:
     matched = [
         (problem.workers[x], problem.jobs[y], outcome.mu[x][y])
@@ -168,8 +165,8 @@ def _print_outcome(problem: LTUProblem, outcome, fmt, indent: str = "") -> None:
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
-    game = to_game(problem)
-    nlabels = len(game.rows) + len(game.cols)
+    problem.require_positive_outputs()
+    nlabels = problem.nx * problem.ny + problem.nx + problem.ny
     fmt = _formatter(args)
 
     if args.all_labels:
@@ -203,7 +200,9 @@ def cmd_solve(args) -> int:
     if not 0 <= args.label < nlabels:
         raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
     outcome, profile = solve_stable(problem, label=args.label)
-    hider_loss, seeker_payoff = expected_values(game, profile)
+    # the game values, by the identities of the backward map (AC4)
+    hider_loss = 1 / (2 * (_dot(problem.n, outcome.u) + _dot(problem.m, outcome.v)))
+    seeker_payoff = 1 / (2 * sum(_dot(phi, mu) for phi, mu in zip(problem.phi, outcome.mu)))
     if args.json:
         _emit(
             {
@@ -476,12 +475,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_solve_m2o(args) -> int:
     problem = _load_m2o(args.problem)
-    game = to_game_n(normalize_outputs(problem)[0])
-    nlabels = len(game.rows) + len(game.cols)
+    nlabels = len(problem.arrangements) + len(problem.types)
     if not 0 <= args.label < nlabels:
         raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
-    outcome, profile = solve_stable_m2o(problem, label=args.label)
-    shift = normalize_outputs(problem)[1]
+    outcome, profile, shift = _solve_stable_m2o(problem, label=args.label)
     if args.json:
         _emit(
             {

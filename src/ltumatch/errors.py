@@ -63,7 +63,12 @@ class RayTermination(LTUError):
 
 
 class IterationLimit(LTUError):
-    """The pivot budget ran out before the path terminated."""
+    """The pivot budget ran out before the path terminated; `trace` holds the
+    variable that entered at each pivot taken."""
+
+    def __init__(self, trace):
+        self.trace = tuple(trace)
+        super().__init__(f"no equilibrium within {len(self.trace)} pivots")
 
 
 class BudgetExceeded(LTUError):

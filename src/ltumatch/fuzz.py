@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, IterationLimit, RayTermination
-from .gamesolve import expected_values, lemke_howson
+from .gamesolve import lemke_howson
 from .model import LTUProblem
-from .reduction import equilibrium_to_outcome, outcome_to_equilibrium, to_game
+from .reduction import _map_back, outcome_to_equilibrium, to_game
 from .stability import verify_stable
 from .tu import check_tu
 
@@ -102,14 +102,13 @@ def run_pipeline_checks(problem: LTUProblem, label: int = 0) -> tuple[str, ...]:
     except (RayTermination, IterationLimit, InternalError) as exc:
         failures.append(f"pivot solver: {exc}")
         return tuple(failures)
-    outcome = equilibrium_to_outcome(problem, profile)
+    outcome, hider_loss, seeker_payoff = _map_back(problem, game, profile)
     report = verify_stable(problem, outcome)
     if not report.ok:
         failures.append(f"stability: {report.violations[0].describe()}")
     back = outcome_to_equilibrium(problem, outcome)
     if back != profile:
         failures.append("round trip: outcome does not map back to its profile")
-    hider_loss, seeker_payoff = expected_values(game, profile)
     weight = sum(
         problem.phi[x][y] * outcome.mu[x][y]
         for x in range(problem.nx)

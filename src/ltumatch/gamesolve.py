@@ -1,12 +1,14 @@
 """Exact Nash equilibria of (loss, payoff) games.
 
 Two solvers. `lemke_howson` follows the complementary pivoting path from the
-artificial origin after dropping one label, on a pair of integer tableaux:
-entries stay integers throughout (each pivot divides exactly by the previous
-pivot element), and degenerate ties are broken lexicographically so the path
-cannot cycle. `enumerate_equilibria` sweeps support pairs and solves each
-candidate's indifference system exactly, which finds every equilibrium support
-of small games at the cost of exponential work in the larger dimension.
+artificial origin after dropping one label. It pivots two integer tableaux in
+dictionary form: one row per basic variable, one column per nonbasic variable,
+with the basic columns (multiples of unit vectors) left implicit. Entries stay
+integers throughout, because each pivot divides exactly by the previous pivot
+element, and degenerate ties are broken lexicographically so the path cannot
+cycle. `enumerate_equilibria` sweeps support pairs and solves each candidate's
+indifference system exactly, which finds every equilibrium support of small
+games at the cost of exponential work in the larger dimension.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -59,30 +61,36 @@ def _check_shape(game: BimatrixGame, profile: MixedProfile) -> None:
         )
 
 
+def _support(weights) -> list[tuple[int, Fraction]]:
+    """(index, weight) of the nonzero weights. The exact sums below skip every
+    zero term: reduction games have two nonzero entries per row, profiles are
+    usually sparse, and a Fraction product costs gcds even with a zero factor."""
+    return [(k, w) for k, w in enumerate(weights) if w]
+
+
 def expected_values(game: BimatrixGame, profile: MixedProfile) -> tuple[Fraction, Fraction]:
     """(expected hider loss, expected seeker payoff) under the profile."""
     _check_shape(game, profile)
-    loss = sum(
-        p * sum(l * q for l, q in zip(lrow, profile.q))
-        for p, lrow in zip(profile.p, game.loss)
-    )
-    payoff = sum(
-        p * sum(w * q for w, q in zip(prow, profile.q))
-        for p, prow in zip(profile.p, game.payoff)
-    )
+    q = _support(profile.q)
+    loss = payoff = 0
+    for i, p in _support(profile.p):
+        lrow, prow = game.loss[i], game.payoff[i]
+        loss += p * sum(lrow[j] * w for j, w in q if lrow[j])
+        payoff += p * sum(prow[j] * w for j, w in q if prow[j])
     return Fraction(loss), Fraction(payoff)
 
 
 def is_equilibrium(game: BimatrixGame, profile: MixedProfile) -> EquilibriumReport:
     """Check both players' pure deviations; report the first profitable one."""
     _check_shape(game, profile)
-    row_loss = [sum(l * q for l, q in zip(lrow, profile.q)) for lrow in game.loss]
+    p, q = _support(profile.p), _support(profile.q)
+    row_loss = [sum(lrow[j] * w for j, w in q if lrow[j]) for lrow in game.loss]
     col_payoff = [
-        sum(game.payoff[i][j] * profile.p[i] for i in range(len(game.rows)))
+        sum(game.payoff[i][j] * w for i, w in p if game.payoff[i][j])
         for j in range(len(game.cols))
     ]
-    loss = sum(p * l for p, l in zip(profile.p, row_loss))
-    payoff = sum(w * q for w, q in zip(col_payoff, profile.q))
+    loss = sum(row_loss[i] * w for i, w in p)
+    payoff = sum(col_payoff[j] * w for j, w in q)
     for i, l in enumerate(row_loss):
         if l < loss:
             dev = Deviation("hider", i, Fraction(loss), Fraction(l))
@@ -103,70 +111,107 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 
 
 # ---------------------------------------------------------------------------
-# Lemke-Howson with integer tableaux.
+# Lemke-Howson with integer tableaux in dictionary form.
 #
-# The hider's loss becomes a utility by reflection (max loss + 1 minus loss),
-# the seeker's payoff is shifted above zero, and both are scaled to integers;
-# none of that moves the equilibria. Tableau 1 holds the hider's strategy
-# polytope {x >= 0, payoff^T x <= 1} with slacks s_j; tableau 2 holds the
-# seeker's {y >= 0, util y <= 1} with slacks r_i. Variable x_i shares a label
-# with r_i, y_j with s_j; the algorithm drops one label, then alternates
-# tableaux entering the complement of whatever just left until the dropped
-# label comes back.
-
-_COMPLEMENT = {"x": "r", "r": "x", "y": "s", "s": "y"}
+# The hider's loss becomes a utility by reflection (max loss + 1 minus loss).
+# The seeker's payoff is kept as it is when it is >= 0 with a positive entry in
+# every row, which bounds the hider's polytope and always holds for reduction
+# games; any other payoff is shifted so that its least entry is 1. Each column
+# of the utility is scaled to integers by its own lcm (a rescaling of y_j) and
+# each row of the payoff by its own (a rescaling of x_i); the scales are undone
+# when the profile is read back. None of this moves a label or a lexicographic
+# ratio (the shift maps the polytope projectively onto the unshifted one,
+# facet for facet), so the path is the one the game itself takes.
+#
+# Tableau 1 holds the hider's polytope {x >= 0, payoff^T x <= 1}, one row per
+# constraint j with slack s_j; tableau 2 holds the seeker's
+# {y >= 0, util y <= 1}, one row per i with slack r_i. Variables go by label:
+# label i < m is x_i in tableau 1 and r_i in tableau 2, label m + j is s_j in
+# tableau 1 and y_j in tableau 2. The algorithm drops one label, then enters
+# in each tableau the label that just left the other, until the dropped label
+# leaves.
+#
+# A row is a basic variable and a column a nonbasic one, with the rhs last;
+# entries are scaled by the tableau's last pivot element `prev`. A basic
+# variable's column, prev times the unit vector of its row, is not stored, so
+# tableau 2 is m x (n + 1) rather than m x (m + n + 1). Pivoting on piv at
+# (row, col) turns every other entry v into (v * piv - f * w) // prev, with f
+# the entry of v's row in col and w the pivot row's entry in v's column; the
+# division is exact. The leaving variable takes over col, holding -f in every
+# other row and prev in the pivot row. `where` maps each label to its column
+# when nonbasic and to ~row when basic, so the lexicographic ratio test reads a
+# slack from its column or as the implicit unit column.
 
 Var = tuple[str, int]
 
 
 def _positive_integer_matrices(game: BimatrixGame):
-    m, n = game.shape
+    """Integer utility a (m x n) and payoff b (m x n) for the two tableaux,
+    with the row scales of b and the column scales of a."""
+    n = len(game.cols)
     top = max(l for row in game.loss for l in row) + 1
-    util = [[top - l for l in row] for row in game.loss]
-    floor = min(w for row in game.payoff for w in row)
-    shift = ONE - min(floor, ZERO)
-    gain = [[w + shift for w in row] for row in game.payoff]
-    scale_a = math.lcm(*(v.denominator for row in util for v in row))
-    scale_b = math.lcm(*(v.denominator for row in gain for v in row))
-    a = [[int(v * scale_a) for v in row] for row in util]
-    b = [[int(v * scale_b) for v in row] for row in gain]
-    return a, b
+    util = [[top - l if l else top for l in row] for row in game.loss]
+    gain = game.payoff
+    bounded = all(any(w > 0 for w in row) for row in gain)
+    if not bounded or any(w < 0 for row in gain for w in row if w):
+        shift = ONE - min(min(w for row in gain for w in row), ZERO)
+        gain = [[w + shift for w in row] for row in gain]
+    col_scale = [math.lcm(*(row[j].denominator for row in util)) for j in range(n)]
+    row_scale = [math.lcm(*(w.denominator for w in row)) for row in gain]
+    a = [[v.numerator * (c // v.denominator) for v, c in zip(row, col_scale)] for row in util]
+    b = [[w.numerator * (r // w.denominator) for w in row] for row, r in zip(gain, row_scale)]
+    return a, b, row_scale, col_scale
 
 
-def _label_of(var: Var, m: int) -> int:
-    kind, idx = var
-    return idx if kind in ("x", "r") else m + idx
-
-
-def _lex_less(t, i, k, col, nbasic) -> bool:
+def _lex_less(t, i, k, col, where, slacks) -> bool:
     """Ratio row i < ratio row k, comparing (rhs, slack block) lexicographically
-    by cross-multiplication; both pivot-column entries are positive."""
-    di, dk = t[i][col], t[k][col]
-    last = len(t[i]) - 1
-    for c in (last, *range(nbasic)):
-        lhs = t[i][c] * dk
-        rhs = t[k][c] * di
-        if lhs != rhs:
-            return lhs < rhs
+    by cross-multiplication; both pivot-column entries are positive. A basic
+    slack's unit column is positive in its own row only."""
+    ri, rk = t[i], t[k]
+    di, dk = ri[col], rk[col]
+    lhs, rhs = ri[-1] * dk, rk[-1] * di
+    if lhs != rhs:
+        return lhs < rhs
+    for slack in slacks:
+        c = where[slack]
+        if c >= 0:
+            lhs, rhs = ri[c] * dk, rk[c] * di
+            if lhs != rhs:
+                return lhs < rhs
+        elif c == ~i:
+            return False
+        elif c == ~k:
+            return True
     return i < k
 
 
-def _lex_leaving(t, col, nbasic):
+def _lex_leaving(t, col, where, slacks):
     best = None
     for i, row in enumerate(t):
-        if row[col] > 0 and (best is None or _lex_less(t, i, best, col, nbasic)):
+        if row[col] > 0 and (best is None or _lex_less(t, i, best, col, where, slacks)):
             best = i
     return best
 
 
-def _int_pivot(t, prev, row, col):
-    piv = t[row][col]
+def _pivot(t, prev, row, col):
     base = t[row]
+    piv = base[col]
     for i, r in enumerate(t):
         if i != row:
             f = r[col]
-            t[i] = [(v * piv - f * w) // prev for v, w in zip(r, base)]
+            new = [(v * piv - f * w) // prev for v, w in zip(r, base)]
+            new[col] = -f
+            t[i] = new
+    base[col] = prev
     return piv
+
+
+def _named(path, m: int) -> tuple[Var, ...]:
+    """The entering variables of a path of (tableau, label) steps."""
+    kinds = (("x", "s"), ("r", "y"))
+    return tuple(
+        (kinds[side][0], lab) if lab < m else (kinds[side][1], lab - m) for side, lab in path
+    )
 
 
 def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) -> MixedProfile:
@@ -174,52 +219,51 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     m, n = game.shape
     if not 0 <= label < m + n:
         raise FormatError(f"label must lie in [0, {m + n}), got {label}")
-    a, b = _positive_integer_matrices(game)
+    a, b, row_scale, col_scale = _positive_integer_matrices(game)
 
-    # tableau 1: rows j in [0, n); columns s_0..s_{n-1}, x_0..x_{m-1}, rhs
-    t1 = [[1 if c == j else 0 for c in range(n)] + [b[i][j] for i in range(m)] + [1]
-          for j in range(n)]
-    basis1: list[Var] = [("s", j) for j in range(n)]
-    # tableau 2: rows i in [0, m); columns r_0..r_{m-1}, y_0..y_{n-1}, rhs
-    t2 = [[1 if c == i else 0 for c in range(m)] + list(a[i]) + [1] for i in range(m)]
-    basis2: list[Var] = [("r", i) for i in range(m)]
+    # tableau 1: row j holds s_j, columns x_0..x_{m-1}; tableau 2: row i holds
+    # r_i, columns y_0..y_{n-1}
+    tableaux = (
+        [[b[i][j] for i in range(m)] + [1] for j in range(n)],
+        [a[i] + [1] for i in range(m)],
+    )
+    basis = ([m + j for j in range(n)], list(range(m)))
+    where = ([*range(m), *(~j for j in range(n))], [*(~i for i in range(m)), *range(n)])
+    slacks = (range(m, m + n), range(m))
     prev = [1, 1]
 
-    entering: Var = ("x", label) if label < m else ("y", label - m)
-    trace = [entering]
+    side, entering = (0 if label < m else 1), label
+    path = []
     for _ in range(max_iter):
-        in_first = entering[0] in ("s", "x")
-        if in_first:
-            t, basis, nbasic, side = t1, basis1, n, 0
-            col = entering[1] if entering[0] == "s" else n + entering[1]
-        else:
-            t, basis, nbasic, side = t2, basis2, m, 1
-            col = entering[1] if entering[0] == "r" else m + entering[1]
-        row = _lex_leaving(t, col, nbasic)
+        t, pos = tableaux[side], where[side]
+        col = pos[entering]
+        path.append((side, entering))
+        row = _lex_leaving(t, col, pos, slacks[side])
         if row is None:
-            raise RayTermination(tuple(trace))
-        leaving = basis[row]
-        prev[side] = _int_pivot(t, prev[side], row, col)
-        basis[row] = entering
-        if _label_of(leaving, m) == label:
+            raise RayTermination(_named(path, m))
+        leaving = basis[side][row]
+        prev[side] = _pivot(t, prev[side], row, col)
+        basis[side][row] = entering
+        pos[entering], pos[leaving] = ~row, col
+        if leaving == label:
             break
-        entering = (_COMPLEMENT[leaving[0]], leaving[1])
-        trace.append(entering)
+        side, entering = 1 - side, leaving
     else:
-        raise IterationLimit(f"no equilibrium within {max_iter} pivots")
+        raise IterationLimit(_named(path, m))
 
-    x = [ZERO] * m
-    for j, var in enumerate(basis1):
-        if var[0] == "x":
-            x[var[1]] = Fraction(t1[j][-1], prev[0])
-    y = [ZERO] * n
-    for i, var in enumerate(basis2):
-        if var[0] == "y":
-            y[var[1]] = Fraction(t2[i][-1], prev[1])
+    # basic values are rhs / prev in tableau units; prev cancels on normalizing
+    x = [0] * m
+    for j, lab in enumerate(basis[0]):
+        if lab < m:
+            x[lab] = tableaux[0][j][-1] * row_scale[lab]
+    y = [0] * n
+    for i, lab in enumerate(basis[1]):
+        if lab >= m:
+            y[lab - m] = tableaux[1][i][-1] * col_scale[lab - m]
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise InternalError("pivoting ended at the artificial origin")
-    profile = MixedProfile(tuple(v / sx for v in x), tuple(v / sy for v in y))
+    profile = MixedProfile(tuple(Fraction(v, sx) for v in x), tuple(Fraction(v, sy) for v in y))
     report = is_equilibrium(game, profile)
     if not report.ok:
         raise InternalError(f"pivoting returned a non-equilibrium: {report.deviation}")

@@ -100,8 +100,12 @@ def equilibrium_to_outcome(problem: LTUProblem, profile: MixedProfile) -> Outcom
     Stability of the result is exactly the equilibrium property of the input;
     callers that accept untrusted profiles should verify one side or other.
     """
-    problem.require_positive_outputs()
-    game = to_game(problem)
+    return _map_back(problem, to_game(problem), profile)[0]
+
+
+def _map_back(problem: LTUProblem, game: BimatrixGame, profile: MixedProfile):
+    """equilibrium_to_outcome on the problem's game, already built; returns
+    the outcome with the hider loss and seeker payoff it was scaled by."""
     hider_loss, seeker_payoff = expected_values(game, profile)
     if hider_loss == 0 or seeker_payoff == 0:
         raise ZeroValue("equilibrium values must be positive to invert the rescaling")
@@ -120,7 +124,7 @@ def equilibrium_to_outcome(problem: LTUProblem, profile: MixedProfile) -> Outcom
         profile.q[problem.nx + y] / (2 * problem.m[y] * hider_loss)
         for y in range(problem.ny)
     )
-    return Outcome(tuple(mu), u, v)
+    return Outcome(tuple(mu), u, v), hider_loss, seeker_payoff
 
 
 def solve_stable(problem: LTUProblem, label: int = 0, max_iter: int = 1_000_000):
@@ -130,7 +134,7 @@ def solve_stable(problem: LTUProblem, label: int = 0, max_iter: int = 1_000_000)
 
     game = to_game(problem)
     profile = lemke_howson(game, label=label, max_iter=max_iter)
-    outcome = equilibrium_to_outcome(problem, profile)
+    outcome = _map_back(problem, game, profile)[0]
     report = verify_stable(problem, outcome)
     if not report.ok:
         raise InternalError(
@@ -234,7 +238,12 @@ def outcome_to_equilibrium_n(
 def equilibrium_to_outcome_n(
     problem: ManyToOneProblem, profile: MixedProfile
 ) -> ArrangementOutcome:
-    game = to_game_n(problem)
+    return _map_back_n(problem, to_game_n(problem), profile)
+
+
+def _map_back_n(
+    problem: ManyToOneProblem, game: BimatrixGame, profile: MixedProfile
+) -> ArrangementOutcome:
     hider_loss, seeker_payoff = expected_values(game, profile)
     if hider_loss == 0 or seeker_payoff == 0:
         raise ZeroValue("equilibrium values must be positive to invert the rescaling")
@@ -250,19 +259,24 @@ def equilibrium_to_outcome_n(
 
 def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int = 1_000_000):
     """Normalize outputs, reduce, pivot, map back, undo the shift."""
+    return _solve_stable_m2o(problem, label, max_iter)[:2]
+
+
+def _solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int = 1_000_000):
+    """solve_stable_m2o, also returning the output shift it undid."""
     from .stability import verify_stable_m2o
 
     shifted, k = normalize_outputs(problem)
     game = to_game_n(shifted)
     profile = lemke_howson(game, label=label, max_iter=max_iter)
-    lifted = equilibrium_to_outcome_n(shifted, profile)
+    lifted = _map_back_n(shifted, game, profile)
     outcome = ArrangementOutcome(lifted.mu, tuple(x - k for x in lifted.u))
     report = verify_stable_m2o(problem, outcome)
     if not report.ok:
         raise InternalError(
             f"equilibrium mapped to an unstable arrangement outcome: {report.violations[0]}"
         )
-    return outcome, profile
+    return outcome, profile, k
 
 
 __all__ = [

@@ -46,6 +46,28 @@ def test_solve_json(capsys):
     assert data["profile"]["p"] == ["0", "2/5", "3/5", "0"]
 
 
+def test_solve_values_are_the_game_values(capsys, tmp_path):
+    """The reported loss and payoff are the profile's values in the game."""
+    import random
+
+    from ltumatch import FuzzConfig, expected_values, random_problem, to_game
+    from ltumatch.games import profile_from_dict
+    from ltumatch.model import problem_to_json
+    from ltumatch.rationals import parse_rational
+
+    rng = random.Random(5)
+    for k in range(6):
+        problem = random_problem(rng, FuzzConfig())
+        path = tmp_path / f"p{k}.json"
+        path.write_text(problem_to_json(problem))
+        label = k % (problem.nx * problem.ny + problem.nx + problem.ny)
+        code, out, _ = _capture(capsys, ["solve", str(path), "--json", "--label", str(label)])
+        assert code == 0
+        data = json.loads(out)
+        values = expected_values(to_game(problem), profile_from_dict(data["profile"]))
+        assert (parse_rational(data["hider_loss"]), parse_rational(data["seeker_payoff"])) == values
+
+
 def test_solve_decimal(capsys):
     code, out, _ = _capture(capsys, ["solve", FIG, "--json", "--decimal", "4"])
     assert code == 0

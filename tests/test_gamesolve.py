@@ -88,6 +88,32 @@ def test_lemke_howson_iteration_limit():
         lemke_howson(bos(), label=0, max_iter=1)
 
 
+def test_iteration_limit_carries_partial_trace():
+    with pytest.raises(IterationLimit) as exc:
+        lemke_howson(bos(), label=0, max_iter=1)
+    assert exc.value.trace == (("x", 0),)
+    assert str(exc.value) == "no equilibrium within 1 pivots"
+
+
+def test_max_iter_bounds_pivots_one_for_one(uneven2x2):
+    """The smallest accepted max_iter is the path length: one short of it
+    stops with a trace of exactly that many pivots."""
+    game = to_game(uneven2x2)
+    for label in range(len(game.rows) + len(game.cols)):
+        limit = 1
+        while True:
+            try:
+                prof = lemke_howson(game, label=label, max_iter=limit)
+                break
+            except IterationLimit as stop:
+                assert len(stop.trace) == limit
+                limit += 1
+        assert prof == lemke_howson(game, label=label)
+        with pytest.raises(IterationLimit) as exc:
+            lemke_howson(game, label=label, max_iter=limit - 1)
+        assert len(exc.value.trace) == limit - 1
+
+
 def test_enumerate_equilibria_coordination_game():
     game = bos()
     eqs = enumerate_equilibria(game)
