@@ -7,16 +7,23 @@ on equalities, nonnegative on inequalities) whose variable coefficients all
 vanish, or stay nonnegative where x_i >= 0 is in force, while the combined
 right side is negative.
 
-The solver eliminates equalities by Gaussian reduction, substitutes, and runs
-a dense phase-1 simplex with Bland's rule on the rest. Everything is Fraction
-arithmetic; there are no tolerances anywhere.
+One integer pivot, `_pivot`, does the work here and in
+`gamesolve.lemke_howson`: a fraction-free pivot on a tableau in dictionary
+form (von Stengel 2002) that divides exactly by the previous pivot element
+(Bareiss 1968). The LP scales each constraint row to integers once, pivots
+the variables into the equality rows in index order, splits sign-free
+variables, and runs a phase-1/phase-2 simplex with Bland's rule. Fractions
+appear only where a system comes in and a point, value or certificate goes
+out; there are no tolerances anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalError
+from .rationals import as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,16 +46,10 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "nonneg", tuple(bool(b) for b in self.nonneg))
-        object.__setattr__(
-            self,
-            "eqs",
-            tuple((tuple(Fraction(c) for c in row), Fraction(r)) for row, r in self.eqs),
-        )
-        object.__setattr__(
-            self,
-            "ineqs",
-            tuple((tuple(Fraction(c) for c in row), Fraction(r)) for row, r in self.ineqs),
-        )
+        for name in ("eqs", "ineqs"):
+            rows = getattr(self, name)
+            rows = tuple((tuple(map(as_fraction, row)), as_fraction(r)) for row, r in rows)
+            object.__setattr__(self, name, rows)
         if len(self.nonneg) != self.nvars:
             raise DimensionMismatch("nonneg flags must cover every variable")
         for row, _ in self.eqs + self.ineqs:
@@ -116,251 +117,237 @@ def satisfies(system: LinearSystem, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination on the equalities, with provenance.
+# The pivot kernel.
 
 
-def _rref(eqs, nvars):
-    """Reduce the equalities, tracking each reduced row as a combination of
-    the originals. Returns (pivots, rows, rhs, prov, bad_combo) where pivots
-    maps variable -> reduced row index and bad_combo is a combination proving
-    0 == nonzero when the equalities alone are inconsistent."""
-    m = len(eqs)
-    a = [list(row) + [r] for row, r in eqs]
-    prov = [[ONE if i == k else ZERO for k in range(m)] for i in range(m)]
-    rank = 0
-    pivots: dict[int, int] = {}
-    for col in range(nvars):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        prov[rank], prov[pivot] = prov[pivot], prov[rank]
-        inv = ONE / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        prov[rank] = [v * inv for v in prov[rank]]
+def _pivot(t, prev, row, col):
+    """Pivot the dictionary-form integer tableau t on (row, col); returns the
+    new common scale.
+
+    A row is a basic variable and a column a nonbasic one, with the rhs last;
+    entries are the true coefficients times `prev`, the last pivot element. A
+    basic variable's column, prev times the unit vector of its row, is not
+    stored. Pivoting on piv turns every other entry v into
+    (v * piv - f * w) // prev, with f the entry of v's row in col and w the
+    pivot row's entry in v's column; the division is exact. The leaving
+    variable takes over col, holding -f in every other row and prev in the
+    pivot row.
+    """
+    base = t[row]
+    piv = base[col]
+    for i, r in enumerate(t):
+        if i != row:
+            f = r[col]
+            new = [(v * piv - f * w) // prev for v, w in zip(r, base)]
+            new[col] = -f
+            t[i] = new
+    base[col] = prev
+    return piv
+
+
+# ---------------------------------------------------------------------------
+# The LP on one dictionary.
+#
+# Variables go by label: x_j is j, the slack of equality k (held at zero) is
+# e_k = nvars + k, the slack of inequality k is nvars + len(eqs) + k, and the
+# negative parts of split variables and the phase-1 artificials come after.
+# Each constraint row starts as its own slack's row, scaled by the lcm of its
+# denominators, so that slack stands for `scale` times the original one; the
+# scale changes sign where a row is negated to keep the common scale positive.
+# A slack's column in a row is that row's multiplier of the slack's
+# constraint, which is how every row and every reduced cost carries its own
+# provenance for certificates.
+
+
+class _Dictionary:
+    def __init__(self, nvars, eqs, ineqs):
+        rows = []
+        for coeffs, rhs in (*eqs, *ineqs):
+            scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+            rows.append(([c.numerator * (scale // c.denominator) for c in (*coeffs, rhs)], scale))
+        self.t = [row for row, _ in rows]
+        self.neq, self.slacks = len(eqs), range(nvars, nvars + len(rows))
+        self.prev = 1
+        self.ncols = nvars
+        self.basis = list(range(nvars, nvars + len(rows)))
+        self.where = [*range(nvars), *(~i for i in range(len(rows)))]
+        self.scale = [1] * nvars + [scale for _, scale in rows]
+
+    def pivot(self, row, entering):
+        # a negative pivot element would make prev negative: negate the row,
+        # and with it its basic variable, first
+        if self.t[row][self.where[entering]] < 0:
+            self.t[row] = [-v for v in self.t[row]]
+            self.scale[self.basis[row]] *= -1
+        col, leaving = self.where[entering], self.basis[row]
+        self.prev = _pivot(self.t, self.prev, row, col)
+        self.basis[row] = entering
+        self.where[entering], self.where[leaving] = ~row, col
+
+    def eliminate(self):
+        """Gauss-Jordan on the equality rows: x_0, x_1, ... in turn enter at
+        the first row from the rank down where they are nonzero, swapped up
+        to the rank. Returns the rank."""
+        rank = 0
+        for x in range(self.ncols):
+            i = next((i for i in range(rank, self.neq) if self.t[i][x]), None)
+            if i is None:
+                continue
+            self.t[rank], self.t[i] = self.t[i], self.t[rank]
+            self.basis[rank], self.basis[i] = self.basis[i], self.basis[rank]
+            self.where[self.basis[rank]], self.where[self.basis[i]] = ~rank, ~i
+            self.pivot(rank, x)
+            rank += 1
+        return rank
+
+    def add_variable(self, place):
+        """A new label at `place`: a column or ~row."""
+        self.where.append(place)
+        self.scale.append(1)
+        return len(self.where) - 1
+
+    def add_column(self, entries):
+        for row, v in zip(self.t, entries):
+            row.insert(-1, v)
+        self.ncols += 1
+        return self.ncols - 1
+
+    def coeff(self, i, v):
+        """prev times the coefficient of variable v in row i."""
+        c = self.where[v]
+        if c >= 0:
+            return self.t[i][c]
+        return self.prev if i < len(self.basis) and self.basis[i] == v else 0
+
+    def value(self, v):
+        c = self.where[v]
+        return Fraction(self.t[~c][-1], self.prev) if c < 0 else ZERO
+
+    def certificate(self, i, den):
+        """The multipliers of row i (or of the reduced costs, when i is the
+        objective row), in units of the original constraints, over den."""
+        mult = [Fraction(self.scale[v] * self.coeff(i, v), den) for v in self.slacks]
+        return Certificate(tuple(mult[:self.neq]), tuple(mult[self.neq:]))
+
+    def price(self, cost):
+        """Append the objective row: prev times the reduced costs of `cost`,
+        a dict of integer costs by label."""
+        obj = [0] * (self.ncols + 1)
+        for v, c in cost.items():
+            if self.where[v] >= 0:
+                obj[self.where[v]] += c * self.prev
+        for v, r in zip(self.basis, self.t):
+            if cost.get(v):
+                obj = [a - cost[v] * b for a, b in zip(obj, r)]
+        self.t.append(obj)
+
+    def simplex(self, m, order, key):
+        """Minimize the objective row (the last) over the first m rows with
+        Bland's rule: the first label of `order` whose reduced cost is
+        negative enters, and equal ratios leave at the lowest key. Returns
+        False when unbounded."""
+        while True:
+            obj, where = self.t[-1], self.where
+            entering = next((v for v in order if where[v] >= 0 and obj[where[v]] < 0), None)
+            if entering is None:
+                return True
+            col, row = where[entering], None
+            for i in range(m):
+                r = self.t[i]
+                if r[col] > 0:
+                    if row is None:
+                        row = i
+                        continue
+                    best = self.t[row]
+                    lhs, rhs = r[-1] * best[col], best[-1] * r[col]
+                    if lhs < rhs or (lhs == rhs and key[self.basis[i]] < key[self.basis[row]]):
+                        row = i
+            if row is None:
+                return False
+            self.pivot(row, entering)
+
+
+def _lp(system: LinearSystem, objective=None):
+    """(point, None) for a feasible system, with the point maximizing the
+    objective when one is given, or (None, certificate)."""
+    n, neq, nonneg = system.nvars, len(system.eqs), system.nonneg
+    d = _Dictionary(n, system.eqs, system.ineqs)
+    rank = d.eliminate()
+    for i in range(rank, neq):
+        if d.t[i][-1]:
+            # 0 == nonzero: the row's combination, signed to make the rhs negative
+            den = d.prev * d.scale[d.basis[i]]
+            return None, d.certificate(i, -den if d.t[i][-1] * den > 0 else den)
+
+    # Simplex rows first: the inequalities, then x_p >= 0 for each nonnegative
+    # x_p that the elimination made basic; then the other eliminated rows.
+    bounds = [i for i in range(rank) if nonneg[d.basis[i]]]
+    keep = [*range(neq, len(d.t)), *bounds, *(i for i in range(rank) if not nonneg[d.basis[i]])]
+    m = len(d.t) - neq + len(bounds)
+    d.t, d.basis = [d.t[i] for i in keep], [d.basis[i] for i in keep]
+    for i, v in enumerate(d.basis):
+        d.where[v] = ~i
+
+    params = [x for x in range(n) if d.where[x] >= 0]
+    if not params:
         for i in range(m):
-            f = a[i][col]
-            if i != rank and f != 0:
-                a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
-                prov[i] = [v - f * w for v, w in zip(prov[i], prov[rank])]
-        pivots[col] = rank
-        rank += 1
-    for i in range(rank, m):
-        if a[i][nvars] != 0:
-            combo = prov[i] if a[i][nvars] < 0 else [-v for v in prov[i]]
-            return pivots, None, None, None, tuple(combo)
-    rows = [a[i][:nvars] for i in range(rank)]
-    rhs = [a[i][nvars] for i in range(rank)]
-    return pivots, rows, rhs, [prov[i] for i in range(rank)], None
+            if d.t[i][-1] < 0:
+                return None, d.certificate(i, d.prev * d.scale[d.basis[i]])
+    # Bland's order: each parameter then its negative part, then the slacks
+    negative, order = {}, []
+    for x in params:
+        order.append(x)
+        if not nonneg[x]:
+            negative[x] = d.add_variable(d.add_column([-row[d.where[x]] for row in d.t]))
+            order.append(negative[x])
+    order += d.basis[:m]
+
+    # A row with negative rhs is negated, and an artificial replaces its slack.
+    arts, cost, big = [], {}, math.lcm(*(d.scale[d.basis[i]] for i in range(m) if d.t[i][-1] < 0))
+    for i in range(m):
+        if d.t[i][-1] < 0:
+            d.t[i] = [-v for v in d.t[i]]
+            slack = d.basis[i]
+            d.where[slack] = d.add_column([-d.prev if k == i else 0 for k in range(len(d.t))])
+            d.basis[i] = d.add_variable(~i)
+            arts.append(d.basis[i])
+            cost[d.basis[i]] = big // d.scale[slack]
+    key = {v: k for k, v in enumerate(order + arts)}
+    if arts:
+        d.price(cost)
+        if not d.simplex(m, order, key):
+            raise InternalError("phase-1 objective cannot be unbounded")
+        if d.t[-1][-1] < 0:  # the artificials cannot all reach zero
+            return None, d.certificate(len(d.t) - 1, d.prev * big)
+        d.t.pop()
+        for i in range(m):
+            if d.basis[i] in arts:
+                v = next((v for v in order if d.where[v] >= 0 and d.t[i][d.where[v]]), None)
+                if v is not None:
+                    d.pivot(i, v)
+    if objective is not None:
+        scale = math.lcm(*(c.denominator for c in objective))
+        cost = {x: -c.numerator * (scale // c.denominator) for x, c in enumerate(objective) if c}
+        cost.update((negative[x], -cost[x]) for x in negative if x in cost)
+        d.price(cost)
+        if not d.simplex(m, order, key):
+            raise InternalError("objective is unbounded on this system")
+    point = [d.value(x) for x in range(n)]
+    for x, neg in negative.items():
+        point[x] -= d.value(neg)
+    return tuple(point), None
 
 
 def equations_consistent(eqs, nvars: int) -> bool:
     """Whether the equalities alone admit any solution (signs ignored)."""
-    *_, bad = _rref(tuple((tuple(r), rhs) for r, rhs in eqs), nvars)
-    return bad is None
-
-
-# ---------------------------------------------------------------------------
-# Dense phase-1 / phase-2 simplex over the reduced inequality system.
-
-
-def _pivot(tableau, obj, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, trow in enumerate(tableau):
-        if i != row and trow[col] != 0:
-            f = trow[col]
-            tableau[i] = [v - f * w for v, w in zip(trow, tableau[row])]
-    if obj is not None and obj[col] != 0:
-        f = obj[col]
-        obj[:] = [v - f * w for v, w in zip(obj, tableau[row])]
-    basis[row] = col
-
-
-def _run_simplex(tableau, obj, basis, enterable):
-    """Minimize until the objective row is nonnegative on enterable columns.
-    Bland's rule throughout. Returns False if unbounded."""
-    width = len(obj) - 1
-    while True:
-        col = next((j for j in range(width) if enterable[j] and obj[j] < 0), None)
-        if col is None:
-            return True
-        row = None
-        best = None
-        for i, trow in enumerate(tableau):
-            if trow[col] > 0:
-                ratio = trow[-1] / trow[col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best, row = ratio, i
-        if row is None:
-            return False
-        _pivot(tableau, obj, basis, row, col)
-
-
-def _solve_reduced(rows, rhs, nt, objective=None):
-    """Feasibility (and optionally max objective . t) of rows . t <= rhs with
-    t >= 0. Returns ("infeasible", z) with z >= 0, z . rows >= 0 columnwise
-    and z . rhs < 0, or ("optimal", t, value). The objective must be bounded
-    on a nonempty feasible set; hitting unbounded growth is a caller bug."""
-    m = len(rows)
-    if m == 0:
-        if objective is not None and any(c > 0 for c in objective):
-            raise InternalError("objective is unbounded on this system")
-        return "optimal", [ZERO] * nt, None if objective is None else ZERO
-    sign = [ONE if h >= 0 else -ONE for h in rhs]
-    art_rows = [k for k in range(m) if rhs[k] < 0]
-    art_col = {k: nt + m + i for i, k in enumerate(art_rows)}
-    width = nt + m + len(art_rows)
-    tableau = []
-    basis = []
-    for k in range(m):
-        row = [sign[k] * c for c in rows[k]]
-        row += [sign[k] if j == k else ZERO for j in range(m)]
-        row += [ONE if art_col.get(k) == nt + m + i else ZERO for i in range(len(art_rows))]
-        row.append(sign[k] * rhs[k])
-        tableau.append(row)
-        basis.append(art_col[k] if k in art_col else nt + k)
-    enterable = [j < nt + m for j in range(width)]
-    if art_rows:
-        obj = [ZERO] * (width + 1)
-        for j in range(width + 1):
-            obj[j] = (ONE if nt + m <= j < width else ZERO) - sum(
-                tableau[k][j] for k in art_rows
-            )
-        if not _run_simplex(tableau, obj, basis, enterable):
-            raise InternalError("phase-1 objective cannot be unbounded")
-        value = -obj[-1]
-        if value > 0:
-            z = [obj[nt + k] for k in range(m)]
-            return "infeasible", z, None
-        for i in range(m):
-            if basis[i] >= nt + m:
-                col = next((j for j in range(nt + m) if tableau[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, obj, basis, i, col)
-    if objective is not None:
-        cost = [(-objective[j] if j < nt else ZERO) for j in range(width)] + [ZERO]
-        obj = list(cost)
-        for i, b in enumerate(basis):
-            f = cost[b]
-            if f != 0:
-                obj = [v - f * w for v, w in zip(obj, tableau[i])]
-        if not _run_simplex(tableau, obj, basis, enterable):
-            raise InternalError("objective is unbounded on this system")
-    t = [ZERO] * nt
-    for i, b in enumerate(basis):
-        if b < nt:
-            t[b] = tableau[i][-1]
-    value = None if objective is None else sum(c * v for c, v in zip(objective, t))
-    return "optimal", t, value
-
-
-# ---------------------------------------------------------------------------
-# The full pipeline: eliminate equalities, substitute, split free variables.
-
-
-def _prepare(system: LinearSystem):
-    pivots, rows, rhs, prov, bad = _rref(system.eqs, system.nvars)
-    if bad is not None:
-        cert = Certificate(bad, tuple(ZERO for _ in system.ineqs))
-        return None, SolveResult(None, cert)
-    params = [i for i in range(system.nvars) if i not in pivots]
-    return (pivots, rows, rhs, prov, params), None
-
-
-def _reduce_row(coeffs, rhs_val, pivots, rows, rhs, params):
-    """Substitute the pivot variables out of one constraint row."""
-    red = {f: coeffs[f] for f in params}
-    r = rhs_val
-    for p, prow in pivots.items():
-        c = coeffs[p]
-        if c != 0:
-            for f in params:
-                red[f] -= c * rows[prow][f]
-            r -= c * rhs[prow]
-    return [red[f] for f in params], r
-
-
-def _row_eq_combo(coeffs, pivots, prov, neqs):
-    combo = [ZERO] * neqs
-    for p, prow in pivots.items():
-        c = coeffs[p]
-        if c != 0:
-            for k in range(neqs):
-                combo[k] -= c * prov[prow][k]
-    return combo
+    d = _Dictionary(nvars, eqs, ())
+    rank = d.eliminate()
+    return not any(row[-1] for row in d.t[rank:])
 
 
 def solve(system: LinearSystem) -> SolveResult:
     """Find a feasible point or a Farkas certificate of infeasibility."""
-    prep, early = _prepare(system)
-    if early is not None:
-        return early
-    pivots, rows, rhs, prov, params = prep
-    neqs = len(system.eqs)
-
-    if not params:
-        point = [ZERO] * system.nvars
-        for p, prow in pivots.items():
-            point[p] = rhs[prow]
-        for k, (coeffs, r) in enumerate(system.ineqs):
-            if sum(c * v for c, v in zip(coeffs, point)) > r:
-                y = _row_eq_combo(coeffs, pivots, prov, neqs)
-                zz = [ZERO] * len(system.ineqs)
-                zz[k] = ONE
-                return SolveResult(None, Certificate(tuple(y), tuple(zz)))
-        for p, prow in pivots.items():
-            if system.nonneg[p] and point[p] < 0:
-                y = tuple(prov[prow])
-                return SolveResult(None, Certificate(y, tuple(ZERO for _ in system.ineqs)))
-        return SolveResult(tuple(point), None)
-
-    # Substituted rows: the original inequalities, then x_p >= 0 for every
-    # nonnegative pivot variable. Each remembers how to map a multiplier back.
-    sub_rows, sub_rhs, origin = [], [], []
-    for k, (coeffs, r) in enumerate(system.ineqs):
-        red, rr = _reduce_row(coeffs, r, pivots, rows, rhs, params)
-        sub_rows.append(red)
-        sub_rhs.append(rr)
-        origin.append(("ineq", k, _row_eq_combo(coeffs, pivots, prov, neqs)))
-    for p, prow in pivots.items():
-        if system.nonneg[p]:
-            sub_rows.append([rows[prow][f] for f in params])
-            sub_rhs.append(rhs[prow])
-            origin.append(("bound", p, list(prov[prow])))
-
-    # Split sign-free parameters into a difference of nonnegatives.
-    cols = []  # (param position, sign)
-    for pos, f in enumerate(params):
-        cols.append((pos, ONE))
-        if not system.nonneg[f]:
-            cols.append((pos, -ONE))
-    split_rows = [[row[pos] * s for pos, s in cols] for row in sub_rows]
-
-    outcome = _solve_reduced(split_rows, sub_rhs, len(cols))
-    if outcome[0] == "infeasible":
-        z = outcome[1]
-        eq_mult = [ZERO] * neqs
-        ineq_mult = [ZERO] * len(system.ineqs)
-        for zk, (kind, idx, combo) in zip(z, origin):
-            if zk == 0:
-                continue
-            for k in range(neqs):
-                eq_mult[k] += zk * combo[k]
-            if kind == "ineq":
-                ineq_mult[idx] += zk
-        return SolveResult(None, Certificate(tuple(eq_mult), tuple(ineq_mult)))
-
-    tvals = outcome[1]
-    pvals = [ZERO] * len(params)
-    for (pos, s), tv in zip(cols, tvals):
-        pvals[pos] += s * tv
-    point = [ZERO] * system.nvars
-    for pos, f in enumerate(params):
-        point[f] = pvals[pos]
-    for p, prow in pivots.items():
-        point[p] = rhs[prow] - sum(rows[prow][f] * point[f] for f in params)
-    return SolveResult(tuple(point), None)
+    return SolveResult(*_lp(system))
 
 
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]] | None:
@@ -369,57 +356,10 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
     objective = tuple(Fraction(c) for c in objective)
     if len(objective) != system.nvars:
         raise DimensionMismatch("objective has the wrong width")
-    prep, early = _prepare(system)
-    if early is not None:
+    point, _ = _lp(system, objective)
+    if point is None:
         return None
-    pivots, rows, rhs, prov, params = prep
-
-    if not params:
-        result = solve(system)
-        if result.point is None:
-            return None
-        value = sum(c * v for c, v in zip(objective, result.point))
-        return value, result.point
-
-    sub_rows, sub_rhs = [], []
-    for coeffs, r in system.ineqs:
-        red, rr = _reduce_row(coeffs, r, pivots, rows, rhs, params)
-        sub_rows.append(red)
-        sub_rhs.append(rr)
-    for p, prow in pivots.items():
-        if system.nonneg[p]:
-            sub_rows.append([rows[prow][f] for f in params])
-            sub_rhs.append(rhs[prow])
-
-    const = sum(objective[p] * rhs[prow] for p, prow in pivots.items())
-    red_obj = []
-    for f in params:
-        c = objective[f]
-        for p, prow in pivots.items():
-            c -= objective[p] * rows[prow][f]
-        red_obj.append(c)
-
-    cols = []
-    for pos, f in enumerate(params):
-        cols.append((pos, ONE))
-        if not system.nonneg[f]:
-            cols.append((pos, -ONE))
-    split_rows = [[row[pos] * s for pos, s in cols] for row in sub_rows]
-    split_obj = [red_obj[pos] * s for pos, s in cols]
-
-    outcome = _solve_reduced(split_rows, sub_rhs, len(cols), objective=split_obj)
-    if outcome[0] == "infeasible":
-        return None
-    tvals = outcome[1]
-    pvals = [ZERO] * len(params)
-    for (pos, s), tv in zip(cols, tvals):
-        pvals[pos] += s * tv
-    point = [ZERO] * system.nvars
-    for pos, f in enumerate(params):
-        point[f] = pvals[pos]
-    for p, prow in pivots.items():
-        point[p] = rhs[prow] - sum(rows[prow][f] * point[f] for f in params)
-    return const + outcome[2], tuple(point)
+    return sum(c * v for c, v in zip(objective, point)), point
 
 
 def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...] | None:
@@ -432,12 +372,13 @@ def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...
         return None
     points = [base.point]
     n = system.nvars
+    ext_nonneg = system.nonneg + (True,)
+    ext_eqs = tuple((row + (ZERO,), r) for row, r in system.eqs)
+    ext_ineqs = tuple((row + (ZERO,), r) for row, r in system.ineqs)
+    objective = [ZERO] * n + [ONE]
     for c in coords:
         if base.point[c] > 0:
             continue
-        ext_nonneg = system.nonneg + (True,)
-        ext_eqs = tuple((row + (ZERO,), r) for row, r in system.eqs)
-        ext_ineqs = tuple((row + (ZERO,), r) for row, r in system.ineqs)
         tc = [ZERO] * (n + 1)
         tc[n] = ONE
         tc[c] -= ONE
@@ -447,7 +388,6 @@ def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...
             ext_eqs,
             ext_ineqs + ((tuple(tc), ZERO), (tuple([ZERO] * n + [ONE]), ONE)),
         )
-        objective = [ZERO] * n + [ONE]
         best = maximize(lift, objective)
         if best is not None and best[0] > 0:
             points.append(best[1][:n])

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fuzz import FuzzConfig, run_campaign
 from .games import game_to_json, profile_from_dict, profile_to_dict
-from .gamesolve import is_equilibrium
+from .gamesolve import is_equilibrium, lemke_howson
 from .model import (
     LTUProblem,
     ManyToOneProblem,
@@ -57,7 +57,14 @@ from .model import (
 )
 from .oracle import enumerate_stable
 from .rationals import decimal_str, format_rational
-from .reduction import _solve_stable_m2o, equilibrium_to_outcome, solve_stable, to_game
+from .reduction import (
+    _map_back,
+    _require_stable,
+    _solve_stable_m2o,
+    equilibrium_to_outcome,
+    solve_stable,
+    to_game,
+)
 from .stability import blocking_pairs, verify_stable, verify_stable_m2o
 from .tu import build_counterexample, check_tu, exchange_test, rescale_to_tu
 
@@ -170,11 +177,14 @@ def cmd_solve(args) -> int:
     fmt = _formatter(args)
 
     if args.all_labels:
+        game = to_game(problem)
         groups: dict[tuple, tuple] = {}
         for label in range(nlabels):
-            outcome, profile = solve_stable(problem, label=label)
+            profile = lemke_howson(game, label=label)
+            outcome = _map_back(problem, game, profile)[0]
             key = (outcome.mu, outcome.u, outcome.v)
             if key not in groups:
+                _require_stable(problem, outcome)
                 groups[key] = (outcome, profile, [])
             groups[key][2].append(label)
         if args.json:

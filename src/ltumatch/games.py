@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .rationals import format_rational, parse_rational
+from .rationals import as_fraction, format_rational, parse_rational
 
 RowLabel = tuple[str | None, ...]
 ColLabel = tuple[str, str]
@@ -36,8 +36,8 @@ class BimatrixGame:
         cols = tuple((str(a), str(b)) for a, b in self.cols)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        loss = tuple(tuple(Fraction(v) for v in row) for row in self.loss)
-        payoff = tuple(tuple(Fraction(v) for v in row) for row in self.payoff)
+        loss = tuple(tuple(map(as_fraction, row)) for row in self.loss)
+        payoff = tuple(tuple(map(as_fraction, row)) for row in self.payoff)
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "payoff", payoff)
         nr, nc = len(rows), len(cols)

@@ -2,13 +2,12 @@
 
 Two solvers. `lemke_howson` follows the complementary pivoting path from the
 artificial origin after dropping one label. It pivots two integer tableaux in
-dictionary form: one row per basic variable, one column per nonbasic variable,
-with the basic columns (multiples of unit vectors) left implicit. Entries stay
-integers throughout, because each pivot divides exactly by the previous pivot
-element, and degenerate ties are broken lexicographically so the path cannot
-cycle. `enumerate_equilibria` sweeps support pairs and solves each candidate's
-indifference system exactly, which finds every equilibrium support of small
-games at the cost of exponential work in the larger dimension.
+dictionary form with `_pivot`, the fraction-free kernel it shares with the
+exact LP in `_simplex`, so entries stay integers throughout; degenerate ties
+are broken lexicographically so the path cannot cycle. `enumerate_equilibria`
+sweeps support pairs and solves each candidate's indifference system with
+that LP, which finds every equilibrium support of small games at the cost of
+exponential work in the larger dimension.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -19,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._simplex import LinearSystem, relative_interior_point
+from ._simplex import LinearSystem, _pivot, relative_interior_point
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -131,16 +130,11 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # in each tableau the label that just left the other, until the dropped label
 # leaves.
 #
-# A row is a basic variable and a column a nonbasic one, with the rhs last;
-# entries are scaled by the tableau's last pivot element `prev`. A basic
-# variable's column, prev times the unit vector of its row, is not stored, so
-# tableau 2 is m x (n + 1) rather than m x (m + n + 1). Pivoting on piv at
-# (row, col) turns every other entry v into (v * piv - f * w) // prev, with f
-# the entry of v's row in col and w the pivot row's entry in v's column; the
-# division is exact. The leaving variable takes over col, holding -f in every
-# other row and prev in the pivot row. `where` maps each label to its column
-# when nonbasic and to ~row when basic, so the lexicographic ratio test reads a
-# slack from its column or as the implicit unit column.
+# A row is a basic variable and a column a nonbasic one, with the rhs last
+# (see `_pivot`), so tableau 2 is m x (n + 1) rather than m x (m + n + 1).
+# `where` maps each label to its column when nonbasic and to ~row when basic,
+# so the lexicographic ratio test reads a slack from its column or as the
+# implicit unit column.
 
 Var = tuple[str, int]
 
@@ -191,19 +185,6 @@ def _lex_leaving(t, col, where, slacks):
         if row[col] > 0 and (best is None or _lex_less(t, i, best, col, where, slacks)):
             best = i
     return best
-
-
-def _pivot(t, prev, row, col):
-    base = t[row]
-    piv = base[col]
-    for i, r in enumerate(t):
-        if i != row:
-            f = r[col]
-            new = [(v * piv - f * w) // prev for v, w in zip(r, base)]
-            new[col] = -f
-            t[i] = new
-    base[col] = prev
-    return piv
 
 
 def _named(path, m: int) -> tuple[Var, ...]:

@@ -50,3 +50,8 @@ def decimal_str(value: Fraction, digits: int) -> str:
         return sign + text
     text = text.rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def as_fraction(value) -> Fraction:
+    """Fraction(value), skipping the conversion when value already is one."""
+    return value if type(value) is Fraction else Fraction(value)

@@ -130,17 +130,21 @@ def _map_back(problem: LTUProblem, game: BimatrixGame, profile: MixedProfile):
 def solve_stable(problem: LTUProblem, label: int = 0, max_iter: int = 1_000_000):
     """Pipeline: reduce, run the pivoting solver, map back. Returns the
     outcome together with the profile it came from."""
-    from .stability import verify_stable
-
     game = to_game(problem)
     profile = lemke_howson(game, label=label, max_iter=max_iter)
     outcome = _map_back(problem, game, profile)[0]
+    _require_stable(problem, outcome)
+    return outcome, profile
+
+
+def _require_stable(problem: LTUProblem, outcome: Outcome) -> None:
+    from .stability import verify_stable
+
     report = verify_stable(problem, outcome)
     if not report.ok:
         raise InternalError(
             f"equilibrium mapped to an unstable outcome: {report.violations[0]}"
         )
-    return outcome, profile
 
 
 def make_subproblem(spec: SubproblemSpec) -> LTUProblem:

@@ -91,6 +91,40 @@ def test_solve_all_labels(capsys):
     assert sorted(labels) == list(range(8))
 
 
+def _count_to_game(monkeypatch):
+    from ltumatch import cli, reduction
+
+    calls = []
+    original = reduction.to_game
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(reduction, "to_game", counting)
+    monkeypatch.setattr(cli, "to_game", counting)
+    return calls
+
+
+def test_solve_all_labels_builds_one_game(capsys, monkeypatch):
+    calls = _count_to_game(monkeypatch)
+    code, out, _ = _capture(capsys, ["solve", TAX, "--all-labels", "--json"])
+    assert code == 0
+    assert [group["labels"] for group in json.loads(out)["outcomes"]] == [[0, 1, 2]]
+    assert len(calls) == 1
+
+
+def test_solve_all_labels_rejects_an_unstable_outcome(capsys, monkeypatch, uneven2x2, mixed):
+    from ltumatch import stability
+
+    report = stability.verify_stable(uneven2x2, mixed)
+    assert not report.ok
+    monkeypatch.setattr(stability, "verify_stable", lambda problem, outcome: report)
+    code, _, err = _capture(capsys, ["solve", FIG, "--all-labels"])
+    assert code == 3
+    assert "unstable outcome" in err
+
+
 def test_solve_label_out_of_range(capsys):
     code, out, err = _capture(capsys, ["solve", FIG, "--label", "99"])
     assert code == 2
