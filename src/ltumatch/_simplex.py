@@ -84,14 +84,14 @@ def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
         return False
     combo = [ZERO] * system.nvars
     rhs = ZERO
-    for y, (row, r) in zip(cert.eq_mult, system.eqs):
-        for i, c in enumerate(row):
-            combo[i] += y * c
-        rhs += y * r
-    for z, (row, r) in zip(cert.ineq_mult, system.ineqs):
-        for i, c in enumerate(row):
-            combo[i] += z * c
-        rhs += z * r
+    # zero multipliers and zero coefficients add exactly nothing: skip them
+    for mult, rows in ((cert.eq_mult, system.eqs), (cert.ineq_mult, system.ineqs)):
+        for y, (row, r) in zip(mult, rows):
+            if y:
+                for i, c in enumerate(row):
+                    if c:
+                        combo[i] += y * c
+                rhs += y * r
     for i, g in enumerate(combo):
         if system.nonneg[i]:
             if g < 0:
@@ -129,18 +129,22 @@ def _pivot(t, prev, row, col):
     basic variable's column, prev times the unit vector of its row, is not
     stored. Pivoting on piv turns every other entry v into
     (v * piv - f * w) // prev, with f the entry of v's row in col and w the
-    pivot row's entry in v's column; the division is exact. The leaving
-    variable takes over col, holding -f in every other row and prev in the
-    pivot row.
+    pivot row's entry in v's column; the division is exact. Where w is 0 that
+    is v * piv // prev, and a row with f = 0 is only rescaled, or left alone
+    when piv == prev. The leaving variable takes over col, holding -f in every
+    other row and prev in the pivot row.
     """
     base = t[row]
     piv = base[col]
     for i, r in enumerate(t):
         if i != row:
             f = r[col]
-            new = [(v * piv - f * w) // prev for v, w in zip(r, base)]
-            new[col] = -f
-            t[i] = new
+            if f:
+                new = [(v * piv - f * w) // prev if w else v * piv // prev for v, w in zip(r, base)]
+                new[col] = -f
+                t[i] = new
+            elif piv != prev:
+                t[i] = [v * piv // prev for v in r]
     base[col] = prev
     return piv
 

@@ -11,6 +11,15 @@ rest. Any point feasible for both halves is a stable outcome, and every
 stable outcome is feasible for the pattern it induces, so sweeping all
 patterns finds a representative of every stability region.
 
+The split half is monotone: binding more cells or letting fewer types earn
+only adds constraints, so a pattern whose splits are infeasible stays so
+under both moves. The search uses this twice. It refutes whole cell sets
+through a relaxed split system (the cells binding, every type free to earn),
+and inside a cell set it visits the earning sets from the largest down, so
+that one refuted pattern refutes all of its smaller ones. Nothing is skipped
+on trust: the Farkas certificate of the refuted system is carried over to
+each skipped pattern's own split system and checked there.
+
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
 against accidental monsters.
@@ -73,34 +82,67 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
     return ComplementarityPattern(cells, pos_u, pos_v)
 
 
-def _split_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
+def _split_rows(problem: LTUProblem):
+    """The rows that split systems are assembled from: per cell in row-major
+    order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 and its
+    no-blocking inequality, the same row negated; per variable its unit row."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
-    cellset = set(pattern.cells)
-    eqs = []
-    ineqs = []
+    cells = {}
     for x in range(nx):
         for y in range(ny):
             row = [ZERO] * width
+            neg = [ZERO] * width
             lam = problem.lam[x][y]
-            row[x] = lam
-            row[nx + y] = ONE - lam
+            row[x], row[nx + y] = lam, ONE - lam
+            neg[x], neg[nx + y] = -lam, lam - ONE
             half = problem.phi[x][y] / 2
-            if (x, y) in cellset:
-                eqs.append((tuple(row), half))
-            else:
-                ineqs.append((tuple(-c for c in row), -half))
-    for x in range(nx):
-        if x not in pattern.pos_u:
-            row = [ZERO] * width
-            row[x] = ONE
-            eqs.append((tuple(row), ZERO))
-    for y in range(ny):
-        if y not in pattern.pos_v:
-            row = [ZERO] * width
-            row[nx + y] = ONE
-            eqs.append((tuple(row), ZERO))
-    return LinearSystem(width, (True,) * width, tuple(eqs), tuple(ineqs))
+            cells[x, y] = ((tuple(row), half), (tuple(neg), -half))
+    units = [tuple(ONE if i == k else ZERO for i in range(width)) for k in range(width)]
+    return cells, units
+
+
+def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:
+    nx, ny = problem.nx, problem.ny
+    cells, units = rows or _split_rows(problem)
+    cellset = set(pattern.cells)
+    eqs = []
+    ineqs = []
+    for cell, (eq, ineq) in cells.items():
+        if cell in cellset:
+            eqs.append(eq)
+        else:
+            ineqs.append(ineq)
+    eqs += [(units[x], ZERO) for x in range(nx) if x not in pattern.pos_u]
+    eqs += [(units[nx + y], ZERO) for y in range(ny) if y not in pattern.pos_v]
+    return LinearSystem(nx + ny, (True,) * (nx + ny), tuple(eqs), tuple(ineqs))
+
+
+def _carry(cert: Certificate, source: ComplementarityPattern, target: ComplementarityPattern,
+           nx: int, ny: int) -> Certificate:
+    """Carry a Farkas certificate of source's split system over to target's,
+    where target binds more cells and lets fewer types earn.
+
+    Rows are matched on what they constrain. A cell's multiplier is read as
+    that of its binding equality, so an inequality's z counts as -z there; a
+    type held at zero keeps its multiplier, or gets 0 where source let it
+    earn. The combination of the rows is unchanged, so the carried
+    certificate refutes target exactly when the original refutes source."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    source_cells = set(source.cells)
+    binding = {
+        (x, y): next(eq_mult) if (x, y) in source_cells else -next(ineq_mult)
+        for x in range(nx)
+        for y in range(ny)
+    }
+    held = {x: next(eq_mult) for x in range(nx) if x not in source.pos_u}
+    held.update((nx + y, next(eq_mult)) for y in range(ny) if y not in source.pos_v)
+    target_cells = set(target.cells)
+    eqs = [z for cell, z in binding.items() if cell in target_cells]
+    eqs += [held.get(x, ZERO) for x in range(nx) if x not in target.pos_u]
+    eqs += [held.get(nx + y, ZERO) for y in range(ny) if y not in target.pos_v]
+    ineqs = [-z for cell, z in binding.items() if cell not in target_cells]
+    return Certificate(tuple(eqs), tuple(ineqs))
 
 
 def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
@@ -171,6 +213,18 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     needs a matchable cell in its line, a binding cell with positive output
     needs someone at the table earning, and binding equalities that are
     already inconsistent on their own kill the whole cell set.
+
+    Two more prunes use that the split half is monotone: binding more cells
+    or letting fewer types earn only adds constraints. Each cell set S gets
+    its relaxed split system (S binding, every type free to earn) solved
+    once, or carried over from a refuted subset, and when that is infeasible
+    every pattern of S is skipped. Inside a feasible S the earning sets are
+    visited from the largest down, and a split-refuted pattern also refutes
+    every pattern of S with fewer earning types. A skipped pattern gets the
+    refuting certificate carried over to its own split system (`_carry`),
+    and that certificate is checked with `certificate_refutes` like any
+    other. Every pattern that is not skipped goes through
+    `linear_feasibility` as before, so the prunes cannot change the result.
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
@@ -185,29 +239,42 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
     width = nx + ny
+    rows = _split_rows(problem)
     found: dict[tuple, Outcome] = {}
+    # cell set mask -> (pattern, certificate) refuting its relaxed split
+    # system: the relaxed pattern itself or that of a subset
+    refuted: dict[int, tuple[ComplementarityPattern, Certificate]] = {}
 
     for smask in range(1 << ncells):
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         if any(problem.phi[x][y] < 0 for x, y in scells):
             continue
-        eqs = []
-        for x, y in scells:
-            row = [ZERO] * width
-            row[x] = problem.lam[x][y]
-            row[nx + y] = ONE - problem.lam[x][y]
-            eqs.append((tuple(row), problem.phi[x][y] / 2))
-        if eqs and not equations_consistent(tuple(eqs), width):
+        eqs = tuple(rows[0][cell][0] for cell in scells)
+        if eqs and not equations_consistent(eqs, width):
             continue
+        # Subsets come first and pass the checks above whenever S does, so if
+        # any of them was refuted, one with a single cell less was.
+        smaller = (smask & ~(1 << i) for i in range(ncells) if smask >> i & 1)
+        sub = next((m for m in smaller if m in refuted), None)
+        if sub is not None:
+            refuted[smask] = refuted[sub]
+        else:
+            relaxed = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
+            result = solve(_split_system(problem, relaxed, rows))
+            if result.point is None:
+                refuted[smask] = relaxed, result.certificate
         srows = 0
         scols = 0
         for x, y in scells:
             srows |= 1 << x
             scols |= 1 << y
-        for pumask in range(1 << nx):
+        # (pumask, pvmask) -> (pattern, certificate) refuting that pattern's
+        # split system: its own or that of a larger one
+        split_refuted: dict[tuple[int, int], tuple[ComplementarityPattern, Certificate]] = {}
+        for pumask in reversed(range(1 << nx)):
             if pumask & ~srows:
                 continue
-            for pvmask in range(1 << ny):
+            for pvmask in reversed(range(1 << ny)):
                 if pvmask & ~scols:
                     continue
                 if any(
@@ -221,7 +288,24 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
                     tuple(x for x in range(nx) if pumask >> x & 1),
                     tuple(y for y in range(ny) if pvmask >> y & 1),
                 )
+                # Larger earning sets come first and pass the checks above
+                # whenever this one does, so if any of them was refuted, one
+                # with a single type more was.
+                larger = [(pumask | 1 << x, pvmask) for x in range(nx) if (srows & ~pumask) >> x & 1]
+                larger += [(pumask, pvmask | 1 << y) for y in range(ny) if (scols & ~pvmask) >> y & 1]
+                source = refuted.get(smask) or next(
+                    (split_refuted[k] for k in larger if k in split_refuted), None
+                )
+                if source is not None:
+                    refuting, cert = source
+                    cert = _carry(cert, refuting, pattern, nx, ny)
+                    if not certificate_refutes(_split_system(problem, pattern, rows), cert):
+                        raise InternalError("a carried refutation does not refute its pattern")
+                    split_refuted[pumask, pvmask] = source
+                    continue
                 result = linear_feasibility(problem, pattern)
+                if result.split_certificate is not None:
+                    split_refuted[pumask, pvmask] = pattern, result.split_certificate
                 if result.outcome is not None:
                     key = (result.outcome.mu, result.outcome.u, result.outcome.v)
                     found.setdefault(key, result.outcome)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_oracle_differential as oracle_corpus
 from ltumatch import InternalError
 from ltumatch._simplex import (
     Certificate,
@@ -81,6 +82,59 @@ def test_certificate_refutes_rejects_wrong_shapes():
     assert not certificate_refutes(system, Certificate((), (F(-1),)))
     # the zero combination proves nothing
     assert not certificate_refutes(system, Certificate((), (F(0),)))
+
+
+def test_certificate_refutes_rejects_a_negative_inequality_multiplier():
+    # -x <= 1 with x >= 0 is feasible, yet -1 times the row would give
+    # x <= -1; zero multipliers on the other rows must not hide the sign
+    system = _sys(1, (True,), eqs=[((F(1),), F(0))], ineqs=[((F(-1),), F(1)), ((F(1),), F(5))])
+    assert not certificate_refutes(system, Certificate((F(0),), (F(-1), F(0))))
+
+
+def test_certificate_refutes_rejects_one_coefficient_off():
+    # x + y == 1 and x + y == 2 over free x, y: (1, -1) refutes them
+    system = _sys(2, (False, False), eqs=[((F(1), F(1)), F(1)), ((F(1), F(1)), F(2))])
+    assert certificate_refutes(system, Certificate((F(1), F(-1)), ()))
+    off = _sys(2, (False, False), eqs=[((F(1), F(1)), F(1)), ((F(1), F(1001, 1000)), F(2))])
+    assert not certificate_refutes(off, Certificate((F(1), F(-1)), ()))
+
+
+def test_certificate_refutes_rejects_a_zero_rhs():
+    system = _sys(1, (False,), eqs=[((F(1),), F(1)), ((F(1),), F(1))])
+    assert not certificate_refutes(system, Certificate((F(1), F(-1)), ()))
+
+
+def test_certificate_refutes_rejects_a_combination_on_a_free_variable():
+    # x <= -1 is refuted by the row itself only where x >= 0 is in force
+    certificate = Certificate((), (F(1),))
+    assert certificate_refutes(_sys(1, (True,), ineqs=[((F(1),), F(-1))]), certificate)
+    assert not certificate_refutes(_sys(1, (False,), ineqs=[((F(1),), F(-1))]), certificate)
+
+
+def _dense_refutes(system, cert):
+    """certificate_refutes as one dense Fraction sum over every term."""
+    if len(cert.eq_mult) != len(system.eqs) or len(cert.ineq_mult) != len(system.ineqs):
+        return False
+    if any(z < 0 for z in cert.ineq_mult):
+        return False
+    combo = [F(0)] * (system.nvars + 1)
+    for y, (row, r) in zip(cert.eq_mult + cert.ineq_mult, system.eqs + system.ineqs):
+        combo = [g + y * c for g, c in zip(combo, (*row, r))]
+    *combo, rhs = combo
+    return rhs < 0 and all(g >= 0 if nonneg else g == 0 for g, nonneg in zip(combo, system.nonneg))
+
+
+def test_certificate_refutes_agrees_with_the_dense_sum_on_the_oracle_corpus():
+    verdicts = set()
+    for name in oracle_corpus.NAMES:
+        cases = list(oracle_corpus.run(name)[-1])
+        for system, _, _, _, wrongs in oracle_corpus.carried(name):
+            cases += [(system, wrong) for wrong, _, _ in wrongs]
+        for system, cert in cases:
+            verdict = certificate_refutes(system, cert)
+            assert verdict == _dense_refutes(system, cert), (system, cert)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_equations_consistent():
