@@ -6,47 +6,30 @@ exploit hidden transferability, test exchangeability of two stable outcomes,
 build a counterexample when transferability fails, enumerate stable outcomes
 by brute force, handle the many-to-one variant, and run the fuzz campaign.
 
-Exit codes: 0 when the command's claim holds, 1 when the claim is checkable
-and false (an unstable outcome, odds that do not factorize, a profile that is
-not an equilibrium), 2 for malformed or out-of-range input, 3 when an
-internal guarantee breaks. Output is deterministic for fixed input and flags;
-rationals print exactly unless --decimal asks for fixed-point display.
+Each subcommand returns its exit code, a JSON payload and its text lines;
+`run` is the one place that prints. Exit codes: 0 when the command's claim
+holds, 1 when it is checkable and false, 2 for malformed or out-of-range
+input, 3 when an internal guarantee breaks; a library error exits with the
+`exit_code` of its class (see errors.py). Output is deterministic for fixed
+input and flags; rationals print exactly unless --decimal asks for fixed-point
+display.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    DegenerateOutcome,
-    DimensionMismatch,
-    EmptyTypeSet,
-    FormatError,
-    InputNotStable,
-    InternalError,
-    IsTU,
-    IterationLimit,
-    LambdaOutOfRange,
-    NonpositiveCoefficient,
-    NonpositiveMass,
-    NonpositiveOutput,
-    NotAnEquilibrium,
-    NotTU,
-    RayTermination,
-    TaxOutOfRange,
-    ZeroValue,
-)
+from .errors import FormatError, LTUError
 from .fuzz import FuzzConfig, run_campaign
 from .games import game_to_json, profile_from_dict, profile_to_dict
 from .gamesolve import is_equilibrium, lemke_howson
 from .model import (
     LTUProblem,
-    ManyToOneProblem,
     m2o_outcome_from_dict,
     m2o_outcome_to_dict,
     outcome_from_dict,
@@ -60,31 +43,13 @@ from .rationals import decimal_str, format_rational
 from .reduction import (
     _map_back,
     _require_stable,
-    _solve_stable_m2o,
-    equilibrium_to_outcome,
+    normalize_outputs,
     solve_stable,
+    solve_stable_m2o,
     to_game,
 )
 from .stability import blocking_pairs, verify_stable, verify_stable_m2o
 from .tu import build_counterexample, check_tu, exchange_test, rescale_to_tu
-
-_INPUT_ERRORS = (
-    FormatError,
-    DimensionMismatch,
-    LambdaOutOfRange,
-    NonpositiveMass,
-    NonpositiveOutput,
-    NonpositiveCoefficient,
-    TaxOutOfRange,
-    EmptyTypeSet,
-    DegenerateOutcome,
-    CapExceeded,
-    BudgetExceeded,
-    InputNotStable,
-)
-_VERDICT_ERRORS = (NotTU, IsTU, NotAnEquilibrium)
-_INTERNAL_ERRORS = (RayTermination, IterationLimit, InternalError, ZeroValue)
-
 
 # ---------------------------------------------------------------------------
 # I/O helpers
@@ -105,76 +70,51 @@ def _load_problem(path: str) -> LTUProblem:
     return validate_problem(_read_json(path))
 
 
-def _load_m2o(path: str) -> ManyToOneProblem:
-    return validate_m2o_problem(_read_json(path))
+def _render(value, fmt) -> str:
+    """Indented JSON text of a payload, with every rational shown by `fmt`."""
+    return json.dumps(value, indent=2, default=fmt)
 
 
-def _formatter(args):
-    digits = args.decimal
-    if digits is None:
-        return format_rational
-    return lambda value: decimal_str(value, digits)
+def _pairs(names, values, fmt) -> str:
+    return ", ".join(f"{name}={fmt(value)}" for name, value in zip(names, values))
 
 
-def _render(value, digits):
-    if isinstance(value, Fraction):
-        if digits is None:
-            return format_rational(value)
-        return decimal_str(value, digits)
-    if isinstance(value, dict):
-        return {k: _render(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_render(v, digits) for v in value]
-    return value
+def _violation_dicts(violations) -> list:
+    return [asdict(v) for v in violations]
 
 
-def _emit(data, args) -> None:
-    print(json.dumps(_render(data, args.decimal), indent=2))
-
-
-def _violation_dict(v):
-    return {
-        "condition": v.condition,
-        "kind": v.kind,
-        "where": v.where,
-        "relation": v.relation,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-    }
+def _violation_lines(violations, indent: str = "") -> list:
+    return [indent + v.describe() for v in violations]
 
 
 def _dot(a, b) -> Fraction:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _print_outcome(problem: LTUProblem, outcome, fmt, indent: str = "") -> None:
+def _outcome_lines(problem: LTUProblem, outcome, fmt, indent: str = "") -> list:
     matched = [
-        (problem.workers[x], problem.jobs[y], outcome.mu[x][y])
-        for x in range(problem.nx)
-        for y in range(problem.ny)
-        if outcome.mu[x][y] != 0
+        f"{indent}  {wid} -> {jid}: {fmt(mass)}"
+        for wid, row in zip(problem.workers, outcome.mu)
+        for jid, mass in zip(problem.jobs, row)
+        if mass != 0
     ]
-    if matched:
-        print(f"{indent}matching:")
-        for wid, jid, mass in matched:
-            print(f"{indent}  {wid} -> {jid}: {fmt(mass)}")
-    else:
-        print(f"{indent}matching: empty")
-    pairs = ", ".join(f"{w}={fmt(u)}" for w, u in zip(problem.workers, outcome.u))
-    print(f"{indent}worker utilities: {pairs}")
-    pairs = ", ".join(f"{j}={fmt(v)}" for j, v in zip(problem.jobs, outcome.v))
-    print(f"{indent}job utilities: {pairs}")
+    return [
+        f"{indent}matching:" if matched else f"{indent}matching: empty",
+        *matched,
+        f"{indent}worker utilities: {_pairs(problem.workers, outcome.u, fmt)}",
+        f"{indent}job utilities: {_pairs(problem.jobs, outcome.v, fmt)}",
+    ]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON payload, text lines)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     problem = _load_problem(args.problem)
     problem.require_positive_outputs()
     nlabels = problem.nx * problem.ny + problem.nx + problem.ny
-    fmt = _formatter(args)
+    fmt = args.fmt
 
     if args.all_labels:
         game = to_game(problem)
@@ -187,25 +127,21 @@ def cmd_solve(args) -> int:
                 _require_stable(problem, outcome)
                 groups[key] = (outcome, profile, [])
             groups[key][2].append(label)
-        if args.json:
-            _emit(
+        payload = {
+            "outcomes": [
                 {
-                    "outcomes": [
-                        {
-                            "labels": labels,
-                            "outcome": outcome_to_dict(outcome),
-                            "profile": profile_to_dict(profile),
-                        }
-                        for outcome, profile, labels in groups.values()
-                    ]
-                },
-                args,
-            )
-            return 0
+                    "labels": labels,
+                    "outcome": outcome_to_dict(outcome),
+                    "profile": profile_to_dict(profile),
+                }
+                for outcome, profile, labels in groups.values()
+            ]
+        }
+        lines = []
         for outcome, _, labels in groups.values():
-            print(f"labels {', '.join(map(str, labels))}:")
-            _print_outcome(problem, outcome, fmt, indent="  ")
-        return 0
+            lines.append(f"labels {', '.join(map(str, labels))}:")
+            lines += _outcome_lines(problem, outcome, fmt, indent="  ")
+        return 0, payload, lines
 
     if not 0 <= args.label < nlabels:
         raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
@@ -213,361 +149,241 @@ def cmd_solve(args) -> int:
     # the game values, by the identities of the backward map (AC4)
     hider_loss = 1 / (2 * (_dot(problem.n, outcome.u) + _dot(problem.m, outcome.v)))
     seeker_payoff = 1 / (2 * sum(_dot(phi, mu) for phi, mu in zip(problem.phi, outcome.mu)))
-    if args.json:
-        _emit(
-            {
-                "label": args.label,
-                "outcome": outcome_to_dict(outcome),
-                "profile": profile_to_dict(profile),
-                "hider_loss": hider_loss,
-                "seeker_payoff": seeker_payoff,
-            },
-            args,
-        )
-        return 0
-    _print_outcome(problem, outcome, fmt)
-    print(f"hider loss: {fmt(hider_loss)}")
-    print(f"seeker payoff: {fmt(seeker_payoff)}")
-    return 0
+    payload = {
+        "label": args.label,
+        "outcome": outcome_to_dict(outcome),
+        "profile": profile_to_dict(profile),
+        "hider_loss": hider_loss,
+        "seeker_payoff": seeker_payoff,
+    }
+    lines = _outcome_lines(problem, outcome, fmt) + [
+        f"hider loss: {fmt(hider_loss)}",
+        f"seeker payoff: {fmt(seeker_payoff)}",
+    ]
+    return 0, payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     problem = _load_problem(args.problem)
     outcome = outcome_from_dict(_read_json(args.outcome))
     report = verify_stable(problem, outcome)
     blocking = blocking_pairs(problem, outcome) if not report.ok else ()
-    if args.json:
-        _emit(
-            {
-                "stable": report.ok,
-                "violations": [_violation_dict(v) for v in report.violations],
-                "blocking_pairs": [
-                    {"x": pair[0], "y": pair[1], "deficit": deficit}
-                    for pair, deficit in blocking
-                ],
-            },
-            args,
-        )
-        return 0 if report.ok else 1
-    if report.ok:
-        print("stable")
-        return 0
-    for v in report.violations:
-        print(v.describe())
+    payload = {
+        "stable": report.ok,
+        "violations": _violation_dicts(report.violations),
+        "blocking_pairs": [{"x": x, "y": y, "deficit": d} for (x, y), d in blocking],
+    }
+    lines = ["stable"] if report.ok else _violation_lines(report.violations)
     if blocking:
-        fmt = _formatter(args)
-        print("blocking pairs, worst deficit first:")
-        for (wid, jid), deficit in blocking:
-            print(f"  ({wid},{jid}): {fmt(deficit)}")
-    return 1
+        lines.append("blocking pairs, worst deficit first:")
+        lines += [f"  ({wid},{jid}): {args.fmt(deficit)}" for (wid, jid), deficit in blocking]
+    return (0 if report.ok else 1), payload, lines
 
 
-def cmd_to_game(args) -> int:
-    problem = _load_problem(args.problem)
-    print(game_to_json(to_game(problem)))
-    return 0
+def cmd_to_game(args):
+    return 0, None, [game_to_json(to_game(_load_problem(args.problem)))]
 
 
-def cmd_from_eq(args) -> int:
+def cmd_from_eq(args):
     problem = _load_problem(args.problem)
     profile = profile_from_dict(_read_json(args.profile))
     game = to_game(problem)
     report = is_equilibrium(game, profile)
-    fmt = _formatter(args)
+    fmt = args.fmt
     if not report.ok:
         d = report.deviation
         labels = game.rows if d.side == "hider" else game.cols
         label = ",".join("-" if part is None else part for part in labels[d.strategy])
-        if args.json:
-            _emit(
-                {
-                    "equilibrium": False,
-                    "deviation": {
-                        "side": d.side,
-                        "strategy": d.strategy,
-                        "label": label,
-                        "current": d.current,
-                        "better": d.better,
-                    },
-                },
-                args,
-            )
-        else:
-            print(
-                f"not an equilibrium: the {d.side} prefers strategy ({label}) "
-                f"({fmt(d.better)} against {fmt(d.current)})"
-            )
-        return 1
-    outcome = equilibrium_to_outcome(problem, profile)
-    stability = verify_stable(problem, outcome)
-    if not stability.ok:
-        raise InternalError(
-            "an exact equilibrium mapped to an unstable outcome: "
-            + stability.violations[0].describe()
+        payload = {
+            "equilibrium": False,
+            "deviation": {
+                "side": d.side,
+                "strategy": d.strategy,
+                "label": label,
+                "current": d.current,
+                "better": d.better,
+            },
+        }
+        line = (
+            f"not an equilibrium: the {d.side} prefers strategy ({label}) "
+            f"({fmt(d.better)} against {fmt(d.current)})"
         )
-    if args.json:
-        _emit({"equilibrium": True, "outcome": outcome_to_dict(outcome)}, args)
-        return 0
-    _print_outcome(problem, outcome, fmt)
-    return 0
+        return 1, payload, [line]
+    outcome = _map_back(problem, game, profile)[0]
+    _require_stable(problem, outcome)
+    payload = {"equilibrium": True, "outcome": outcome_to_dict(outcome)}
+    return 0, payload, _outcome_lines(problem, outcome, fmt)
 
 
-def cmd_check_tu(args) -> int:
+def cmd_check_tu(args):
     problem = _load_problem(args.problem)
     report = check_tu(problem)
-    if args.json:
-        data = {"factorizes": report.ok}
-        if report.ok:
-            data["worker_scale"] = list(report.worker_scale)
-            data["job_scale"] = list(report.job_scale)
-        else:
-            w = report.witness
-            data["witness"] = {
-                "x0": w.x0, "x1": w.x1, "y0": w.y0, "y1": w.y1, "rho": w.rho,
-            }
-        _emit(data, args)
-        return 0 if report.ok else 1
-    fmt = _formatter(args)
+    fmt = args.fmt
     if report.ok:
-        scales = ", ".join(
-            f"{w}={fmt(a)}" for w, a in zip(problem.workers, report.worker_scale)
-        )
-        print(f"odds factorize; worker scale: {scales}")
-        scales = ", ".join(
-            f"{j}={fmt(b)}" for j, b in zip(problem.jobs, report.job_scale)
-        )
-        print(f"job scale: {scales}")
-        return 0
+        payload = {
+            "factorizes": True,
+            "worker_scale": list(report.worker_scale),
+            "job_scale": list(report.job_scale),
+        }
+        lines = [
+            f"odds factorize; worker scale: {_pairs(problem.workers, report.worker_scale, fmt)}",
+            f"job scale: {_pairs(problem.jobs, report.job_scale, fmt)}",
+        ]
+        return 0, payload, lines
     w = report.witness
-    print(
-        f"odds do not factorize: rho({w.x0},{w.x1};{w.y0},{w.y1}) = {fmt(w.rho)}"
-    )
-    return 1
+    payload = {
+        "factorizes": False,
+        "witness": {"x0": w.x0, "x1": w.x1, "y0": w.y0, "y1": w.y1, "rho": w.rho},
+    }
+    return 1, payload, [f"odds do not factorize: rho({w.x0},{w.x1};{w.y0},{w.y1}) = {fmt(w.rho)}"]
 
 
-def cmd_rescale_tu(args) -> int:
+def cmd_rescale_tu(args):
     problem = _load_problem(args.problem)
     rescaling = rescale_to_tu(problem)
-    data = {
+    fmt = args.fmt
+    payload = {
         "worker_scale": list(rescaling.worker_scale),
         "job_scale": list(rescaling.job_scale),
         "problem": problem_to_dict(rescaling.problem),
     }
-    if args.json:
-        _emit(data, args)
-        return 0
-    fmt = _formatter(args)
-    scales = ", ".join(
-        f"{w}={fmt(a)}" for w, a in zip(problem.workers, rescaling.worker_scale)
-    )
-    print(f"worker scale: {scales}")
-    scales = ", ".join(
-        f"{j}={fmt(b)}" for j, b in zip(problem.jobs, rescaling.job_scale)
-    )
-    print(f"job scale: {scales}")
-    print(json.dumps(_render(problem_to_dict(rescaling.problem), args.decimal), indent=2))
-    return 0
+    lines = [
+        f"worker scale: {_pairs(problem.workers, rescaling.worker_scale, fmt)}",
+        f"job scale: {_pairs(problem.jobs, rescaling.job_scale, fmt)}",
+        _render(payload["problem"], fmt),
+    ]
+    return 0, payload, lines
 
 
-def cmd_exchange(args) -> int:
+def cmd_exchange(args):
     problem = _load_problem(args.problem)
     first = outcome_from_dict(_read_json(args.first))
     second = outcome_from_dict(_read_json(args.second))
     report = exchange_test(problem, first, second)
-    if args.json:
-        _emit(
-            {
-                "exchangeable": report.ok,
-                "second_matching_first_split": {
-                    "stable": report.second_matching_first_split.ok,
-                    "violations": [
-                        _violation_dict(v)
-                        for v in report.second_matching_first_split.violations
-                    ],
-                },
-                "first_matching_second_split": {
-                    "stable": report.first_matching_second_split.ok,
-                    "violations": [
-                        _violation_dict(v)
-                        for v in report.first_matching_second_split.violations
-                    ],
-                },
-            },
-            args,
-        )
-        return 0 if report.ok else 1
-    if report.ok:
-        print("exchangeable: both cross outcomes are stable")
-        return 0
-    for name, side in (
-        ("second matching with first split", report.second_matching_first_split),
-        ("first matching with second split", report.first_matching_second_split),
-    ):
-        if side.ok:
-            print(f"{name}: stable")
-        else:
-            print(f"{name}: unstable")
-            for v in side.violations:
-                print(f"  {v.describe()}")
-    return 1
+    sides = (
+        ("second_matching_first_split", "second matching with first split",
+         report.second_matching_first_split),
+        ("first_matching_second_split", "first matching with second split",
+         report.first_matching_second_split),
+    )
+    payload = {"exchangeable": report.ok}
+    lines = ["exchangeable: both cross outcomes are stable"] if report.ok else []
+    for key, name, side in sides:
+        payload[key] = {"stable": side.ok, "violations": _violation_dicts(side.violations)}
+        if not report.ok:
+            lines.append(f"{name}: {'stable' if side.ok else 'unstable'}")
+            lines += _violation_lines(side.violations, "  ")
+    return (0 if report.ok else 1), payload, lines
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args):
     problem = _load_problem(args.problem)
     built = build_counterexample(problem)
     spec = built.spec
-    if args.json:
-        _emit(
-            {
-                "rho": built.rho,
-                "workers": list(spec.workers),
-                "jobs": list(spec.jobs),
-                "worker_reservations": list(spec.worker_reservations),
-                "job_reservations": list(spec.job_reservations),
-                "subproblem": problem_to_dict(built.subproblem),
-                "black": outcome_to_dict(built.black),
-                "white": outcome_to_dict(built.white),
-                "white_matching_black_split": [
-                    _violation_dict(v)
-                    for v in built.white_matching_black_split.violations
-                ],
-                "black_matching_white_split": [
-                    _violation_dict(v)
-                    for v in built.black_matching_white_split.violations
-                ],
-            },
-            args,
-        )
-        return 0
-    fmt = _formatter(args)
-    print(
+    fmt = args.fmt
+    payload = {
+        "rho": built.rho,
+        "workers": list(spec.workers),
+        "jobs": list(spec.jobs),
+        "worker_reservations": list(spec.worker_reservations),
+        "job_reservations": list(spec.job_reservations),
+        "subproblem": problem_to_dict(built.subproblem),
+        "black": outcome_to_dict(built.black),
+        "white": outcome_to_dict(built.white),
+        "white_matching_black_split": _violation_dicts(built.white_matching_black_split.violations),
+        "black_matching_white_split": _violation_dicts(built.black_matching_white_split.violations),
+    }
+    lines = [
         f"cross ratio rho = {fmt(built.rho)} "
-        f"on workers {', '.join(spec.workers)} and jobs {', '.join(spec.jobs)}"
-    )
-    res = ", ".join(f"{w}={fmt(r)}" for w, r in zip(spec.workers, spec.worker_reservations))
-    print(f"worker reservations: {res}")
-    res = ", ".join(f"{j}={fmt(r)}" for j, r in zip(spec.jobs, spec.job_reservations))
-    print(f"job reservations: {res}")
-    print("folded subproblem:")
-    print(json.dumps(_render(problem_to_dict(built.subproblem), args.decimal), indent=2))
-    print("black outcome (workers earn):")
-    _print_outcome(built.subproblem, built.black, fmt, indent="  ")
-    print("white outcome (jobs earn):")
-    _print_outcome(built.subproblem, built.white, fmt, indent="  ")
-    print("white matching with black split:")
-    for v in built.white_matching_black_split.violations:
-        print(f"  {v.describe()}")
-    print("black matching with white split:")
-    for v in built.black_matching_white_split.violations:
-        print(f"  {v.describe()}")
-    return 0
+        f"on workers {', '.join(spec.workers)} and jobs {', '.join(spec.jobs)}",
+        f"worker reservations: {_pairs(spec.workers, spec.worker_reservations, fmt)}",
+        f"job reservations: {_pairs(spec.jobs, spec.job_reservations, fmt)}",
+        "folded subproblem:",
+        _render(payload["subproblem"], fmt),
+        "black outcome (workers earn):",
+        *_outcome_lines(built.subproblem, built.black, fmt, indent="  "),
+        "white outcome (jobs earn):",
+        *_outcome_lines(built.subproblem, built.white, fmt, indent="  "),
+        "white matching with black split:",
+        *_violation_lines(built.white_matching_black_split.violations, "  "),
+        "black matching with white split:",
+        *_violation_lines(built.black_matching_white_split.violations, "  "),
+    ]
+    return 0, payload, lines
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     problem = _load_problem(args.problem)
     outcomes = enumerate_stable(problem)
-    if args.json:
-        _emit(
-            {
-                "count": len(outcomes),
-                "outcomes": [outcome_to_dict(o) for o in outcomes],
-            },
-            args,
-        )
-        return 0
-    fmt = _formatter(args)
-    print(f"{len(outcomes)} stable outcome(s)")
+    payload = {"count": len(outcomes), "outcomes": [outcome_to_dict(o) for o in outcomes]}
+    lines = [f"{len(outcomes)} stable outcome(s)"]
     for k, outcome in enumerate(outcomes):
-        print(f"outcome {k}:")
-        _print_outcome(problem, outcome, fmt, indent="  ")
-    return 0
+        lines.append(f"outcome {k}:")
+        lines += _outcome_lines(problem, outcome, args.fmt, indent="  ")
+    return 0, payload, lines
 
 
-def cmd_solve_m2o(args) -> int:
-    problem = _load_m2o(args.problem)
+def cmd_solve_m2o(args):
+    problem = validate_m2o_problem(_read_json(args.problem))
     nlabels = len(problem.arrangements) + len(problem.types)
     if not 0 <= args.label < nlabels:
         raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
-    outcome, profile, shift = _solve_stable_m2o(problem, label=args.label)
-    if args.json:
-        _emit(
-            {
-                "label": args.label,
-                "shift": shift,
-                "outcome": m2o_outcome_to_dict(outcome),
-                "profile": profile_to_dict(profile),
-            },
-            args,
-        )
-        return 0
-    fmt = _formatter(args)
-    if shift:
-        print(f"outputs were shifted up by {fmt(shift)} for the reduction")
+    outcome, profile = solve_stable_m2o(problem, label=args.label)
+    shift = normalize_outputs(problem)[1]
+    fmt = args.fmt
+    payload = {
+        "label": args.label,
+        "shift": shift,
+        "outcome": m2o_outcome_to_dict(outcome),
+        "profile": profile_to_dict(profile),
+    }
+    lines = [f"outputs were shifted up by {fmt(shift)} for the reduction"] if shift else []
     for arr, mass in zip(problem.arrangements, outcome.mu):
         if mass != 0:
             slots = ",".join("-" if s is None else s for s in arr.slots)
-            print(f"arrangement ({slots}): {fmt(mass)}")
-    pairs = ", ".join(f"{t}={fmt(u)}" for t, u in zip(problem.types, outcome.u))
-    print(f"worker utilities: {pairs}")
-    return 0
+            lines.append(f"arrangement ({slots}): {fmt(mass)}")
+    lines.append(f"worker utilities: {_pairs(problem.types, outcome.u, fmt)}")
+    return 0, payload, lines
 
 
-def cmd_verify_m2o(args) -> int:
-    problem = _load_m2o(args.problem)
+def cmd_verify_m2o(args):
+    problem = validate_m2o_problem(_read_json(args.problem))
     outcome = m2o_outcome_from_dict(_read_json(args.outcome))
     report = verify_stable_m2o(problem, outcome)
-    if args.json:
-        _emit(
-            {
-                "stable": report.ok,
-                "violations": [_violation_dict(v) for v in report.violations],
-            },
-            args,
-        )
-        return 0 if report.ok else 1
+    payload = {"stable": report.ok, "violations": _violation_dicts(report.violations)}
+    lines = ["stable"] if report.ok else _violation_lines(report.violations)
+    return (0 if report.ok else 1), payload, lines
+
+
+def cmd_fuzz(args):
+    report = run_campaign(FuzzConfig(seed=args.seed, count=args.count))
+    payload = {
+        "count": report.total,
+        "failures": [
+            {"instance": i, "kind": kind, "message": message}
+            for i, kind, message in report.failures
+        ],
+    }
     if report.ok:
-        print("stable")
-        return 0
-    for v in report.violations:
-        print(v.describe())
-    return 1
-
-
-def cmd_fuzz(args) -> int:
-    cfg = FuzzConfig(seed=args.seed, count=args.count)
-    report = run_campaign(cfg)
-    if args.json:
-        _emit(
-            {
-                "count": report.total,
-                "failures": [
-                    {"instance": i, "kind": kind, "message": message}
-                    for i, kind, message in report.failures
-                ],
-            },
-            args,
-        )
-    elif report.ok:
-        print(f"ran {report.total} instances: every check passed")
+        lines = [f"ran {report.total} instances: every check passed"]
     else:
-        for i, kind, message in report.failures:
-            print(f"instance {i} ({kind}): {message}")
-    return 0 if report.ok else 3
+        lines = [f"instance {i} ({kind}): {message}" for i, kind, message in report.failures]
+    return (0 if report.ok else 3), payload, lines
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
-def _add_output_flags(p) -> None:
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
-    p.add_argument(
-        "--decimal",
-        type=int,
-        metavar="N",
-        default=None,
-        help="display rationals as N-digit decimals instead of exact fractions",
-    )
+def _decimal_format(text: str):
+    """The formatter that --decimal N selects: rationals as N-digit decimals."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"digit count must be nonnegative, got {digits}")
+    return partial(decimal_str, digits=digits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,95 +392,87 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact stable matching with linearly transferable utility",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit one JSON object")
+    output.add_argument(
+        "--decimal",
+        dest="fmt",
+        type=_decimal_format,
+        metavar="N",
+        default=format_rational,
+        help="display rationals as N-digit decimals instead of exact fractions",
+    )
 
-    p = sub.add_parser("solve", help="compute a stable outcome through the game")
+    def command(name, func, text, parents=(output,)):
+        p = sub.add_parser(name, parents=list(parents), help=text)
+        p.set_defaults(func=func, json=False)
+        return p
+
+    p = command("solve", cmd_solve, "compute a stable outcome through the game")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("--label", type=int, default=0, help="label to drop in the pivoting solver")
     p.add_argument("--all-labels", action="store_true", help="solve once per label, deduplicated")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check an outcome for stability")
+    p = command("verify", cmd_verify, "check an outcome for stability")
     p.add_argument("problem")
     p.add_argument("outcome", help="outcome JSON file with mu, u, v")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("to-game", help="print the hide-and-seek game as JSON")
+    p = command("to-game", cmd_to_game, "print the hide-and-seek game as JSON", parents=())
     p.add_argument("problem")
-    p.set_defaults(func=cmd_to_game)
 
-    p = sub.add_parser("from-eq", help="map an equilibrium profile to a stable outcome")
+    p = command("from-eq", cmd_from_eq, "map an equilibrium profile to a stable outcome")
     p.add_argument("problem")
     p.add_argument("profile", help="profile JSON file with p and q")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_from_eq)
 
-    p = sub.add_parser("check-tu", help="decide whether the odds matrix factorizes")
+    p = command("check-tu", cmd_check_tu, "decide whether the odds matrix factorizes")
     p.add_argument("problem")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_check_tu)
 
-    p = sub.add_parser("rescale-tu", help="print the equal-split equivalent problem")
+    p = command("rescale-tu", cmd_rescale_tu, "print the equal-split equivalent problem")
     p.add_argument("problem")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_rescale_tu)
 
-    p = sub.add_parser("exchange", help="test whether two stable outcomes exchange")
+    p = command("exchange", cmd_exchange, "test whether two stable outcomes exchange")
     p.add_argument("problem")
     p.add_argument("first")
     p.add_argument("second")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_exchange)
 
-    p = sub.add_parser(
+    p = command(
         "counterexample",
-        help="build a non-exchangeable pair from a non-factorizable problem",
+        cmd_counterexample,
+        "build a non-exchangeable pair from a non-factorizable problem",
     )
     p.add_argument("problem")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("oracle", help="enumerate stable outcomes by brute force")
+    p = command("oracle", cmd_oracle, "enumerate stable outcomes by brute force")
     p.add_argument("problem")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("solve-m2o", help="solve a many-to-one problem")
+    p = command("solve-m2o", cmd_solve_m2o, "solve a many-to-one problem")
     p.add_argument("problem")
     p.add_argument("--label", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_solve_m2o)
 
-    p = sub.add_parser("verify-m2o", help="check a many-to-one outcome")
+    p = command("verify-m2o", cmd_verify_m2o, "check a many-to-one outcome")
     p.add_argument("problem")
     p.add_argument("outcome")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_verify_m2o)
 
-    p = sub.add_parser("fuzz", help="random end-to-end pipeline checks")
+    p = command("fuzz", cmd_fuzz, "random end-to-end pipeline checks")
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_fuzz)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _VERDICT_ERRORS as exc:
-        print(str(exc))
-        return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _INTERNAL_ERRORS as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        code, payload, lines = args.func(args)
+    except LTUError as exc:
+        if exc.exit_code == 1:  # a checked claim is false: the verdict is the output
+            print(exc)
+        else:
+            kind = "internal error" if exc.exit_code == 3 else "error"
+            print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    print(_render(payload, args.fmt) if args.json else "\n".join(lines))
+    return code
 
 
 def main() -> None:

@@ -1,13 +1,16 @@
 """Typed errors shared across the package.
 
-Every error the library raises deliberately derives from LTUError. The CLI
-maps them onto exit codes: malformed or invalid input exits 2, a negative
-verification result exits 1, and a broken internal invariant exits 3.
+Every error the library raises deliberately derives from LTUError. Each class
+carries the exit code the CLI returns for it in `exit_code`: 2 for malformed
+or invalid input (the default), 1 for a negative verification result, and 3
+for a broken internal invariant.
 """
 
 
 class LTUError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class FormatError(LTUError):
@@ -45,6 +48,8 @@ class DegenerateOutcome(LTUError):
 class NotAnEquilibrium(LTUError):
     """A profile handed to the backward map failed the equilibrium check."""
 
+    exit_code = 1
+
     def __init__(self, deviation):
         self.deviation = deviation
         super().__init__(f"profile is not an equilibrium: {deviation}")
@@ -53,9 +58,13 @@ class NotAnEquilibrium(LTUError):
 class ZeroValue(LTUError):
     """An equilibrium value of zero reached the backward map (internal guard)."""
 
+    exit_code = 3
+
 
 class RayTermination(LTUError):
     """Complementary pivoting left the polytope along an unbounded ray."""
+
+    exit_code = 3
 
     def __init__(self, trace):
         self.trace = tuple(trace)
@@ -65,6 +74,8 @@ class RayTermination(LTUError):
 class IterationLimit(LTUError):
     """The pivot budget ran out before the path terminated; `trace` holds the
     variable that entered at each pivot taken."""
+
+    exit_code = 3
 
     def __init__(self, trace):
         self.trace = tuple(trace)
@@ -82,9 +93,13 @@ class CapExceeded(LTUError):
 class NotTU(LTUError):
     """A rescaling to transferable utility was requested for a non-TU problem."""
 
+    exit_code = 1
+
 
 class IsTU(LTUError):
     """A non-exchangeability counterexample was requested for a TU problem."""
+
+    exit_code = 1
 
 
 class EmptyTypeSet(LTUError):
@@ -97,3 +112,5 @@ class InputNotStable(LTUError):
 
 class InternalError(LTUError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+    exit_code = 3

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .rationals import as_fraction, format_rational, parse_rational
+from .rationals import as_fraction, format_rational, parse_rational, parse_rationals
 
 RowLabel = tuple[str | None, ...]
 ColLabel = tuple[str, str]
@@ -149,9 +149,7 @@ def profile_to_json(profile: MixedProfile) -> str:
 def profile_from_dict(raw: dict) -> MixedProfile:
     if not isinstance(raw, dict) or "p" not in raw or "q" not in raw:
         raise FormatError("profile files need 'p' and 'q'")
-    p = tuple(parse_rational(v) for v in raw["p"])
-    q = tuple(parse_rational(v) for v in raw["q"])
-    return MixedProfile(p, q)
+    return MixedProfile(parse_rationals(raw["p"], "p"), parse_rationals(raw["q"], "q"))
 
 
 def profile_from_json(text: str) -> MixedProfile:

@@ -33,7 +33,7 @@ from .errors import (
     NonpositiveOutput,
     TaxOutOfRange,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rationals
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -403,7 +403,7 @@ def _pair_table(raw_entries, workers, jobs, fields):
     return tables
 
 
-def validate_problem(raw: dict, *, require_positive_outputs: bool = False) -> LTUProblem:
+def validate_problem(raw: dict) -> LTUProblem:
     """Validate a parsed one-to-one problem dict and build the canonical type."""
     if not isinstance(raw, dict):
         raise FormatError("problem file must be a JSON object")
@@ -418,17 +418,13 @@ def validate_problem(raw: dict, *, require_positive_outputs: bool = False) -> LT
         raise FormatError(f"{block!r} must be a list")
     if block == "pairs":
         lam, phi = _pair_table(entries, workers, jobs, ("lambda", "phi"))
-        problem = LTUProblem(tuple(workers), tuple(jobs), tuple(n), tuple(m),
-                             tuple(tuple(r) for r in lam), tuple(tuple(r) for r in phi))
-    elif block == "linear_constraints":
+        return LTUProblem(tuple(workers), tuple(jobs), tuple(n), tuple(m),
+                          tuple(tuple(r) for r in lam), tuple(tuple(r) for r in phi))
+    if block == "linear_constraints":
         a, b, c = _pair_table(entries, workers, jobs, ("a", "b", "c"))
-        problem = from_linear_constraints(workers, jobs, n, m, a, b, c)
-    else:
-        surplus, tau = _pair_table(entries, workers, jobs, ("S", "tau"))
-        problem = from_tax_schedule(workers, jobs, n, m, surplus, tau)
-    if require_positive_outputs:
-        problem.require_positive_outputs()
-    return problem
+        return from_linear_constraints(workers, jobs, n, m, a, b, c)
+    surplus, tau = _pair_table(entries, workers, jobs, ("S", "tau"))
+    return from_tax_schedule(workers, jobs, n, m, surplus, tau)
 
 
 def problem_to_dict(problem: LTUProblem) -> dict:
@@ -475,8 +471,10 @@ def validate_m2o_problem(raw: dict) -> ManyToOneProblem:
         for key in ("slots", "lambda", "phi"):
             if key not in entry:
                 raise FormatError(f"arrangement missing field {key!r}")
+        if not isinstance(entry["slots"], list):
+            raise FormatError(f"arrangement slots must be a list, got {entry['slots']!r}")
         slots = tuple(None if s is None else str(s) for s in entry["slots"])
-        lam = tuple(parse_rational(v) for v in entry["lambda"])
+        lam = parse_rationals(entry["lambda"], "arrangement lambda")
         arrangements.append(Arrangement(slots, lam, parse_rational(entry["phi"])))
     return ManyToOneProblem(tuple(types), tuple(n), raw["N"], tuple(arrangements))
 
@@ -507,10 +505,6 @@ def m2o_from_json(text: str) -> ManyToOneProblem:
     return validate_m2o_problem(raw)
 
 
-def is_m2o_dict(raw: dict) -> bool:
-    return isinstance(raw, dict) and "arrangements" in raw
-
-
 def outcome_to_dict(outcome: Outcome) -> dict:
     return {
         "mu": [list(row) for row in outcome.mu],
@@ -526,10 +520,10 @@ def outcome_to_json(outcome: Outcome) -> str:
 def outcome_from_dict(raw: dict) -> Outcome:
     if not isinstance(raw, dict) or not all(k in raw for k in ("mu", "u", "v")):
         raise FormatError("outcome files need 'mu', 'u' and 'v'")
-    mu = tuple(tuple(parse_rational(v) for v in row) for row in raw["mu"])
-    u = tuple(parse_rational(v) for v in raw["u"])
-    v = tuple(parse_rational(v) for v in raw["v"])
-    return Outcome(mu, u, v)
+    if not isinstance(raw["mu"], list):
+        raise FormatError(f"mu must be a list of rows, got {raw['mu']!r}")
+    mu = tuple(parse_rationals(row, "each row of mu") for row in raw["mu"])
+    return Outcome(mu, parse_rationals(raw["u"], "u"), parse_rationals(raw["v"], "v"))
 
 
 def m2o_outcome_to_dict(outcome: ArrangementOutcome) -> dict:
@@ -539,6 +533,4 @@ def m2o_outcome_to_dict(outcome: ArrangementOutcome) -> dict:
 def m2o_outcome_from_dict(raw: dict) -> ArrangementOutcome:
     if not isinstance(raw, dict) or not all(k in raw for k in ("mu", "u")):
         raise FormatError("many-to-one outcome files need 'mu' and 'u'")
-    mu = tuple(parse_rational(v) for v in raw["mu"])
-    u = tuple(parse_rational(v) for v in raw["u"])
-    return ArrangementOutcome(mu, u)
+    return ArrangementOutcome(parse_rationals(raw["mu"], "mu"), parse_rationals(raw["u"], "u"))

@@ -35,6 +35,13 @@ def parse_rational(value) -> Fraction:
     )
 
 
+def parse_rationals(values, what: str) -> tuple[Fraction, ...]:
+    """Parse a JSON list of rationals; `what` names the field in the error."""
+    if not isinstance(values, list):
+        raise FormatError(f"{what} must be a list, got {values!r}")
+    return tuple(parse_rational(v) for v in values)
+
+
 def format_rational(value: Fraction) -> str:
     return str(value)
 

@@ -143,7 +143,7 @@ def _require_stable(problem: LTUProblem, outcome: Outcome) -> None:
     report = verify_stable(problem, outcome)
     if not report.ok:
         raise InternalError(
-            f"equilibrium mapped to an unstable outcome: {report.violations[0]}"
+            f"equilibrium mapped to an unstable outcome: {report.violations[0].describe()}"
         )
 
 
@@ -263,11 +263,6 @@ def _map_back_n(
 
 def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int = 1_000_000):
     """Normalize outputs, reduce, pivot, map back, undo the shift."""
-    return _solve_stable_m2o(problem, label, max_iter)[:2]
-
-
-def _solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int = 1_000_000):
-    """solve_stable_m2o, also returning the output shift it undid."""
     from .stability import verify_stable_m2o
 
     shifted, k = normalize_outputs(problem)
@@ -278,9 +273,10 @@ def _solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int =
     report = verify_stable_m2o(problem, outcome)
     if not report.ok:
         raise InternalError(
-            f"equilibrium mapped to an unstable arrangement outcome: {report.violations[0]}"
+            "equilibrium mapped to an unstable arrangement outcome: "
+            + report.violations[0].describe()
         )
-    return outcome, profile, k
+    return outcome, profile
 
 
 __all__ = [

@@ -123,6 +123,7 @@ def test_solve_all_labels_rejects_an_unstable_outcome(capsys, monkeypatch, uneve
     code, _, err = _capture(capsys, ["solve", FIG, "--all-labels"])
     assert code == 3
     assert "unstable outcome" in err
+    assert "condition 4 (binding) at (w1,j2)" in err
 
 
 def test_solve_label_out_of_range(capsys):
@@ -301,6 +302,77 @@ def test_input_errors_exit_2(capsys, tmp_path):
     empty.write_text("{}")
     code, _, err = _capture(capsys, ["solve", str(empty)])
     assert code == 2
+
+
+OUTCOME = {"mu": [["1", "0"], ["0", "1"]], "u": ["1", "1"], "v": ["0", "0"]}
+ROOM_RAW = {
+    "workers": [{"id": "1", "mass": "2"}],
+    "N": 2,
+    "arrangements": [
+        {"slots": ["1", None], "lambda": ["1", "0"], "phi": "1/2"},
+        {"slots": ["1", "1"], "lambda": ["1/2", "1/2"], "phi": "2"},
+    ],
+}
+
+
+def _bad_arrangement(**fields):
+    raw = json.loads(json.dumps(ROOM_RAW))
+    raw["arrangements"][1].update(fields)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["verify", FIG, "BAD"], {**OUTCOME, "mu": 5}),
+        (["verify", FIG, "BAD"], {**OUTCOME, "mu": [5, ["0", "1"]]}),
+        (["verify", FIG, "BAD"], {**OUTCOME, "v": 5}),
+        (["exchange", FIG, "BAD", BLACK], {**OUTCOME, "mu": 5}),
+        (["exchange", FIG, BLACK, "BAD"], {**OUTCOME, "u": 5}),
+        (["from-eq", FIG, "BAD"], {"p": 5, "q": ["1", "0", "0", "0"]}),
+        (["verify-m2o", ROOM, "BAD"], {"mu": 5, "u": ["2"]}),
+        (["solve-m2o", "BAD"], _bad_arrangement(**{"lambda": 1})),
+        (["solve-m2o", "BAD"], _bad_arrangement(slots=5)),
+        (["solve", FIG, "--decimal", "-1"], None),
+    ],
+    ids=["verify-mu", "verify-mu-row", "verify-v", "exchange-first", "exchange-second",
+         "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots", "decimal"],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, argv, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    argv = [str(path) if arg == "BAD" else arg for arg in argv]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the flag itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_error_exit_codes():
+    """Exit 2 for bad input, 1 for a checked claim that is false, 3 for a
+    broken internal guarantee."""
+    from ltumatch import errors
+
+    expected = {
+        2: ["FormatError", "DimensionMismatch", "LambdaOutOfRange", "NonpositiveMass",
+            "NonpositiveOutput", "NonpositiveCoefficient", "TaxOutOfRange", "EmptyTypeSet",
+            "DegenerateOutcome", "CapExceeded", "BudgetExceeded", "InputNotStable"],
+        1: ["NotTU", "IsTU", "NotAnEquilibrium"],
+        3: ["RayTermination", "IterationLimit", "InternalError", "ZeroValue"],
+    }
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.LTUError) and cls is not errors.LTUError
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == {
+        name: code for code, names in expected.items() for name in names
+    }
+    assert errors.LTUError.exit_code == 2
 
 
 def test_unknown_command_exits_2():
