@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .errors import FormatError, LTUError
@@ -460,8 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on first use and kept: parsing leaves it as it was
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)
     except LTUError as exc:

@@ -1,13 +1,13 @@
 """Exact Nash equilibria of (loss, payoff) games.
 
 Two solvers. `lemke_howson` follows the complementary pivoting path from the
-artificial origin after dropping one label. It pivots two integer tableaux in
-dictionary form with `_pivot`, the fraction-free kernel it shares with the
-exact LP in `_simplex`, so entries stay integers throughout; degenerate ties
-are broken lexicographically so the path cannot cycle. `enumerate_equilibria`
-sweeps support pairs and solves each candidate's indifference system with
-that LP, which finds every equilibrium support of small games at the cost of
-exponential work in the larger dimension.
+artificial origin after dropping one label. Each of its two integer tableaux
+stores only the rows of basic strategies and derives a basic slack's row from
+the sparse game when it needs one. `_pivot`, the fraction-free kernel shared
+with the exact LP in `_simplex`, updates them once per step; lexicographic
+tie-breaks keep the path from cycling. `enumerate_equilibria` sweeps support
+pairs and solves each one's indifference systems with that LP, which finds
+every equilibrium support of small games at a cost exponential in their size.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -110,7 +110,7 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 
 
 # ---------------------------------------------------------------------------
-# Lemke-Howson with integer tableaux in dictionary form.
+# Lemke-Howson with revised integer tableaux in dictionary form.
 #
 # The hider's loss becomes a utility by reflection (max loss + 1 minus loss).
 # The seeker's payoff is kept as it is when it is >= 0 with a positive entry in
@@ -130,61 +130,181 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # in each tableau the label that just left the other, until the dropped label
 # leaves.
 #
-# A row is a basic variable and a column a nonbasic one, with the rhs last
-# (see `_pivot`), so tableau 2 is m x (n + 1) rather than m x (m + n + 1).
-# `where` maps each label to its column when nonbasic and to ~row when basic,
-# so the lexicographic ratio test reads a slack from its column or as the
-# implicit unit column.
+# Both matrices are A = 1 c^T - L with an integer c: the scaled `top` and loss
+# for the utility, the scaled shift (0 without one) and minus the payoff for
+# payoff^T. L is as sparse as the game, two nonzeros per hider row in a
+# reduction game, while A is dense. So each tableau stores only the rows of
+# its basic x or y, at most one per column, and derives a basic slack's row
+# from L and those rows when it needs one. Stored and derived rows are rows of
+# the full dictionary (a row is a basic variable and a column a nonbasic one,
+# rhs last; see `_pivot`), so the ratios and the path are the dense tableau's.
 
 Var = tuple[str, int]
 
 
-def _positive_integer_matrices(game: BimatrixGame):
-    """Integer utility a (m x n) and payoff b (m x n) for the two tableaux,
-    with the row scales of b and the column scales of a."""
-    n = len(game.cols)
-    top = max(l for row in game.loss for l in row) + 1
-    util = [[top - l if l else top for l in row] for row in game.loss]
-    gain = game.payoff
-    bounded = all(any(w > 0 for w in row) for row in gain)
-    if not bounded or any(w < 0 for row in gain for w in row if w):
-        shift = ONE - min(min(w for row in gain for w in row), ZERO)
-        gain = [[w + shift for w in row] for row in gain]
-    col_scale = [math.lcm(*(row[j].denominator for row in util)) for j in range(n)]
-    row_scale = [math.lcm(*(w.denominator for w in row)) for row in gain]
-    a = [[v.numerator * (c // v.denominator) for v, c in zip(row, col_scale)] for row in util]
-    b = [[w.numerator * (r // w.denominator) for w in row] for row, r in zip(gain, row_scale)]
-    return a, b, row_scale, col_scale
+class _RevisedTableau:
+    """The polytope {z >= 0, A z <= 1}, A = 1 c^T - L, in revised dictionary form.
 
+    `lrows[s]` lists the nonzeros (j, L_sj) of slack s's row of L. z_j has label
+    first_struct + j and slack s label first_slack + s; row r holds basic
+    basis[r], column v nonbasic at[v], column n the rhs; entries are the true
+    coefficients times `prev`. Stored are the rows of basic z and `crow`, the
+    row of c^T z <= 1, whose slack never leaves. A basic slack s's row,
+    prev A[s] - sum over basic z of A[s][z] T_z, is then crow + sum_j L_sj R_j
+    with R_j the row of z_j if basic and else -prev at z_j's column.
+    """
 
-def _lex_less(t, i, k, col, where, slacks) -> bool:
-    """Ratio row i < ratio row k, comparing (rhs, slack block) lexicographically
-    by cross-multiplication; both pivot-column entries are positive. A basic
-    slack's unit column is positive in its own row only."""
-    ri, rk = t[i], t[k]
-    di, dk = ri[col], rk[col]
-    lhs, rhs = ri[-1] * dk, rk[-1] * di
-    if lhs != rhs:
-        return lhs < rhs
-    for slack in slacks:
-        c = where[slack]
-        if c >= 0:
-            lhs, rhs = ri[c] * dk, rk[c] * di
+    def __init__(self, c, lrows, first_slack, first_struct):
+        n, m = len(c), len(lrows)
+        self.n, self.lrows = n, lrows
+        self.slack0, self.struct0 = first_slack, first_struct
+        self.basis = [first_slack + s for s in range(m)]
+        self.at = [first_struct + j for j in range(n)]
+        # each label's column when nonbasic and ~row when basic
+        place = {**{lab: ~r for r, lab in enumerate(self.basis)}, **dict(zip(self.at, range(n)))}
+        self.where = [place[lab] for lab in range(m + n)]
+        self.rows = {}  # row -> stored row, for the basic structural variables
+        self.slack_rows = list(lrows)  # row -> L row of its basic slack, or None
+        self.crow = [*c, 1]
+        self.prev = 1
+
+    def _column(self, v, cache):
+        """vec such that a basic slack s holds crow[v] + sum_j L_sj vec[j] in
+        column v (R_j[v] by structural j); cached per ratio test."""
+        vec = cache.get(v)
+        if vec is None:
+            vec = cache[v] = [0] * self.n
+            for r, tr in self.rows.items():
+                vec[self.basis[r] - self.struct0] = tr[v]
+            j = self.at[v] - self.struct0 if v < self.n else -1
+            if 0 <= j < self.n:
+                vec[j] = -self.prev
+        return vec
+
+    def _entry(self, r, v, cache) -> int:
+        tr = self.rows.get(r)
+        if tr is not None:
+            return tr[v]
+        e, vec = self.crow[v], self._column(v, cache)
+        for j, l in self.slack_rows[r]:
+            e += l * vec[j]
+        return e
+
+    def _lex_less(self, i, k, di, dk, cache) -> bool:
+        """Ratio row i < ratio row k over the slack block in label order once
+        their rhs ratios tie (di, dk > 0 in the pivot column). A basic slack's
+        unit column is positive in its own row only, so the first slack basic
+        in row i or k decides unless a nonbasic slack before it does."""
+        slack0, m = self.slack0, len(self.lrows)
+        si, sk = self.basis[i] - slack0, self.basis[k] - slack0
+        stop = min(si if 0 <= si < m else m, sk if 0 <= sk < m else m)
+        free = cache.get("slacks")
+        if free is None:
+            free = cache["slacks"] = sorted(lab - slack0 for lab in self.at if 0 <= lab - slack0 < m)
+        for s in free:
+            if s > stop:
+                break
+            c = self.where[slack0 + s]
+            lhs, rhs = self._entry(i, c, cache) * dk, self._entry(k, c, cache) * di
             if lhs != rhs:
                 return lhs < rhs
-        elif c == ~i:
-            return False
-        elif c == ~k:
-            return True
-    return i < k
+        return stop == sk if stop < m else i < k
+
+    def _leaving(self, col):
+        """The row of least (rhs, slack block) ratio over the positive entries
+        of column col, or None when there is none."""
+        cache = {}
+        kd, vd = self.crow[col], self._column(col, cache)
+        best = bd = bq = None
+        for r, ls in enumerate(self.slack_rows):
+            if ls is None:
+                d = self.rows[r][col]
+            else:
+                d = kd
+                for j, l in ls:
+                    d += l * vd[j]
+            if d <= 0:
+                continue
+            q = self._entry(r, self.n, cache)
+            if best is not None:
+                lhs, rhs = q * bd, bq * d
+                if lhs > rhs or lhs == rhs and not self._lex_less(r, best, d, bd, cache):
+                    continue
+            best, bd, bq = r, d, q
+        return best
+
+    def _slack_row(self, r):
+        """The full row of the basic slack in row r, built once when it leaves."""
+        row, prev, rows, where = list(self.crow), self.prev, self.rows, self.where
+        for j, l in self.slack_rows[r]:
+            v = where[self.struct0 + j]
+            if v >= 0:
+                row[v] -= l * prev
+            else:
+                row = [a + l * b for a, b in zip(row, rows[~v])]
+        return row
+
+    def pivot(self, entering):
+        """Enter `entering` by the lexicographic ratio test; return the label
+        that leaves, or None when its column has no positive entry."""
+        col = self.where[entering]
+        row = self._leaving(col)
+        if row is None:
+            return None
+        rows = self.rows
+        kept = [r for r in rows if r != row]
+        t = [rows[r] for r in kept]
+        t += [self.crow, rows[row] if row in rows else self._slack_row(row)]
+        self.prev = _pivot(t, self.prev, len(t) - 1, col)
+        for r, tr in zip(kept, t):
+            rows[r] = tr
+        self.crow = t[-2]
+        if 0 <= entering - self.struct0 < self.n:
+            rows[row], self.slack_rows[row] = t[-1], None
+        else:
+            rows.pop(row, None)
+            self.slack_rows[row] = self.lrows[entering - self.slack0]
+        leaving = self.basis[row]
+        self.basis[row], self.at[col] = entering, leaving
+        self.where[entering], self.where[leaving] = ~row, col
+        return leaving
+
+    def values(self, scale):
+        """Each z_j times prev and scale[j]."""
+        out = [0] * self.n
+        for r, tr in self.rows.items():
+            j = self.basis[r] - self.struct0
+            out[j] = tr[-1] * scale[j]
+        return out
 
 
-def _lex_leaving(t, col, where, slacks):
-    best = None
-    for i, row in enumerate(t):
-        if row[col] > 0 and (best is None or _lex_less(t, i, best, col, where, slacks)):
-            best = i
-    return best
+def _revised_tableaux(game: BimatrixGame):
+    """The two tableaux, with the row scales of the payoff and the column
+    scales of the utility."""
+    m, n = game.shape
+    loss = [[(j, l) for j, l in enumerate(row) if l] for row in game.loss]
+    gain = [[(j, w) for j, w in enumerate(row) if w] for row in game.payoff]
+    losses = [l for row in loss for _, l in row]
+    if len(losses) < m * n:
+        losses.append(ZERO)  # a zero entry takes part in the max
+    top = max(losses) + 1
+    shift = ZERO
+    if not all(row for row in gain) or any(w < 0 for row in gain for _, w in row):
+        shift = ONE - min(ZERO, *(w for row in gain for _, w in row))
+    col_scale = [top.denominator] * n
+    for row in loss:
+        for j, l in row:
+            col_scale[j] = math.lcm(col_scale[j], l.denominator)
+    row_scale = [math.lcm(shift.denominator, *(w.denominator for _, w in row)) for row in gain]
+    # payoff^T: c_i = shift, L_ji = -payoff_ij; utility: c_j = top, L_ij = loss_ij
+    lrows = [[] for _ in range(n)]
+    for i, (row, r) in enumerate(zip(gain, row_scale)):
+        for j, w in row:
+            lrows[j].append((i, -w.numerator * (r // w.denominator)))
+    hider = _RevisedTableau([int(shift * r) for r in row_scale], lrows, m, 0)
+    lrows = [[(j, l.numerator * (col_scale[j] // l.denominator)) for j, l in row] for row in loss]
+    seeker = _RevisedTableau([int(top * s) for s in col_scale], lrows, 0, m)
+    return (hider, seeker), row_scale, col_scale
 
 
 def _named(path, m: int) -> tuple[Var, ...]:
@@ -200,32 +320,15 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     m, n = game.shape
     if not 0 <= label < m + n:
         raise FormatError(f"label must lie in [0, {m + n}), got {label}")
-    a, b, row_scale, col_scale = _positive_integer_matrices(game)
-
-    # tableau 1: row j holds s_j, columns x_0..x_{m-1}; tableau 2: row i holds
-    # r_i, columns y_0..y_{n-1}
-    tableaux = (
-        [[b[i][j] for i in range(m)] + [1] for j in range(n)],
-        [a[i] + [1] for i in range(m)],
-    )
-    basis = ([m + j for j in range(n)], list(range(m)))
-    where = ([*range(m), *(~j for j in range(n))], [*(~i for i in range(m)), *range(n)])
-    slacks = (range(m, m + n), range(m))
-    prev = [1, 1]
+    tableaux, row_scale, col_scale = _revised_tableaux(game)
 
     side, entering = (0 if label < m else 1), label
     path = []
     for _ in range(max_iter):
-        t, pos = tableaux[side], where[side]
-        col = pos[entering]
         path.append((side, entering))
-        row = _lex_leaving(t, col, pos, slacks[side])
-        if row is None:
+        leaving = tableaux[side].pivot(entering)
+        if leaving is None:
             raise RayTermination(_named(path, m))
-        leaving = basis[side][row]
-        prev[side] = _pivot(t, prev[side], row, col)
-        basis[side][row] = entering
-        pos[entering], pos[leaving] = ~row, col
         if leaving == label:
             break
         side, entering = 1 - side, leaving
@@ -233,14 +336,8 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
         raise IterationLimit(_named(path, m))
 
     # basic values are rhs / prev in tableau units; prev cancels on normalizing
-    x = [0] * m
-    for j, lab in enumerate(basis[0]):
-        if lab < m:
-            x[lab] = tableaux[0][j][-1] * row_scale[lab]
-    y = [0] * n
-    for i, lab in enumerate(basis[1]):
-        if lab >= m:
-            y[lab - m] = tableaux[1][i][-1] * col_scale[lab - m]
+    x = tableaux[0].values(row_scale)
+    y = tableaux[1].values(col_scale)
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise InternalError("pivoting ended at the artificial origin")

@@ -460,7 +460,7 @@ def validate_m2o_problem(raw: dict) -> ManyToOneProblem:
     if not isinstance(raw, dict):
         raise FormatError("problem file must be a JSON object")
     types, n = _parse_types(raw, "workers")
-    if "N" not in raw or not isinstance(raw["N"], int):
+    if "N" not in raw or not isinstance(raw["N"], int) or isinstance(raw["N"], bool):
         raise FormatError("many-to-one problems need an integer 'N'")
     if "arrangements" not in raw or not isinstance(raw["arrangements"], list):
         raise FormatError("many-to-one problems need an 'arrangements' list")

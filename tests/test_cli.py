@@ -321,6 +321,14 @@ def _bad_arrangement(**fields):
     return raw
 
 
+# a one-slot problem that solves when N is 1, so only the type of N is wrong
+SINGLES_TRUE_SIZE = {
+    "workers": [{"id": "1", "mass": "2"}],
+    "N": True,
+    "arrangements": [{"slots": ["1"], "lambda": ["1"], "phi": "1/2"}],
+}
+
+
 @pytest.mark.parametrize(
     "argv, bad",
     [
@@ -333,10 +341,12 @@ def _bad_arrangement(**fields):
         (["verify-m2o", ROOM, "BAD"], {"mu": 5, "u": ["2"]}),
         (["solve-m2o", "BAD"], _bad_arrangement(**{"lambda": 1})),
         (["solve-m2o", "BAD"], _bad_arrangement(slots=5)),
+        (["solve-m2o", "BAD"], SINGLES_TRUE_SIZE),
         (["solve", FIG, "--decimal", "-1"], None),
     ],
     ids=["verify-mu", "verify-mu-row", "verify-v", "exchange-first", "exchange-second",
-         "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots", "decimal"],
+         "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots",
+         "solve-m2o-bool-size", "decimal"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, bad):
     path = tmp_path / "bad.json"
@@ -373,6 +383,16 @@ def test_error_exit_codes():
         name: code for code, names in expected.items() for name in names
     }
     assert errors.LTUError.exit_code == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    from ltumatch.cli import _parser
+
+    _parser.cache_clear()
+    assert _capture(capsys, ["solve", FIG, "--json"])[0] == 0
+    code, out, _ = _capture(capsys, ["solve", FIG, "--label", "1"])
+    assert code == 0 and "hider loss: 1/4" in out
+    assert _parser.cache_info().misses == 1
 
 
 def test_unknown_command_exits_2():

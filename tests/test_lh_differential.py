@@ -9,7 +9,16 @@ from fractions import Fraction as F
 import pytest
 
 import reference_lh
-from ltumatch import BimatrixGame, FuzzConfig, LTUProblem, gamesolve, random_problem, to_game
+from ltumatch import (
+    BimatrixGame,
+    FuzzConfig,
+    IterationLimit,
+    LTUError,
+    LTUProblem,
+    gamesolve,
+    random_problem,
+    to_game,
+)
 from test_gamesolve import bos
 
 
@@ -99,3 +108,58 @@ def test_zero_payoff_row_keeps_the_shift(monkeypatch):
         payoff=((F(1, 2), F(0)), (F(0), F(0)), (F(0), F(1, 5))),
     )
     assert_same_paths(monkeypatch, game)
+
+
+def _outcome(solve, calls, game, label, max_iter):
+    calls[0] = 0
+    try:
+        result = solve(game, label=label, max_iter=max_iter)
+    except LTUError as exc:
+        result = (type(exc), getattr(exc, "trace", None))
+    return result, calls[0]
+
+
+def assert_same_outcomes(monkeypatch, game):
+    """From every label, in full and then one pivot short of the end: the same
+    profile, or the same exception class with the same path, after the same
+    number of pivots."""
+    ours = _count_calls(monkeypatch, gamesolve, "_pivot")
+    theirs = _count_calls(monkeypatch, reference_lh, "_int_pivot")
+    m, n = game.shape
+    for label in range(m + n):
+        budget = 1_000_000
+        expected = _outcome(reference_lh.lemke_howson, theirs, game, label, budget)
+        assert _outcome(gamesolve.lemke_howson, ours, game, label, budget) == expected, label
+        budget = expected[1] - 1  # >= 1: the dropped label cannot leave at the first pivot
+        expected = _outcome(reference_lh.lemke_howson, theirs, game, label, budget)
+        assert expected[0][0] is IterationLimit
+        assert _outcome(gamesolve.lemke_howson, ours, game, label, budget) == expected, label
+
+
+def test_six_by_six_general_market(monkeypatch):
+    rng = random.Random(66)
+    problem = random_problem(rng, FuzzConfig(max_workers=6, max_jobs=6), 6, 6)
+    assert_same_outcomes(monkeypatch, to_game(problem))
+
+
+def _dense_game(rng, m, n, signed):
+    """An m x n game with no hide-and-seek structure: most entries nonzero,
+    fractional, and negative ones too when `signed`, so the payoff is shifted
+    by a fraction."""
+    def draw():
+        return F(rng.randint(-5 if signed else 0, 7), rng.randint(1, 4))
+
+    return BimatrixGame(
+        rows=tuple((f"r{i}",) for i in range(m)),
+        cols=tuple(("c", f"{j}") for j in range(n)),
+        loss=tuple(tuple(draw() for _ in range(n)) for _ in range(m)),
+        payoff=tuple(tuple(draw() for _ in range(n)) for _ in range(m)),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_dense_games(monkeypatch, m):
+    rng = random.Random(500 + m)
+    for n in range(1, 6):
+        for signed in (False, False, True, True, True, True):
+            assert_same_outcomes(monkeypatch, _dense_game(rng, m, n, signed))
