@@ -5,9 +5,13 @@ artificial origin after dropping one label. Each of its two integer tableaux
 stores only the rows of basic strategies and derives a basic slack's row from
 the sparse game when it needs one. `_pivot`, the fraction-free kernel shared
 with the exact LP in `_simplex`, updates them once per step; lexicographic
-tie-breaks keep the path from cycling. `enumerate_equilibria` sweeps support
-pairs and solves each one's indifference systems with that LP, which finds
-every equilibrium support of small games at a cost exponential in their size.
+tie-breaks keep the path from cycling. `enumerate_equilibria` finds every
+equilibrium support of small games at a cost exponential in their size. It
+decides the two indifference systems of each support pair with that LP in
+two passes, one per side, and skips a pair whenever a refuted neighbour
+dominates it: a side's system only gains constraints as its own support
+grows and the other player's shrinks. A third pass pushes only the pairs
+feasible on both sides into the relative interior of their supports.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._simplex import LinearSystem, _pivot, relative_interior_point
+from ._simplex import LinearSystem, _pivot, relative_interior_point, solve
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -352,73 +356,121 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
 # Support enumeration.
 
 
-def _masks(size: int):
-    for mask in range(1, 1 << size):
-        yield tuple(i for i in range(size) if mask >> i & 1)
+def _supports(size: int) -> list[tuple[int, ...]]:
+    """The indices of each bitmask below 1 << size, by mask."""
+    return [tuple(i for i in range(size) if mask >> i & 1) for mask in range(1 << size)]
+
+
+def _seeker_system(game: BimatrixGame, s1, s2) -> LinearSystem:
+    """Seeker weights q over s2, plus the hider's common loss level: every
+    hider strategy in s1 loses exactly that level and none outside s1 less."""
+    m, nq = len(game.rows), len(s2)
+    eqs = [(tuple([ONE] * nq + [ZERO]), ONE)]
+    for i in s1:
+        eqs.append((tuple([game.loss[i][j] for j in s2] + [-ONE]), ZERO))
+    ineqs = []
+    for i in range(m):
+        if i not in s1:
+            ineqs.append((tuple([-game.loss[i][j] for j in s2] + [ONE]), ZERO))
+    return LinearSystem(nq + 1, tuple([True] * nq + [False]), tuple(eqs), tuple(ineqs))
+
+
+def _hider_system(game: BimatrixGame, s1, s2) -> LinearSystem:
+    """Hider weights p over s1, plus the seeker's common payoff level: every
+    seeker strategy in s2 earns exactly that level and none outside s2 more."""
+    n, npv = len(game.cols), len(s1)
+    eqs = [(tuple([ONE] * npv + [ZERO]), ONE)]
+    for j in s2:
+        eqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
+    ineqs = []
+    for j in range(n):
+        if j not in s2:
+            ineqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
+    return LinearSystem(npv + 1, tuple([True] * npv + [False]), tuple(eqs), tuple(ineqs))
 
 
 def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[MixedProfile, ...]:
     """Every equilibrium support pair of a small game, one profile each.
 
-    For each pair of candidate supports the two indifference systems are
-    independent: the seeker's mix must equalize hider losses on the hider's
-    support (and not undercut them off it), and vice versa. Any jointly
-    feasible pair is an equilibrium, so representatives need no filtering;
-    each side's point is pushed into the relative interior of its support so
-    maximal-support solutions are preferred. Profiles are deduplicated and
-    ordered by support then weights.
+    For each pair of candidate supports (s1 for the hider, s2 for the
+    seeker) the two indifference systems are independent: the seeker's mix
+    must equalize hider losses on s1 (and not undercut them off it), and
+    vice versa. Any jointly feasible pair is an equilibrium, so
+    representatives need no filtering.
+
+    Both systems are monotone. Putting i into s1 turns the seeker side's
+    inequality for i into an equality, and taking j out of s2 fixes q_j = 0,
+    so a seeker side infeasible at (s1, s2) stays infeasible at every
+    s1' >= s1, s2' <= s2; the hider side mirrors this, infeasible for every
+    s1' <= s1, s2' >= s2. Three passes use that:
+
+    1. The seeker side of every pair is decided by a plain `solve`, with s1
+       ascending and s2 descending, so every pair that dominates the current
+       one comes first. A pair is refuted without an LP when a neighbour one
+       step up, (s1 - i, s2) or (s1, s2 + j), is refuted; by transitivity
+       that catches every refuted pair that dominates it.
+    2. The hider side is decided the same way, with s1 descending, s2
+       ascending and neighbours (s1 + i, s2) or (s1, s2 - j). Only pairs
+       whose seeker side is feasible get an LP.
+    3. Each pair feasible on both sides has both of its points pushed into
+       the relative interior of their supports, so maximal-support
+       solutions are preferred, and is checked as an equilibrium.
+
+    A skip only drops pairs that are infeasible anyway, and the pushed pairs
+    see the same systems as without the skips, so the profiles do not depend
+    on them. Profiles are deduplicated and ordered by support then weights.
     """
     m, n = game.shape
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget:
         raise BudgetExceeded(f"{total} support pairs exceed the budget of {budget}")
 
+    supports1, supports2 = _supports(m), _supports(n)
+    bits1, bits2 = [1 << i for i in range(m)], [1 << j for j in range(n)]
+    masks1, masks2 = range(1, 1 << m), range(1, 1 << n)
+
+    seeker_refuted = set()
+    for a in masks1:
+        for b in reversed(masks2):
+            if (
+                any((a ^ k, b) in seeker_refuted for k in bits1 if a & k)
+                or any((a, b | k) in seeker_refuted for k in bits2 if not b & k)
+                or solve(_seeker_system(game, supports1[a], supports2[b])).point is None
+            ):
+                seeker_refuted.add((a, b))
+
+    hider_refuted, feasible = set(), []
+    for a in reversed(masks1):
+        for b in masks2:
+            if (
+                any((a | k, b) in hider_refuted for k in bits1 if not a & k)
+                or any((a, b ^ k) in hider_refuted for k in bits2 if b & k)
+            ):
+                hider_refuted.add((a, b))
+            elif (a, b) not in seeker_refuted:
+                if solve(_hider_system(game, supports1[a], supports2[b])).point is None:
+                    hider_refuted.add((a, b))
+                else:
+                    feasible.append((a, b))
+
     found: dict[tuple, MixedProfile] = {}
-    for s1 in _masks(m):
-        for s2 in _masks(n):
-            # seeker weights q over s2, plus the hider's common loss level
-            nq = len(s2)
-            eqs = [(tuple([ONE] * nq + [ZERO]), ONE)]
-            for i in s1:
-                eqs.append((tuple([game.loss[i][j] for j in s2] + [-ONE]), ZERO))
-            ineqs = []
-            for i in range(m):
-                if i not in s1:
-                    ineqs.append((tuple([-game.loss[i][j] for j in s2] + [ONE]), ZERO))
-            qsys = LinearSystem(nq + 1, tuple([True] * nq + [False]),
-                                tuple(eqs), tuple(ineqs))
-            qpt = relative_interior_point(qsys, tuple(range(nq)))
-            if qpt is None:
-                continue
-
-            # hider weights p over s1, plus the seeker's common payoff level
-            npv = len(s1)
-            eqs = [(tuple([ONE] * npv + [ZERO]), ONE)]
-            for j in s2:
-                eqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
-            ineqs = []
-            for j in range(n):
-                if j not in s2:
-                    ineqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
-            psys = LinearSystem(npv + 1, tuple([True] * npv + [False]),
-                                tuple(eqs), tuple(ineqs))
-            ppt = relative_interior_point(psys, tuple(range(npv)))
-            if ppt is None:
-                continue
-
-            p = [ZERO] * m
-            for pos, i in enumerate(s1):
-                p[i] = ppt[pos]
-            q = [ZERO] * n
-            for pos, j in enumerate(s2):
-                q[j] = qpt[pos]
-            profile = MixedProfile(tuple(p), tuple(q))
-            report = is_equilibrium(game, profile)
-            if not report.ok:
-                raise InternalError(
-                    f"support pair {s1}/{s2} produced a non-equilibrium: {report.deviation}"
-                )
-            found.setdefault((profile.p, profile.q), profile)
+    for a, b in sorted(feasible):
+        s1, s2 = supports1[a], supports2[b]
+        qpt = relative_interior_point(_seeker_system(game, s1, s2), tuple(range(len(s2))))
+        ppt = relative_interior_point(_hider_system(game, s1, s2), tuple(range(len(s1))))
+        p = [ZERO] * m
+        for pos, i in enumerate(s1):
+            p[i] = ppt[pos]
+        q = [ZERO] * n
+        for pos, j in enumerate(s2):
+            q[j] = qpt[pos]
+        profile = MixedProfile(tuple(p), tuple(q))
+        report = is_equilibrium(game, profile)
+        if not report.ok:
+            raise InternalError(
+                f"support pair {s1}/{s2} produced a non-equilibrium: {report.deviation}"
+            )
+        found.setdefault((profile.p, profile.q), profile)
 
     ordered = sorted(
         found.values(),

@@ -26,8 +26,10 @@ against accidental monsters.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from ._simplex import (
     Certificate,
@@ -82,10 +84,16 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
     return ComplementarityPattern(cells, pos_u, pos_v)
 
 
+@functools.lru_cache(maxsize=1)
 def _split_rows(problem: LTUProblem):
     """The rows that split systems are assembled from: per cell in row-major
     order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 and its
-    no-blocking inequality, the same row negated; per variable its unit row."""
+    no-blocking inequality, the same row negated; per variable its unit row.
+
+    Cached for the last problem, so that `linear_feasibility`, which keeps
+    its public (problem, pattern) signature, shares the table that
+    `enumerate_stable` builds instead of building it again on every call.
+    The table is read-only, since every caller gets the same one."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
     cells = {}
@@ -98,8 +106,8 @@ def _split_rows(problem: LTUProblem):
             neg[x], neg[nx + y] = -lam, lam - ONE
             half = problem.phi[x][y] / 2
             cells[x, y] = ((tuple(row), half), (tuple(neg), -half))
-    units = [tuple(ONE if i == k else ZERO for i in range(width)) for k in range(width)]
-    return cells, units
+    units = tuple(tuple(ONE if i == k else ZERO for i in range(width)) for k in range(width))
+    return MappingProxyType(cells), units
 
 
 def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:

@@ -1,0 +1,118 @@
+"""Pruned support enumeration against the unpruned one in `reference_support`.
+
+`enumerate_equilibria` decides each side of a support pair with a plain
+solve and skips the pairs that a refuted neighbour dominates, so on every game
+it must return the reference's tuple exactly. Degenerate games, with entries
+in {0, 1, 2}, have the most ties between supports and so the most pairs whose
+verdict comes from a neighbour rather than from an LP.
+"""
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import reference_support
+from ltumatch import (
+    BimatrixGame,
+    FuzzConfig,
+    _simplex,
+    enumerate_equilibria,
+    gamesolve,
+    random_problem,
+    to_game,
+)
+from ltumatch.model import problem_from_json
+from test_gamesolve import bos
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+
+
+def _ac3_corpus():
+    """The markets of the AC3 acceptance corpus: the worked example, forty of
+    at most 2x2 and six 2x3, drawn from Random(7) in the same order."""
+    rng = random.Random(7)
+    tiny = FuzzConfig(max_workers=2, max_jobs=2)
+    wide = FuzzConfig(max_workers=2, max_jobs=3)
+    problems = [problem_from_json((DATA / "uneven2x2.json").read_text())]
+    problems += [random_problem(rng, tiny) for _ in range(40)]
+    problems += [random_problem(rng, wide, min_workers=2, min_jobs=3) for _ in range(6)]
+    return problems
+
+
+AC3 = _ac3_corpus()
+
+
+def _game(m, n, draw):
+    return BimatrixGame(
+        tuple((f"r{i}",) for i in range(m)),
+        tuple(("x", f"c{j}") for j in range(n)),
+        tuple(tuple(draw() for _ in range(n)) for _ in range(m)),
+        tuple(tuple(draw() for _ in range(n)) for _ in range(m)),
+    )
+
+
+def dense_games(m, n, count=3):
+    """Signed fractional entries: neither side is a hide-and-seek game."""
+    rng = random.Random(1000 + 10 * m + n)
+    return [_game(m, n, lambda: F(rng.randint(-3, 6), rng.randint(1, 3))) for _ in range(count)]
+
+
+def degenerate_games(m, n, count=5):
+    """Entries in {0, 1, 2}: many ties, zero rows and dominated strategies."""
+    rng = random.Random(2000 + 10 * m + n)
+    return [_game(m, n, lambda: F(rng.randint(0, 2))) for _ in range(count)]
+
+
+def assert_same(game):
+    assert enumerate_equilibria(game) == reference_support.enumerate_equilibria(game), game
+
+
+@pytest.mark.parametrize("index", range(len(AC3)))
+def test_ac3_corpus(index):
+    assert_same(to_game(AC3[index]))
+
+
+def test_bos():
+    assert_same(bos())
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{m}x{n}" for m, n in SHAPES])
+def test_dense_signed_games(shape):
+    for game in dense_games(*shape):
+        assert_same(game)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{m}x{n}" for m, n in SHAPES])
+def test_degenerate_games(shape):
+    for game in degenerate_games(*shape):
+        assert_same(game)
+
+
+def test_prune_is_active():
+    """A 2x3 reduction game has 63 x 31 = 1953 support pairs. Without the
+    seeker-side skip its first pass alone runs 1953 solves; without the
+    hider-side skip the second runs one per seeker-feasible pair, 777 here.
+    With both, this game takes 831 solves and one maximize; losing any one
+    of the four neighbour checks alone takes it to 882..920 solves."""
+    game = to_game(random_problem(
+        random.Random(0), FuzzConfig(max_workers=2, max_jobs=3), min_workers=2, min_jobs=3
+    ))
+    counts = {"solve": 0, "maximize": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        solve = counting("solve", _simplex.solve)
+        patch.setattr(_simplex, "solve", solve)
+        patch.setattr(gamesolve, "solve", solve)
+        patch.setattr(_simplex, "maximize", counting("maximize", _simplex.maximize))
+        assert enumerate_equilibria(game)
+    assert 0 < counts["solve"] <= 860, counts
+    assert counts["maximize"] <= 5, counts
