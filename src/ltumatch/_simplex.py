@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalError
-from .rationals import as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,7 +35,8 @@ class LinearSystem:
     """Variables x_0 .. x_{nvars-1}, with x_i >= 0 wherever nonneg[i].
 
     Each entry of `eqs` is (coeffs, rhs) read as coeffs . x == rhs; each entry
-    of `ineqs` is read as coeffs . x <= rhs.
+    of `ineqs` is read as coeffs . x <= rhs. Flags and rows are tuples, and
+    coefficients and right sides Fractions, as given: they are not copied.
     """
 
     nvars: int
@@ -45,11 +45,6 @@ class LinearSystem:
     ineqs: tuple[tuple[Row, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nonneg", tuple(bool(b) for b in self.nonneg))
-        for name in ("eqs", "ineqs"):
-            rows = getattr(self, name)
-            rows = tuple((tuple(map(as_fraction, row)), as_fraction(r)) for row, r in rows)
-            object.__setattr__(self, name, rows)
         if len(self.nonneg) != self.nvars:
             raise DimensionMismatch("nonneg flags must cover every variable")
         for row, _ in self.eqs + self.ineqs:

@@ -25,7 +25,9 @@ from .reduction import _map_back, outcome_to_equilibrium, to_game
 from .stability import verify_stable
 from .tu import check_tu
 
-ONE = Fraction(1)
+WEIGHT_DENOMINATOR = 12
+OUTPUT_NUMERATOR = 10
+OUTPUT_DENOMINATOR = 6
 
 
 @dataclass(frozen=True)
@@ -34,20 +36,15 @@ class FuzzConfig:
     count: int = 100
     max_workers: int = 3
     max_jobs: int = 3
-    weight_denominator: int = 12
-    output_numerator: int = 10
-    output_denominator: int = 6
 
 
-def _random_weight(rng: random.Random, cfg: FuzzConfig) -> Fraction:
-    den = rng.randint(2, cfg.weight_denominator)
+def _random_weight(rng: random.Random) -> Fraction:
+    den = rng.randint(2, WEIGHT_DENOMINATOR)
     return Fraction(rng.randint(1, den - 1), den)
 
 
-def _random_output(rng: random.Random, cfg: FuzzConfig) -> Fraction:
-    return Fraction(
-        rng.randint(1, cfg.output_numerator), rng.randint(1, cfg.output_denominator)
-    )
+def _random_output(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, OUTPUT_NUMERATOR), rng.randint(1, OUTPUT_DENOMINATOR))
 
 
 def _random_mass(rng: random.Random) -> Fraction:
@@ -62,8 +59,8 @@ def random_problem(rng: random.Random, cfg: FuzzConfig = FuzzConfig(),
                    min_workers: int = 1, min_jobs: int = 1) -> LTUProblem:
     nx = rng.randint(min_workers, cfg.max_workers)
     ny = rng.randint(min_jobs, cfg.max_jobs)
-    lam = tuple(tuple(_random_weight(rng, cfg) for _ in range(ny)) for _ in range(nx))
-    phi = tuple(tuple(_random_output(rng, cfg) for _ in range(ny)) for _ in range(nx))
+    lam = tuple(tuple(_random_weight(rng) for _ in range(ny)) for _ in range(nx))
+    phi = tuple(tuple(_random_output(rng) for _ in range(ny)) for _ in range(nx))
     n = tuple(_random_mass(rng) for _ in range(nx))
     m = tuple(_random_mass(rng) for _ in range(ny))
     return LTUProblem(_ids("w", nx), _ids("j", ny), n, m, lam, phi)
@@ -76,7 +73,7 @@ def random_tu_problem(rng: random.Random, cfg: FuzzConfig = FuzzConfig()) -> LTU
     a = [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(nx)]
     b = [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(ny)]
     lam = tuple(tuple(a[x] / (a[x] + b[y]) for y in range(ny)) for x in range(nx))
-    phi = tuple(tuple(_random_output(rng, cfg) for _ in range(ny)) for _ in range(nx))
+    phi = tuple(tuple(_random_output(rng) for _ in range(ny)) for _ in range(nx))
     n = tuple(_random_mass(rng) for _ in range(nx))
     m = tuple(_random_mass(rng) for _ in range(ny))
     return LTUProblem(_ids("w", nx), _ids("j", ny), n, m, lam, phi)

@@ -7,11 +7,12 @@ the sparse game when it needs one. `_pivot`, the fraction-free kernel shared
 with the exact LP in `_simplex`, updates them once per step; lexicographic
 tie-breaks keep the path from cycling. `enumerate_equilibria` finds every
 equilibrium support of small games at a cost exponential in their size. It
-decides the two indifference systems of each support pair with that LP in
-two passes, one per side, and skips a pair whenever a refuted neighbour
-dominates it: a side's system only gains constraints as its own support
-grows and the other player's shrinks. A third pass pushes only the pairs
-feasible on both sides into the relative interior of their supports.
+runs one sweep per player, on that player's own matrix, which decides its
+indifference system of each support pair with that LP and skips a pair
+whenever a refuted neighbour dominates it: the system only gains constraints
+as the player's own support grows and the other's shrinks. Only the pairs
+that neither sweep refutes are pushed into the relative interior of their
+supports.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -119,12 +120,12 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # The hider's loss becomes a utility by reflection (max loss + 1 minus loss).
 # The seeker's payoff is kept as it is when it is >= 0 with a positive entry in
 # every row, which bounds the hider's polytope and always holds for reduction
-# games; any other payoff is shifted so that its least entry is 1. Each column
-# of the utility is scaled to integers by its own lcm (a rescaling of y_j) and
-# each row of the payoff by its own (a rescaling of x_i); the scales are undone
-# when the profile is read back. None of this moves a label or a lexicographic
-# ratio (the shift maps the polytope projectively onto the unshifted one,
-# facet for facet), so the path is the one the game itself takes.
+# games; any other payoff is shifted so that its least entry is 1. Each tableau
+# scales each of its structural columns to integers by its own lcm (a
+# rescaling of x_i or y_j) and undoes the scale when the profile is read back.
+# None of this moves a label or a lexicographic ratio (the shift maps the
+# polytope projectively onto the unshifted one, facet for facet), so the path
+# is the one the game itself takes.
 #
 # Tableau 1 holds the hider's polytope {x >= 0, payoff^T x <= 1}, one row per
 # constraint j with slack s_j; tableau 2 holds the seeker's
@@ -134,14 +135,14 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # in each tableau the label that just left the other, until the dropped label
 # leaves.
 #
-# Both matrices are A = 1 c^T - L with an integer c: the scaled `top` and loss
-# for the utility, the scaled shift (0 without one) and minus the payoff for
-# payoff^T. L is as sparse as the game, two nonzeros per hider row in a
-# reduction game, while A is dense. So each tableau stores only the rows of
-# its basic x or y, at most one per column, and derives a basic slack's row
-# from L and those rows when it needs one. Stored and derived rows are rows of
-# the full dictionary (a row is a basic variable and a column a nonbasic one,
-# rhs last; see `_pivot`), so the ratios and the path are the dense tableau's.
+# Both matrices are A = 1 c^T - L: c is `top` and L the loss for the utility,
+# c is the shift (0 without one) and L minus the payoff for payoff^T. L is as
+# sparse as the game, two nonzeros per hider row in a reduction game, while A
+# is dense. So each tableau stores only the rows of its basic x or y, at most
+# one per column, and derives a basic slack's row from L and those rows when it
+# needs one. Stored and derived rows are rows of the full dictionary (a row is
+# a basic variable and a column a nonbasic one, rhs last; see `_pivot`), so
+# the ratios and the path are the dense tableau's.
 
 Var = tuple[str, int]
 
@@ -149,18 +150,26 @@ Var = tuple[str, int]
 class _RevisedTableau:
     """The polytope {z >= 0, A z <= 1}, A = 1 c^T - L, in revised dictionary form.
 
-    `lrows[s]` lists the nonzeros (j, L_sj) of slack s's row of L. z_j has label
-    first_struct + j and slack s label first_slack + s; row r holds basic
-    basis[r], column v nonbasic at[v], column n the rhs; entries are the true
-    coefficients times `prev`. Stored are the rows of basic z and `crow`, the
-    row of c^T z <= 1, whose slack never leaves. A basic slack s's row,
-    prev A[s] - sum over basic z of A[s][z] T_z, is then crow + sum_j L_sj R_j
-    with R_j the row of z_j if basic and else -prev at z_j's column.
+    c and `lrows[s]`, the nonzeros (j, L_sj) of slack s's row of L, come in
+    Fractions; column j is scaled to integers by the lcm of its denominators
+    (a rescaling of z_j that `values` undoes). z_j has label first_struct + j
+    and slack s label first_slack + s; row r holds basic basis[r], column v
+    nonbasic at[v], column n the rhs; entries are the true coefficients times
+    `prev`. Stored are the rows of basic z and `crow`, the row of c^T z <= 1,
+    whose slack never leaves. A basic slack s's row, prev A[s] - sum over
+    basic z of A[s][z] T_z, is then crow + sum_j L_sj R_j with R_j the row of
+    z_j if basic and else -prev at z_j's column.
     """
 
     def __init__(self, c, lrows, first_slack, first_struct):
         n, m = len(c), len(lrows)
-        self.n, self.lrows = n, lrows
+        scale = [x.denominator for x in c]
+        for row in lrows:
+            for j, l in row:
+                scale[j] = math.lcm(scale[j], l.denominator)
+        self.lrows = [[(j, l.numerator * (scale[j] // l.denominator)) for j, l in row]
+                      for row in lrows]
+        self.n, self.scale = n, scale
         self.slack0, self.struct0 = first_slack, first_struct
         self.basis = [first_slack + s for s in range(m)]
         self.at = [first_struct + j for j in range(n)]
@@ -168,8 +177,8 @@ class _RevisedTableau:
         place = {**{lab: ~r for r, lab in enumerate(self.basis)}, **dict(zip(self.at, range(n)))}
         self.where = [place[lab] for lab in range(m + n)]
         self.rows = {}  # row -> stored row, for the basic structural variables
-        self.slack_rows = list(lrows)  # row -> L row of its basic slack, or None
-        self.crow = [*c, 1]
+        self.slack_rows = list(self.lrows)  # row -> L row of its basic slack, or None
+        self.crow = [x.numerator * (k // x.denominator) for x, k in zip(c, scale)] + [1]
         self.prev = 1
 
     def _column(self, v, cache):
@@ -273,18 +282,17 @@ class _RevisedTableau:
         self.where[entering], self.where[leaving] = ~row, col
         return leaving
 
-    def values(self, scale):
-        """Each z_j times prev and scale[j]."""
+    def values(self):
+        """Each z_j times prev and its column scale."""
         out = [0] * self.n
         for r, tr in self.rows.items():
             j = self.basis[r] - self.struct0
-            out[j] = tr[-1] * scale[j]
+            out[j] = tr[-1] * self.scale[j]
         return out
 
 
 def _revised_tableaux(game: BimatrixGame):
-    """The two tableaux, with the row scales of the payoff and the column
-    scales of the utility."""
+    """The hider's tableau over payoff^T and the seeker's over the utility."""
     m, n = game.shape
     loss = [[(j, l) for j, l in enumerate(row) if l] for row in game.loss]
     gain = [[(j, w) for j, w in enumerate(row) if w] for row in game.payoff]
@@ -295,20 +303,12 @@ def _revised_tableaux(game: BimatrixGame):
     shift = ZERO
     if not all(row for row in gain) or any(w < 0 for row in gain for _, w in row):
         shift = ONE - min(ZERO, *(w for row in gain for _, w in row))
-    col_scale = [top.denominator] * n
-    for row in loss:
-        for j, l in row:
-            col_scale[j] = math.lcm(col_scale[j], l.denominator)
-    row_scale = [math.lcm(shift.denominator, *(w.denominator for _, w in row)) for row in gain]
     # payoff^T: c_i = shift, L_ji = -payoff_ij; utility: c_j = top, L_ij = loss_ij
     lrows = [[] for _ in range(n)]
-    for i, (row, r) in enumerate(zip(gain, row_scale)):
+    for i, row in enumerate(gain):
         for j, w in row:
-            lrows[j].append((i, -w.numerator * (r // w.denominator)))
-    hider = _RevisedTableau([int(shift * r) for r in row_scale], lrows, m, 0)
-    lrows = [[(j, l.numerator * (col_scale[j] // l.denominator)) for j, l in row] for row in loss]
-    seeker = _RevisedTableau([int(top * s) for s in col_scale], lrows, 0, m)
-    return (hider, seeker), row_scale, col_scale
+            lrows[j].append((i, -w))
+    return _RevisedTableau([shift] * m, lrows, m, 0), _RevisedTableau([top] * n, loss, 0, m)
 
 
 def _named(path, m: int) -> tuple[Var, ...]:
@@ -324,7 +324,7 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     m, n = game.shape
     if not 0 <= label < m + n:
         raise FormatError(f"label must lie in [0, {m + n}), got {label}")
-    tableaux, row_scale, col_scale = _revised_tableaux(game)
+    tableaux = _revised_tableaux(game)
 
     side, entering = (0 if label < m else 1), label
     path = []
@@ -340,8 +340,7 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
         raise IterationLimit(_named(path, m))
 
     # basic values are rhs / prev in tableau units; prev cancels on normalizing
-    x = tableaux[0].values(row_scale)
-    y = tableaux[1].values(col_scale)
+    x, y = tableaux[0].values(), tableaux[1].values()
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise InternalError("pivoting ended at the artificial origin")
@@ -361,32 +360,49 @@ def _supports(size: int) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(size) if mask >> i & 1) for mask in range(1 << size)]
 
 
-def _seeker_system(game: BimatrixGame, s1, s2) -> LinearSystem:
-    """Seeker weights q over s2, plus the hider's common loss level: every
-    hider strategy in s1 loses exactly that level and none outside s1 less."""
-    m, nq = len(game.rows), len(s2)
-    eqs = [(tuple([ONE] * nq + [ZERO]), ONE)]
-    for i in s1:
-        eqs.append((tuple([game.loss[i][j] for j in s2] + [-ONE]), ZERO))
+def _side_system(matrix, own, other, sign) -> LinearSystem:
+    """The other player's weights over `other`, plus the own player's common
+    level: `matrix` holds the own player's loss (sign -1) or payoff (sign +1)
+    by its own strategy, every strategy in `own` gets exactly that level and
+    none outside `own` a better one."""
+    k = len(other)
+    eqs = [(tuple([ONE] * k + [ZERO]), ONE)]
     ineqs = []
-    for i in range(m):
-        if i not in s1:
-            ineqs.append((tuple([-game.loss[i][j] for j in s2] + [ONE]), ZERO))
-    return LinearSystem(nq + 1, tuple([True] * nq + [False]), tuple(eqs), tuple(ineqs))
+    for r, row in enumerate(matrix):
+        coeffs = [row[j] for j in other]
+        if r in own:
+            eqs.append((tuple(coeffs + [-ONE]), ZERO))
+        elif sign > 0:
+            ineqs.append((tuple(coeffs + [-ONE]), ZERO))
+        else:
+            ineqs.append((tuple([-x for x in coeffs] + [ONE]), ZERO))
+    return LinearSystem(k + 1, tuple([True] * k + [False]), tuple(eqs), tuple(ineqs))
 
 
-def _hider_system(game: BimatrixGame, s1, s2) -> LinearSystem:
-    """Hider weights p over s1, plus the seeker's common payoff level: every
-    seeker strategy in s2 earns exactly that level and none outside s2 more."""
-    n, npv = len(game.cols), len(s1)
-    eqs = [(tuple([ONE] * npv + [ZERO]), ONE)]
-    for j in s2:
-        eqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
-    ineqs = []
-    for j in range(n):
-        if j not in s2:
-            ineqs.append((tuple([game.payoff[i][j] for i in s1] + [-ONE]), ZERO))
-    return LinearSystem(npv + 1, tuple([True] * npv + [False]), tuple(eqs), tuple(ineqs))
+def _refuted(matrix, sign, nown: int, nother: int, skip) -> set[tuple[int, int]]:
+    """The (own, other) support mask pairs whose `_side_system` is infeasible.
+
+    Putting i into `own` turns its inequality into an equality and taking j
+    out of `other` fixes that weight at 0, so a system infeasible at
+    (own, other) stays infeasible at every own' >= own, other' <= other.
+    Visiting own ascending and other descending puts every pair that
+    dominates the current one first, so a refuted neighbour one step up,
+    (own - i, other) or (own, other + j), catches by transitivity every
+    refuted pair above it. Pairs in `skip` get no LP of their own."""
+    owns, others = _supports(nown), _supports(nother)
+    smaller = [[a ^ 1 << i for i in owns[a]] for a in range(1 << nown)]
+    larger = [[b | 1 << j for j in range(nother) if not b >> j & 1] for b in range(1 << nother)]
+    refuted = set()
+    for a in range(1, 1 << nown):
+        for b in reversed(range(1, 1 << nother)):
+            if (
+                any((c, b) in refuted for c in smaller[a])
+                or any((a, d) in refuted for d in larger[b])
+                or (a, b) not in skip
+                and solve(_side_system(matrix, owns[a], others[b], sign)).point is None
+            ):
+                refuted.add((a, b))
+    return refuted
 
 
 def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[MixedProfile, ...]:
@@ -398,23 +414,14 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
     vice versa. Any jointly feasible pair is an equilibrium, so
     representatives need no filtering.
 
-    Both systems are monotone. Putting i into s1 turns the seeker side's
-    inequality for i into an equality, and taking j out of s2 fixes q_j = 0,
-    so a seeker side infeasible at (s1, s2) stays infeasible at every
-    s1' >= s1, s2' <= s2; the hider side mirrors this, infeasible for every
-    s1' <= s1, s2' >= s2. Three passes use that:
-
-    1. The seeker side of every pair is decided by a plain `solve`, with s1
-       ascending and s2 descending, so every pair that dominates the current
-       one comes first. A pair is refuted without an LP when a neighbour one
-       step up, (s1 - i, s2) or (s1, s2 + j), is refuted; by transitivity
-       that catches every refuted pair that dominates it.
-    2. The hider side is decided the same way, with s1 descending, s2
-       ascending and neighbours (s1 + i, s2) or (s1, s2 - j). Only pairs
-       whose seeker side is feasible get an LP.
-    3. Each pair feasible on both sides has both of its points pushed into
-       the relative interior of their supports, so maximal-support
-       solutions are preferred, and is checked as an equilibrium.
+    Both systems are one `_side_system`, each player's on its own matrix:
+    the hider's loss over (s1, s2) and the seeker's payoff, transposed, over
+    (s2, s1). One `_refuted` sweep decides the first with a plain `solve`
+    per pair, skipping every pair that a refuted neighbour dominates. The
+    same sweep decides the second on the pairs the first left feasible.
+    Each pair refuted by neither has both of its points pushed into the
+    relative interior of their supports, so maximal-support solutions are
+    preferred, and is checked as an equilibrium.
 
     A skip only drops pairs that are infeasible anyway, and the pushed pairs
     see the same systems as without the skips, so the profiles do not depend
@@ -425,52 +432,29 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
     if total > budget:
         raise BudgetExceeded(f"{total} support pairs exceed the budget of {budget}")
 
+    payoff = tuple(zip(*game.payoff))
+    seeker_refuted = _refuted(game.loss, -1, m, n, ())
+    hider_refuted = _refuted(payoff, 1, n, m, {(b, a) for a, b in seeker_refuted})
     supports1, supports2 = _supports(m), _supports(n)
-    bits1, bits2 = [1 << i for i in range(m)], [1 << j for j in range(n)]
-    masks1, masks2 = range(1, 1 << m), range(1, 1 << n)
-
-    seeker_refuted = set()
-    for a in masks1:
-        for b in reversed(masks2):
-            if (
-                any((a ^ k, b) in seeker_refuted for k in bits1 if a & k)
-                or any((a, b | k) in seeker_refuted for k in bits2 if not b & k)
-                or solve(_seeker_system(game, supports1[a], supports2[b])).point is None
-            ):
-                seeker_refuted.add((a, b))
-
-    hider_refuted, feasible = set(), []
-    for a in reversed(masks1):
-        for b in masks2:
-            if (
-                any((a | k, b) in hider_refuted for k in bits1 if not a & k)
-                or any((a, b ^ k) in hider_refuted for k in bits2 if b & k)
-            ):
-                hider_refuted.add((a, b))
-            elif (a, b) not in seeker_refuted:
-                if solve(_hider_system(game, supports1[a], supports2[b])).point is None:
-                    hider_refuted.add((a, b))
-                else:
-                    feasible.append((a, b))
 
     found: dict[tuple, MixedProfile] = {}
-    for a, b in sorted(feasible):
-        s1, s2 = supports1[a], supports2[b]
-        qpt = relative_interior_point(_seeker_system(game, s1, s2), tuple(range(len(s2))))
-        ppt = relative_interior_point(_hider_system(game, s1, s2), tuple(range(len(s1))))
-        p = [ZERO] * m
-        for pos, i in enumerate(s1):
-            p[i] = ppt[pos]
-        q = [ZERO] * n
-        for pos, j in enumerate(s2):
-            q[j] = qpt[pos]
-        profile = MixedProfile(tuple(p), tuple(q))
-        report = is_equilibrium(game, profile)
-        if not report.ok:
-            raise InternalError(
-                f"support pair {s1}/{s2} produced a non-equilibrium: {report.deviation}"
+    for a in range(1, 1 << m):
+        for b in range(1, 1 << n):
+            if (a, b) in seeker_refuted or (b, a) in hider_refuted:
+                continue
+            s1, s2 = supports1[a], supports2[b]
+            qpt = relative_interior_point(_side_system(game.loss, s1, s2, -1), range(len(s2)))
+            ppt = relative_interior_point(_side_system(payoff, s2, s1, 1), range(len(s1)))
+            p, q = dict(zip(s1, ppt)), dict(zip(s2, qpt))  # the levels fall off the end
+            profile = MixedProfile(
+                tuple(p.get(i, ZERO) for i in range(m)), tuple(q.get(j, ZERO) for j in range(n))
             )
-        found.setdefault((profile.p, profile.q), profile)
+            report = is_equilibrium(game, profile)
+            if not report.ok:
+                raise InternalError(
+                    f"support pair {s1}/{s2} produced a non-equilibrium: {report.deviation}"
+                )
+            found.setdefault((profile.p, profile.q), profile)
 
     ordered = sorted(
         found.values(),

@@ -39,7 +39,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def _vector(values, length: int | None, what: str) -> tuple[Fraction, ...]:
@@ -337,19 +336,13 @@ def from_tax_schedule(workers, jobs, n, m, surplus, tau) -> LTUProblem:
     jobs = _ids(jobs, "jobs")
     surplus = _matrix(surplus, len(workers), len(jobs), "S")
     tau = _matrix(tau, len(workers), len(jobs), "tau")
-    lam, phi = [], []
-    for x in range(len(workers)):
-        lrow, prow = [], []
-        for y in range(len(jobs)):
-            t = tau[x][y]
+    for row in tau:
+        for t in row:
             if not (ZERO <= t < ONE):
                 raise TaxOutOfRange(f"tax rate {t} must lie in [0, 1)")
-            lrow.append(ONE / (2 - t))
-            prow.append(2 * (ONE - t) * surplus[x][y] / (2 - t))
-        lam.append(tuple(lrow))
-        phi.append(tuple(prow))
-    return LTUProblem(workers, jobs, _vector(n, len(workers), "n"), _vector(m, len(jobs), "m"),
-                      tuple(lam), tuple(phi))
+    a = tuple(tuple(ONE / (ONE - t) for t in row) for row in tau)
+    b = tuple((ONE,) * len(jobs) for _ in workers)
+    return from_linear_constraints(workers, jobs, n, m, a, b, surplus)
 
 
 # ---------------------------------------------------------------------------

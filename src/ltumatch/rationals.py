@@ -10,8 +10,6 @@ from fractions import Fraction
 
 from .errors import FormatError
 
-Rational = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Parse a bare int or a "p" / "p/q" string into a Fraction in lowest terms."""

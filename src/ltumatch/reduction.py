@@ -34,7 +34,6 @@ from .model import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def to_game(problem: LTUProblem) -> BimatrixGame:

@@ -51,21 +51,23 @@ class StabilityReport:
     violations: tuple[Violation, ...]
 
 
-def _shape_matches(problem: LTUProblem, outcome: Outcome) -> bool:
-    return (
-        len(outcome.mu) == problem.nx
-        and all(len(row) == problem.ny for row in outcome.mu)
-        and len(outcome.u) == problem.nx
-        and len(outcome.v) == problem.ny
-    )
+def _shape_report(parts) -> StabilityReport | None:
+    """A condition-0 report naming the first (part, actual, expected) size
+    that differs, or None when every part has its expected size."""
+    for where, actual, expected in parts:
+        if actual != expected:
+            bad = Violation(0, "shape", where, "==", Fraction(actual), Fraction(expected))
+            return StabilityReport(False, (bad,))
+    return None
 
 
 def verify_stable(problem: LTUProblem, outcome: Outcome) -> StabilityReport:
     """Check all seven conditions; collect every violation."""
-    if not _shape_matches(problem, outcome):
-        bad = Violation(0, "shape", "outcome", "matches",
-                        Fraction(len(outcome.u)), Fraction(problem.nx))
-        return StabilityReport(False, (bad,))
+    # an Outcome keeps u as long as mu's rows and v as long as its columns
+    bad = _shape_report([("mu rows and u", len(outcome.u), problem.nx),
+                         ("mu columns and v", len(outcome.v), problem.ny)])
+    if bad is not None:
+        return bad
     out: list[Violation] = []
     for x, wid in enumerate(problem.workers):
         for y, jid in enumerate(problem.jobs):
@@ -128,10 +130,9 @@ def verify_stable_m2o(problem: ManyToOneProblem, outcome: ArrangementOutcome) ->
     """Check the arrangement-market conditions; collect every violation."""
     na = len(problem.arrangements)
     nt = len(problem.types)
-    if len(outcome.mu) != na or len(outcome.u) != nt:
-        bad = Violation(0, "shape", "outcome", "matches",
-                        Fraction(len(outcome.mu)), Fraction(na))
-        return StabilityReport(False, (bad,))
+    bad = _shape_report([("mu", len(outcome.mu), na), ("u", len(outcome.u), nt)])
+    if bad is not None:
+        return bad
     out: list[Violation] = []
     for a, arr in enumerate(problem.arrangements):
         if outcome.mu[a] < 0:

@@ -110,6 +110,15 @@ def test_from_tax_schedule():
     for tau in (F(1), F(-1, 10), F(2)):
         with pytest.raises(TaxOutOfRange):
             from_tax_schedule(("w",), ("j",), (1,), (1,), ((F(3),),), ((tau,),))
+    # (a, b, c) = (1/(1 - tau), 1, S), entry by entry
+    surplus = ((F(3), F(1, 2)), (F(7, 3), F(2)))
+    tau = ((F(0), F(1, 3)), (F(3, 4), F(1, 10)))
+    a = tuple(tuple(1 / (1 - t) for t in row) for row in tau)
+    ones = ((F(1), F(1)), (F(1), F(1)))
+    types = (("w1", "w2"), ("j1", "j2"), (1, 2), (F(3, 2), 1))
+    assert from_tax_schedule(*types, surplus, tau) == from_linear_constraints(
+        *types, a, ones, surplus
+    )
 
 
 def test_problem_json_round_trip(uneven2x2):

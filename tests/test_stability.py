@@ -80,11 +80,19 @@ def test_positive_utility_needs_saturation(uneven2x2):
     assert report.violations[0].where == "column j1"
 
 
-def test_shape_mismatch_is_reported_not_raised(uneven2x2):
+def test_shape_mismatch_is_reported_not_raised(uneven2x2, roommates):
     out = Outcome(((F(1),),), (F(0),), (F(0),))
     report = verify_stable(uneven2x2, out)
     assert not report.ok
     assert report.violations[0].kind == "shape"
+    # the right rows, but a 2x3 mu on a 2x2 market
+    out = Outcome(((F(1), F(0), F(0)), (F(0), F(1), F(0))), (F(0), F(0)), (F(0),) * 3)
+    (v,) = verify_stable(uneven2x2, out).violations
+    assert (v.kind, v.where, v.lhs, v.rhs) == ("shape", "mu columns and v", 3, 2)
+    assert v.lhs != v.rhs
+    # many-to-one: the right arrangement weights, two utilities for one type
+    (v,) = verify_stable_m2o(roommates, ArrangementOutcome((F(0), F(1)), (F(2), F(0)))).violations
+    assert (v.kind, v.where, v.lhs, v.rhs) == ("shape", "u", 2, 1)
 
 
 def test_violations_sorted_by_condition_then_place(uneven2x2):
