@@ -7,12 +7,14 @@ build a counterexample when transferability fails, enumerate stable outcomes
 by brute force, handle the many-to-one variant, and run the fuzz campaign.
 
 Each subcommand returns its exit code, a JSON payload and its text lines;
-`run` is the one place that prints. Exit codes: 0 when the command's claim
-holds, 1 when it is checkable and false, 2 for malformed or out-of-range
-input, 3 when an internal guarantee breaks; a library error exits with the
-`exit_code` of its class (see errors.py). Output is deterministic for fixed
-input and flags; rationals print exactly unless --decimal asks for fixed-point
-display.
+`run` is the one place that prints. This module is the one place that reads
+and writes JSON text; the library works on the dict forms of model.py and
+games.py, and makes every input check itself. Exit codes: 0 when the
+command's claim holds, 1 when it is checkable and false, 2 for malformed or
+out-of-range input, 3 when an internal guarantee breaks; a library error
+exits with the `exit_code` of its class (see errors.py). Output is
+deterministic for fixed input and flags; rationals print exactly unless
+--decimal asks for fixed-point display.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from .errors import FormatError, LTUError
 from .fuzz import FuzzConfig, run_campaign
-from .games import game_to_json, profile_from_dict, profile_to_dict
+from .games import game_to_dict, profile_from_dict, profile_to_dict
 from .gamesolve import is_equilibrium, lemke_howson
 from .model import (
     LTUProblem,
@@ -39,7 +41,7 @@ from .model import (
     validate_problem,
 )
 from .oracle import enumerate_stable
-from .rationals import decimal_str, format_rational
+from .rationals import decimal_str
 from .reduction import (
     _map_back,
     _require_stable,
@@ -112,14 +114,12 @@ def _outcome_lines(problem: LTUProblem, outcome, fmt, indent: str = "") -> list:
 
 def cmd_solve(args):
     problem = _load_problem(args.problem)
-    problem.require_positive_outputs()
-    nlabels = problem.nx * problem.ny + problem.nx + problem.ny
     fmt = args.fmt
 
     if args.all_labels:
         game = to_game(problem)
         groups: dict[tuple, tuple] = {}
-        for label in range(nlabels):
+        for label in range(sum(game.shape)):
             profile = lemke_howson(game, label=label)
             outcome = _map_back(problem, game, profile)[0]
             key = (outcome.mu, outcome.u, outcome.v)
@@ -143,8 +143,6 @@ def cmd_solve(args):
             lines += _outcome_lines(problem, outcome, fmt, indent="  ")
         return 0, payload, lines
 
-    if not 0 <= args.label < nlabels:
-        raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
     outcome, profile = solve_stable(problem, label=args.label)
     # the game values, by the identities of the backward map (AC4)
     hider_loss = 1 / (2 * (_dot(problem.n, outcome.u) + _dot(problem.m, outcome.v)))
@@ -181,7 +179,7 @@ def cmd_verify(args):
 
 
 def cmd_to_game(args):
-    return 0, None, [game_to_json(to_game(_load_problem(args.problem)))]
+    return 0, None, [_render(game_to_dict(to_game(_load_problem(args.problem))), str)]
 
 
 def cmd_from_eq(args):
@@ -325,9 +323,6 @@ def cmd_oracle(args):
 
 def cmd_solve_m2o(args):
     problem = validate_m2o_problem(_read_json(args.problem))
-    nlabels = len(problem.arrangements) + len(problem.types)
-    if not 0 <= args.label < nlabels:
-        raise FormatError(f"label must lie in [0, {nlabels}), got {args.label}")
     outcome, profile = solve_stable_m2o(problem, label=args.label)
     shift = normalize_outputs(problem)[1]
     fmt = args.fmt
@@ -375,15 +370,19 @@ def cmd_fuzz(args):
 # wiring
 
 
-def _decimal_format(text: str):
-    """The formatter that --decimal N selects: rationals as N-digit decimals."""
+def _nonnegative(text: str) -> int:
     try:
-        digits = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if digits < 0:
-        raise argparse.ArgumentTypeError(f"digit count must be nonnegative, got {digits}")
-    return partial(decimal_str, digits=digits)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _decimal_format(text: str):
+    """The formatter that --decimal N selects: rationals as N-digit decimals."""
+    return partial(decimal_str, digits=_nonnegative(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         type=_decimal_format,
         metavar="N",
-        default=format_rational,
+        default=str,
         help="display rationals as N-digit decimals instead of exact fractions",
     )
 
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outcome")
 
     p = command("fuzz", cmd_fuzz, "random end-to-end pipeline checks")
-    p.add_argument("--count", type=int, default=60)
+    p.add_argument("--count", type=_nonnegative, default=60)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

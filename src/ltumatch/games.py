@@ -7,12 +7,11 @@ Hand-written games need not satisfy that, so it is a query, not an invariant.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .rationals import as_fraction, format_rational, parse_rational, parse_rationals
+from .rationals import as_fraction, parse_rational, parse_rationals
 
 RowLabel = tuple[str | None, ...]
 ColLabel = tuple[str, str]
@@ -90,7 +89,7 @@ class MixedProfile:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms
+# Dict forms, which the CLI reads from and writes as JSON text
 #
 # Game files:
 #   {"rows": [["1", "1"], ...], "cols": [["x", "1"], ["y", "1"], ...],
@@ -107,10 +106,6 @@ def game_to_dict(game: BimatrixGame) -> dict:
         "loss": [list(row) for row in game.loss],
         "payoff": [list(row) for row in game.payoff],
     }
-
-
-def game_to_json(game: BimatrixGame) -> str:
-    return json.dumps(game_to_dict(game), indent=2, default=format_rational)
 
 
 def game_from_dict(raw: dict) -> BimatrixGame:
@@ -130,31 +125,11 @@ def game_from_dict(raw: dict) -> BimatrixGame:
     return BimatrixGame(rows, tuple(cols), loss, payoff)
 
 
-def game_from_json(text: str) -> BimatrixGame:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return game_from_dict(raw)
-
-
 def profile_to_dict(profile: MixedProfile) -> dict:
     return {"p": list(profile.p), "q": list(profile.q)}
-
-
-def profile_to_json(profile: MixedProfile) -> str:
-    return json.dumps(profile_to_dict(profile), indent=2, default=format_rational)
 
 
 def profile_from_dict(raw: dict) -> MixedProfile:
     if not isinstance(raw, dict) or "p" not in raw or "q" not in raw:
         raise FormatError("profile files need 'p' and 'q'")
     return MixedProfile(parse_rationals(raw["p"], "p"), parse_rationals(raw["q"], "q"))
-
-
-def profile_from_json(text: str) -> MixedProfile:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return profile_from_dict(raw)

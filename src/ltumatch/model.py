@@ -18,7 +18,6 @@ All numeric fields are Fractions; types are immutable after construction.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +32,7 @@ from .errors import (
     NonpositiveOutput,
     TaxOutOfRange,
 )
-from .rationals import format_rational, parse_rational, parse_rationals
+from .rationals import parse_rational, parse_rationals
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -346,7 +345,7 @@ def from_tax_schedule(workers, jobs, n, m, surplus, tau) -> LTUProblem:
 
 
 # ---------------------------------------------------------------------------
-# JSON formats
+# Dict forms, which the CLI reads from and writes as JSON text
 #
 # Problem files:
 #   {"workers": [{"id": "1", "mass": "1"}], "jobs": [...],
@@ -437,18 +436,6 @@ def problem_to_dict(problem: LTUProblem) -> dict:
     }
 
 
-def problem_to_json(problem: LTUProblem) -> str:
-    return json.dumps(problem_to_dict(problem), indent=2, default=format_rational)
-
-
-def problem_from_json(text: str) -> LTUProblem:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return validate_problem(raw)
-
-
 def validate_m2o_problem(raw: dict) -> ManyToOneProblem:
     if not isinstance(raw, dict):
         raise FormatError("problem file must be a JSON object")
@@ -486,28 +473,12 @@ def m2o_to_dict(problem: ManyToOneProblem) -> dict:
     }
 
 
-def m2o_to_json(problem: ManyToOneProblem) -> str:
-    return json.dumps(m2o_to_dict(problem), indent=2, default=format_rational)
-
-
-def m2o_from_json(text: str) -> ManyToOneProblem:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return validate_m2o_problem(raw)
-
-
 def outcome_to_dict(outcome: Outcome) -> dict:
     return {
         "mu": [list(row) for row in outcome.mu],
         "u": list(outcome.u),
         "v": list(outcome.v),
     }
-
-
-def outcome_to_json(outcome: Outcome) -> str:
-    return json.dumps(outcome_to_dict(outcome), indent=2, default=format_rational)
 
 
 def outcome_from_dict(raw: dict) -> Outcome:

@@ -1,4 +1,4 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and fixed-point display.
 
 All arithmetic in this package runs on fractions.Fraction. Floats are
 rejected on input and produced only for display, never fed back into a
@@ -38,10 +38,6 @@ def parse_rationals(values, what: str) -> tuple[Fraction, ...]:
     if not isinstance(values, list):
         raise FormatError(f"{what} must be a list, got {values!r}")
     return tuple(parse_rational(v) for v in values)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def decimal_str(value: Fraction, digits: int) -> str:

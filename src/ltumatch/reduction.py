@@ -126,11 +126,11 @@ def _map_back(problem: LTUProblem, game: BimatrixGame, profile: MixedProfile):
     return Outcome(tuple(mu), u, v), hider_loss, seeker_payoff
 
 
-def solve_stable(problem: LTUProblem, label: int = 0, max_iter: int = 1_000_000):
+def solve_stable(problem: LTUProblem, label: int = 0):
     """Pipeline: reduce, run the pivoting solver, map back. Returns the
     outcome together with the profile it came from."""
     game = to_game(problem)
-    profile = lemke_howson(game, label=label, max_iter=max_iter)
+    profile = lemke_howson(game, label=label)
     outcome = _map_back(problem, game, profile)[0]
     _require_stable(problem, outcome)
     return outcome, profile
@@ -260,13 +260,13 @@ def _map_back_n(
     return ArrangementOutcome(mu, u)
 
 
-def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0, max_iter: int = 1_000_000):
+def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0):
     """Normalize outputs, reduce, pivot, map back, undo the shift."""
     from .stability import verify_stable_m2o
 
     shifted, k = normalize_outputs(problem)
     game = to_game_n(shifted)
-    profile = lemke_howson(game, label=label, max_iter=max_iter)
+    profile = lemke_howson(game, label=label)
     lifted = _map_back_n(shifted, game, profile)
     outcome = ArrangementOutcome(lifted.mu, tuple(x - k for x in lifted.u))
     report = verify_stable_m2o(problem, outcome)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ltumatch.cli import run
-from ltumatch.games import game_from_json
+from ltumatch.games import game_from_dict
 
 FIG = "data/uneven2x2.json"
 BLACK = "data/uneven2x2_black.json"
@@ -52,14 +52,14 @@ def test_solve_values_are_the_game_values(capsys, tmp_path):
 
     from ltumatch import FuzzConfig, expected_values, random_problem, to_game
     from ltumatch.games import profile_from_dict
-    from ltumatch.model import problem_to_json
+    from ltumatch.model import problem_to_dict
     from ltumatch.rationals import parse_rational
 
     rng = random.Random(5)
     for k in range(6):
         problem = random_problem(rng, FuzzConfig())
         path = tmp_path / f"p{k}.json"
-        path.write_text(problem_to_json(problem))
+        path.write_text(json.dumps(problem_to_dict(problem), default=str))
         label = k % (problem.nx * problem.ny + problem.nx + problem.ny)
         code, out, _ = _capture(capsys, ["solve", str(path), "--json", "--label", str(label)])
         assert code == 0
@@ -169,7 +169,7 @@ def test_verify_json(capsys):
 def test_to_game_round_trips(capsys):
     code, out, _ = _capture(capsys, ["to-game", FIG])
     assert code == 0
-    game = game_from_json(out)
+    game = game_from_dict(json.loads(out))
     assert game.shape == (4, 4)
     assert game.loss[0][0] == F(1, 2)
 
@@ -184,17 +184,28 @@ def test_from_eq_good_profile(capsys, tmp_path):
     assert "w1 -> j1: 1" in out
 
 
-def test_from_eq_rejects_non_equilibrium(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "p, side, label, line",
+    [
+        # a hider row is labelled by its pair, a seeker column by its side and type
+        (["1", "0", "0", "0"], "hider", "w2,j1",
+         "the hider prefers strategy (w2,j1) (0 against 1/2)"),
+        (["0", "0", "1", "0"], "seeker", "x,w2",
+         "the seeker prefers strategy (x,w2) (1/2 against 0)"),
+    ],
+)
+def test_from_eq_rejects_non_equilibrium(capsys, tmp_path, p, side, label, line):
     profile = tmp_path / "profile.json"
-    profile.write_text(
-        json.dumps({"p": ["1", "0", "0", "0"], "q": ["1", "0", "0", "0"]})
-    )
+    profile.write_text(json.dumps({"p": p, "q": ["1", "0", "0", "0"]}))
     code, out, _ = _capture(capsys, ["from-eq", FIG, str(profile), "--json"])
     assert code == 1
     data = json.loads(out)
     assert data["equilibrium"] is False
-    assert data["deviation"]["side"] == "hider"
-    assert data["deviation"]["label"] == "w2,j1"
+    assert data["deviation"]["side"] == side
+    assert data["deviation"]["label"] == label
+    code, out, _ = _capture(capsys, ["from-eq", FIG, str(profile)])
+    assert code == 1
+    assert out == f"not an equilibrium: {line}\n"
 
 
 def test_check_tu_exit_codes(capsys):
@@ -288,6 +299,21 @@ def test_fuzz_subcommand(capsys):
     assert "every check passed" in out
 
 
+def test_fuzz_reports_each_finding_and_exits_3(capsys, monkeypatch):
+    from ltumatch import fuzz
+
+    monkeypatch.setattr(fuzz, "run_pipeline_checks", lambda problem, label=0: ("broken",))
+    code, out, _ = _capture(capsys, ["fuzz", "--count", "2"])
+    assert code == 3
+    assert out == "instance 0 (general): broken\ninstance 1 (factorizable): broken\n"
+    code, out, _ = _capture(capsys, ["fuzz", "--count", "1", "--json"])
+    assert code == 3
+    assert json.loads(out) == {
+        "count": 1,
+        "failures": [{"instance": 0, "kind": "general", "message": "broken"}],
+    }
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = _capture(capsys, ["solve", str(tmp_path / "missing.json")])
     assert code == 2
@@ -343,10 +369,11 @@ SINGLES_TRUE_SIZE = {
         (["solve-m2o", "BAD"], _bad_arrangement(slots=5)),
         (["solve-m2o", "BAD"], SINGLES_TRUE_SIZE),
         (["solve", FIG, "--decimal", "-1"], None),
+        (["fuzz", "--count", "-1"], None),
     ],
     ids=["verify-mu", "verify-mu-row", "verify-v", "exchange-first", "exchange-second",
          "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots",
-         "solve-m2o-bool-size", "decimal"],
+         "solve-m2o-bool-size", "decimal", "fuzz-count"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, bad):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -63,9 +64,13 @@ def test_profile_supports():
     assert prof.q_support == (1,)
 
 
+def _through_json(game):
+    return games.game_from_dict(json.loads(json.dumps(games.game_to_dict(game), default=str)))
+
+
 def test_game_json_round_trip():
     g = _bos()
-    assert games.game_from_json(games.game_to_json(g)) == g
+    assert _through_json(g) == g
 
 
 def test_game_json_round_trip_with_vacant_slots():
@@ -75,12 +80,10 @@ def test_game_json_round_trip_with_vacant_slots():
         loss=((F(1),), (F(1, 4),)),
         payoff=((F(1),), (F(1, 2),)),
     )
-    assert games.game_from_json(games.game_to_json(g)) == g
+    assert _through_json(g) == g
 
 
 def test_profile_json_round_trip():
     prof = MixedProfile(p=(F(2, 5), F(3, 5)), q=(F(1),))
-    text = games.profile_to_json(prof)
-    import json
-
+    text = json.dumps(games.profile_to_dict(prof), default=str)
     assert games.profile_from_dict(json.loads(text)) == prof

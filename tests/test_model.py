@@ -122,8 +122,8 @@ def test_from_tax_schedule():
 
 
 def test_problem_json_round_trip(uneven2x2):
-    text = model.problem_to_json(uneven2x2)
-    assert model.problem_from_json(text) == uneven2x2
+    text = json.dumps(model.problem_to_dict(uneven2x2), default=str)
+    assert model.validate_problem(json.loads(text)) == uneven2x2
 
 
 def test_validate_problem_pairs_form(uneven2x2):
@@ -178,7 +178,7 @@ def test_outcome_shape_checks():
 
 
 def test_outcome_json_round_trip(black):
-    text = model.outcome_to_json(black)
+    text = json.dumps(model.outcome_to_dict(black), default=str)
     assert model.outcome_from_dict(json.loads(text)) == black
 
 
@@ -221,8 +221,8 @@ def test_m2o_validation(roommates):
 
 
 def test_m2o_json_round_trip(roommates):
-    text = model.m2o_to_json(roommates)
-    assert model.m2o_from_json(text) == roommates
+    text = json.dumps(model.m2o_to_dict(roommates), default=str)
+    assert model.validate_m2o_problem(json.loads(text)) == roommates
 
 
 def test_subproblem_spec_validation(uneven2x2):

@@ -6,6 +6,7 @@ to it, so on every market it must return the reference's tuple, run
 the skipped ones, and hold a checked Farkas certificate for each skipped one.
 """
 import functools
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 import reference_oracle
 from ltumatch import FuzzConfig, InternalError, LTUProblem, oracle, random_problem
-from ltumatch.model import problem_from_json
+from ltumatch.model import validate_problem
 from ltumatch._simplex import Certificate, certificate_refutes
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -22,7 +23,7 @@ HALF = F(1, 2)
 
 
 def _corpus():
-    markets = {"uneven2x2": problem_from_json((DATA / "uneven2x2.json").read_text())}
+    markets = {"uneven2x2": validate_problem(json.loads((DATA / "uneven2x2.json").read_text()))}
     rng = random.Random(31)
     cfg = FuzzConfig(max_workers=2, max_jobs=2)
     for k in range(25):

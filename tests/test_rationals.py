@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ltumatch import FormatError
-from ltumatch.rationals import decimal_str, format_rational, parse_rational
+from ltumatch.rationals import decimal_str, parse_rational
 
 
 def test_parse_accepts_ints_and_strings():
@@ -27,10 +27,10 @@ def test_parse_rejects_non_rationals(bad):
 
 
 def test_format_is_lowest_terms():
-    assert format_rational(F(3, 4)) == "3/4"
-    assert format_rational(F(5)) == "5"
-    assert format_rational(F(-1, 2)) == "-1/2"
-    assert format_rational(F(4, 8)) == "1/2"
+    assert str(F(3, 4)) == "3/4"
+    assert str(F(5)) == "5"
+    assert str(F(-1, 2)) == "-1/2"
+    assert str(F(4, 8)) == "1/2"
 
 
 def test_decimal_str_fixed_point():
@@ -50,4 +50,4 @@ def test_decimal_str_fixed_point():
 )
 def test_parse_format_round_trip(num, den):
     value = F(num, den)
-    assert parse_rational(format_rational(value)) == value
+    assert parse_rational(str(value)) == value

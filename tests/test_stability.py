@@ -52,10 +52,19 @@ def test_blocking_pairs_empty_when_stable(uneven2x2, black):
     assert blocking_pairs(uneven2x2, black) == ()
 
 
-def test_negative_utilities_fail_sign_condition(uneven2x2, black):
+def test_negative_utilities_fail_sign_condition(uneven2x2, black, roommates):
     out = Outcome(black.mu, (F(-1), F(1)), black.v)
     report = verify_stable(uneven2x2, out)
     assert any(v.condition == 0 and v.kind == "sign" for v in report.violations)
+    # a negative mass and a negative job utility; then a negative arrangement mass
+    out = Outcome(((F(1), F(-1, 2)), (F(0), F(1))), black.u, (F(0), F(-2)))
+    signs = [(v.where, v.lhs) for v in verify_stable(uneven2x2, out).violations
+             if v.kind == "sign"]
+    assert signs == [("mu[w1,j2]", F(-1, 2)), ("v[j2]", F(-2))]
+    out = ArrangementOutcome((F(-1), F(3, 2)), (F(2),))
+    signs = [(v.where, v.lhs) for v in verify_stable_m2o(roommates, out).violations
+             if v.kind == "sign"]
+    assert signs == [("mu[(1,-)]", F(-1))]
 
 
 def test_overfull_rows_and_columns(uneven2x2):

@@ -6,6 +6,7 @@ it must return the reference's tuple exactly. Degenerate games, with entries
 in {0, 1, 2}, have the most ties between supports and so the most pairs whose
 verdict comes from a neighbour rather than from an LP.
 """
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,7 +23,7 @@ from ltumatch import (
     random_problem,
     to_game,
 )
-from ltumatch.model import problem_from_json
+from ltumatch.model import validate_problem
 from test_gamesolve import bos
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -35,7 +36,7 @@ def _ac3_corpus():
     rng = random.Random(7)
     tiny = FuzzConfig(max_workers=2, max_jobs=2)
     wide = FuzzConfig(max_workers=2, max_jobs=3)
-    problems = [problem_from_json((DATA / "uneven2x2.json").read_text())]
+    problems = [validate_problem(json.loads((DATA / "uneven2x2.json").read_text()))]
     problems += [random_problem(rng, tiny) for _ in range(40)]
     problems += [random_problem(rng, wide, min_workers=2, min_jobs=3) for _ in range(6)]
     return problems
