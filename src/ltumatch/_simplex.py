@@ -15,12 +15,18 @@ the variables into the equality rows in index order, splits sign-free
 variables, and runs a phase-1/phase-2 simplex with Bland's rule. Fractions
 appear only where a system comes in and a point, value or certificate goes
 out; there are no tolerances anywhere.
+
+A system may come with its rows already in integer form (`integer_row`), as
+the oracle's split systems do, built once per market. The LP then takes those
+rows as they are, and `certificate_refutes` sums in integers on them; a
+system without that form is scaled where it is used.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 
 from .errors import DimensionMismatch, InternalError
 
@@ -28,6 +34,21 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Row = tuple[Fraction, ...]
+IntegerRow = tuple[tuple[tuple[int, int], ...], int, int]
+
+
+def _scale(coeffs: Row, rhs: Fraction) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, coefficients then rhs, and
+    that lcm."""
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in (*coeffs, rhs)], scale
+
+
+def integer_row(coeffs: Row, rhs: Fraction) -> IntegerRow:
+    """The row coeffs . x (== or <=) rhs times the lcm of its denominators:
+    its nonzero coefficients as (index, integer) pairs, its rhs, that lcm."""
+    row, scale = _scale(coeffs, rhs)
+    return tuple((i, c) for i, c in enumerate(row[:-1]) if c), row[-1], scale
 
 
 @dataclass(frozen=True)
@@ -37,12 +58,18 @@ class LinearSystem:
     Each entry of `eqs` is (coeffs, rhs) read as coeffs . x == rhs; each entry
     of `ineqs` is read as coeffs . x <= rhs. Flags and rows are tuples, and
     coefficients and right sides Fractions, as given: they are not copied.
+
+    `integer_form`, when given, holds `integer_row` of every row of `eqs` and
+    then of `ineqs`, so that code that already has it (the oracle, once per
+    market) spares the solver and `certificate_refutes` the scaling. It is
+    trusted to match the Fraction rows.
     """
 
     nvars: int
     nonneg: tuple[bool, ...]
     eqs: tuple[tuple[Row, Fraction], ...]
     ineqs: tuple[tuple[Row, Fraction], ...]
+    integer_form: tuple[IntegerRow, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nonneg) != self.nvars:
@@ -50,6 +77,8 @@ class LinearSystem:
         for row, _ in self.eqs + self.ineqs:
             if len(row) != self.nvars:
                 raise DimensionMismatch("constraint row has the wrong width")
+        if self.integer_form is not None and len(self.integer_form) != len(self.eqs) + len(self.ineqs):
+            raise DimensionMismatch("the integer form must cover every row")
 
 
 @dataclass(frozen=True)
@@ -72,21 +101,31 @@ class SolveResult:
 
 
 def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
-    """Check a Farkas certificate against the system it claims to refute."""
+    """Check a Farkas certificate against the system it claims to refute.
+
+    The combination is summed in integers, on the system's integer form (or
+    on its rows scaled here when it has none). A multiplier y = a/b on a row
+    of scale s weighs that row's integers by a * (D // (b * s)), with D the
+    lcm of every such b * s; so each sum is D > 0 times the Fraction sum, and
+    every sign, the verdict with them, is exactly that of the Fraction sum.
+    """
     if len(cert.eq_mult) != len(system.eqs) or len(cert.ineq_mult) != len(system.ineqs):
         return False
     if any(z < 0 for z in cert.ineq_mult):
         return False
-    combo = [ZERO] * system.nvars
-    rhs = ZERO
+    rows = system.integer_form
+    if rows is None:
+        rows = starmap(integer_row, system.eqs + system.ineqs)
     # zero multipliers and zero coefficients add exactly nothing: skip them
-    for mult, rows in ((cert.eq_mult, system.eqs), (cert.ineq_mult, system.ineqs)):
-        for y, (row, r) in zip(mult, rows):
-            if y:
-                for i, c in enumerate(row):
-                    if c:
-                        combo[i] += y * c
-                rhs += y * r
+    terms = [(y, row) for y, row in zip(cert.eq_mult + cert.ineq_mult, rows) if y]
+    common = math.lcm(*(y.denominator * scale for y, (_, _, scale) in terms))
+    combo = [0] * system.nvars
+    rhs = 0
+    for y, (nonzeros, r, scale) in terms:
+        k = y.numerator * (common // (y.denominator * scale))
+        for i, c in nonzeros:
+            combo[i] += k * c
+        rhs += k * r
     for i, g in enumerate(combo):
         if system.nonneg[i]:
             if g < 0:
@@ -151,21 +190,33 @@ def _pivot(t, prev, row, col):
 # e_k = nvars + k, the slack of inequality k is nvars + len(eqs) + k, and the
 # negative parts of split variables and the phase-1 artificials come after.
 # Each constraint row starts as its own slack's row, scaled by the lcm of its
-# denominators, so that slack stands for `scale` times the original one; the
-# scale changes sign where a row is negated to keep the common scale positive.
+# denominators (`_dense_rows`), so that slack stands for `scale` times the
+# original one; the scale changes sign where a row is negated to keep the
+# common scale positive.
 # A slack's column in a row is that row's multiplier of the slack's
 # constraint, which is how every row and every reduced cost carries its own
 # provenance for certificates.
 
 
+def _dense_rows(system: LinearSystem) -> list[tuple[list[int], int]]:
+    """Each row as (integers, coefficients then rhs; scale): the system's
+    integer form spread out, or the Fraction row scaled here."""
+    if system.integer_form is None:
+        return list(starmap(_scale, system.eqs + system.ineqs))
+    rows = []
+    for nonzeros, rhs, scale in system.integer_form:
+        row = [0] * system.nvars + [rhs]
+        for i, c in nonzeros:
+            row[i] = c
+        rows.append((row, scale))
+    return rows
+
+
 class _Dictionary:
-    def __init__(self, nvars, eqs, ineqs):
-        rows = []
-        for coeffs, rhs in (*eqs, *ineqs):
-            scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-            rows.append(([c.numerator * (scale // c.denominator) for c in (*coeffs, rhs)], scale))
+    def __init__(self, nvars, neq, rows):
+        # rows as `_dense_rows` gives them, equalities first; the lists are kept
         self.t = [row for row, _ in rows]
-        self.neq, self.slacks = len(eqs), range(nvars, nvars + len(rows))
+        self.neq, self.slacks = neq, range(nvars, nvars + len(rows))
         self.prev = 1
         self.ncols = nvars
         self.basis = list(range(nvars, nvars + len(rows)))
@@ -270,7 +321,7 @@ def _lp(system: LinearSystem, objective=None):
     """(point, None) for a feasible system, with the point maximizing the
     objective when one is given, or (None, certificate)."""
     n, neq, nonneg = system.nvars, len(system.eqs), system.nonneg
-    d = _Dictionary(n, system.eqs, system.ineqs)
+    d = _Dictionary(n, neq, _dense_rows(system))
     rank = d.eliminate()
     for i in range(rank, neq):
         if d.t[i][-1]:
@@ -339,7 +390,7 @@ def _lp(system: LinearSystem, objective=None):
 
 def equations_consistent(eqs, nvars: int) -> bool:
     """Whether the equalities alone admit any solution (signs ignored)."""
-    d = _Dictionary(nvars, eqs, ())
+    d = _Dictionary(nvars, len(eqs), list(starmap(_scale, eqs)))
     rank = d.eliminate()
     return not any(row[-1] for row in d.t[rank:])
 

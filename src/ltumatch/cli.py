@@ -45,9 +45,8 @@ from .rationals import decimal_str
 from .reduction import (
     _map_back,
     _require_stable,
-    normalize_outputs,
+    _solve_stable_m2o,
     solve_stable,
-    solve_stable_m2o,
     to_game,
 )
 from .stability import blocking_pairs, verify_stable, verify_stable_m2o
@@ -323,8 +322,7 @@ def cmd_oracle(args):
 
 def cmd_solve_m2o(args):
     problem = validate_m2o_problem(_read_json(args.problem))
-    outcome, profile = solve_stable_m2o(problem, label=args.label)
-    shift = normalize_outputs(problem)[1]
+    outcome, profile, shift = _solve_stable_m2o(problem, args.label)
     fmt = args.fmt
     payload = {
         "label": args.label,

@@ -18,7 +18,10 @@ through a relaxed split system (the cells binding, every type free to earn),
 and inside a cell set it visits the earning sets from the largest down, so
 that one refuted pattern refutes all of its smaller ones. Nothing is skipped
 on trust: the Farkas certificate of the refuted system is carried over to
-each skipped pattern's own split system and checked there.
+each skipped pattern's own split system and checked there. The split rows
+are built once per market, each with its integer form (`integer_row`), and
+every split system hands that form on, so the LPs and the certificate checks
+of all patterns of a market share one scaling and check in integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -36,6 +39,7 @@ from ._simplex import (
     LinearSystem,
     certificate_refutes,
     equations_consistent,
+    integer_row,
     solve,
 )
 from .errors import CapExceeded, InternalError
@@ -88,7 +92,8 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
 def _split_rows(problem: LTUProblem):
     """The rows that split systems are assembled from: per cell in row-major
     order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 and its
-    no-blocking inequality, the same row negated; per variable its unit row.
+    no-blocking inequality, the same row negated; per variable its unit row
+    with rhs 0. Each row is ((coeffs, rhs), its `integer_row`).
 
     Cached for the last problem, so that `linear_feasibility`, which keeps
     its public (problem, pattern) signature, shares the table that
@@ -96,6 +101,10 @@ def _split_rows(problem: LTUProblem):
     The table is read-only, since every caller gets the same one."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
+
+    def entry(coeffs, rhs):
+        return (coeffs, rhs), integer_row(coeffs, rhs)
+
     cells = {}
     for x in range(nx):
         for y in range(ny):
@@ -105,8 +114,10 @@ def _split_rows(problem: LTUProblem):
             row[x], row[nx + y] = lam, ONE - lam
             neg[x], neg[nx + y] = -lam, lam - ONE
             half = problem.phi[x][y] / 2
-            cells[x, y] = ((tuple(row), half), (tuple(neg), -half))
-    units = tuple(tuple(ONE if i == k else ZERO for i in range(width)) for k in range(width))
+            cells[x, y] = (entry(tuple(row), half), entry(tuple(neg), -half))
+    units = tuple(
+        entry(tuple(ONE if i == k else ZERO for i in range(width)), ZERO) for k in range(width)
+    )
     return MappingProxyType(cells), units
 
 
@@ -121,9 +132,10 @@ def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=Non
             eqs.append(eq)
         else:
             ineqs.append(ineq)
-    eqs += [(units[x], ZERO) for x in range(nx) if x not in pattern.pos_u]
-    eqs += [(units[nx + y], ZERO) for y in range(ny) if y not in pattern.pos_v]
-    return LinearSystem(nx + ny, (True,) * (nx + ny), tuple(eqs), tuple(ineqs))
+    eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
+    eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
+    rows, forms = zip(*eqs, *ineqs)  # never empty: every cell gives a row
+    return LinearSystem(nx + ny, (True,) * (nx + ny), rows[:len(eqs)], rows[len(eqs):], forms)
 
 
 def _carry(cert: Certificate, source: ComplementarityPattern, target: ComplementarityPattern,
@@ -257,7 +269,7 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         if any(problem.phi[x][y] < 0 for x, y in scells):
             continue
-        eqs = tuple(rows[0][cell][0] for cell in scells)
+        eqs = tuple(rows[0][cell][0][0] for cell in scells)
         if eqs and not equations_consistent(eqs, width):
             continue
         # Subsets come first and pass the checks above whenever S does, so if

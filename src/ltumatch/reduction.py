@@ -262,6 +262,12 @@ def _map_back_n(
 
 def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0):
     """Normalize outputs, reduce, pivot, map back, undo the shift."""
+    outcome, profile, _ = _solve_stable_m2o(problem, label)
+    return outcome, profile
+
+
+def _solve_stable_m2o(problem: ManyToOneProblem, label: int):
+    """solve_stable_m2o, plus the shift K that its one normalization applied."""
     from .stability import verify_stable_m2o
 
     shifted, k = normalize_outputs(problem)
@@ -275,7 +281,7 @@ def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0):
             "equilibrium mapped to an unstable arrangement outcome: "
             + report.violations[0].describe()
         )
-    return outcome, profile
+    return outcome, profile, k
 
 
 __all__ = [

@@ -279,6 +279,26 @@ def test_solve_m2o(capsys):
     assert "worker utilities: 1=2" in out
 
 
+def test_solve_m2o_normalizes_once(capsys, monkeypatch):
+    from ltumatch import cli, reduction
+
+    calls = []
+    original = reduction.normalize_outputs
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    # every module that binds the name, so that no call goes uncounted
+    for module in (reduction, cli):
+        if hasattr(module, "normalize_outputs"):
+            monkeypatch.setattr(module, "normalize_outputs", counting)
+    code, out, _ = _capture(capsys, ["solve-m2o", ROOM, "--json"])
+    assert code == 0
+    assert json.loads(out)["shift"] == "1/2"
+    assert len(calls) == 1
+
+
 def test_verify_m2o(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"mu": ["0", "1"], "u": ["2"]}))

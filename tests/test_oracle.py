@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import test_oracle_differential as oracle_corpus
 from ltumatch import (
     CapExceeded,
     FuzzConfig,
@@ -18,6 +20,8 @@ from ltumatch import (
     to_game,
     verify_stable,
 )
+from ltumatch._simplex import integer_row
+from ltumatch.oracle import ComplementarityPattern, _split_rows, _split_system
 
 
 def test_uneven2x2_enumeration(uneven2x2, black, white):
@@ -107,3 +111,30 @@ def test_oracle_agrees_with_pipeline_on_random_instances():
         assert forward in outcomes
         game_count += len(outcomes)
     assert game_count >= 25
+
+
+def _scaled_correctly(row, form):
+    (coeffs, rhs), (nonzeros, int_rhs, scale) = row, form
+    assert scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    dense = [0] * len(coeffs)
+    for i, c in nonzeros:
+        assert c != 0
+        dense[i] = c
+    assert [i for i, _ in nonzeros] == sorted({i for i, _ in nonzeros})
+    assert dense == [c * scale for c in coeffs]
+    assert int_rhs == rhs * scale
+
+
+@pytest.mark.parametrize("name", oracle_corpus.NAMES)
+def test_split_rows_hold_each_row_times_its_scale(name):
+    problem = oracle_corpus.CORPUS[name]
+    cells, units = _split_rows(problem)
+    assert len(cells) == problem.nx * problem.ny
+    assert len(units) == problem.nx + problem.ny
+    for row, form in [entry for pair in cells.values() for entry in pair] + list(units):
+        _scaled_correctly(row, form)
+    # a split system hands on the integer form of its own rows, in order
+    everything = ComplementarityPattern(tuple(cells), (), ())
+    for pattern in (everything, ComplementarityPattern((), (0,), ())):
+        system = _split_system(problem, pattern)
+        assert system.integer_form == tuple(integer_row(*row) for row in system.eqs + system.ineqs)

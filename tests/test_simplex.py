@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,16 @@ def test_certificate_refutes_rejects_a_combination_on_a_free_variable():
     assert not certificate_refutes(_sys(1, (False,), ineqs=[((F(1),), F(-1))]), certificate)
 
 
+def test_certificate_refutes_weighs_each_row_by_its_own_scale():
+    # x <= -1 and -x/2 <= 3/2 over x >= 0: the sum of both rows, x/2 <= 1/2,
+    # refutes nothing. Row 2 is -x <= 3 at scale 2; a check whose common
+    # multiple covered the multipliers' denominators but not the row scales
+    # would weigh it by 1 // 2 = 0 and accept row 1 alone.
+    system = _sys(1, (True,), ineqs=[((F(1),), F(-1)), ((F(-1, 2),), F(3, 2))])
+    assert not certificate_refutes(system, Certificate((), (F(1), F(1))))
+    assert certificate_refutes(system, Certificate((), (F(1), F(0))))
+
+
 def _dense_refutes(system, cert):
     """certificate_refutes as one dense Fraction sum over every term."""
     if len(cert.eq_mult) != len(system.eqs) or len(cert.ineq_mult) != len(system.ineqs):
@@ -134,6 +145,47 @@ def test_certificate_refutes_agrees_with_the_dense_sum_on_the_oracle_corpus():
             verdict = certificate_refutes(system, cert)
             assert verdict == _dense_refutes(system, cert), (system, cert)
             verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# denominators up to 10**6 and pairwise coprime, so that row scales and the
+# multipliers' denominators differ and their lcms grow large
+DENOMINATORS = (1, 2, 3, 7, 1009, 65537, 999983)
+
+
+def _random_system(rng):
+    nvars = rng.randint(1, 6)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.choice(DENOMINATORS)) if rng.random() < 0.8 else F(0)
+
+    def rows(count):
+        return [(tuple(rational() for _ in range(nvars)), rational()) for _ in range(count)]
+
+    nonneg = tuple(rng.random() < 0.5 for _ in range(nvars))
+    return _sys(nvars, nonneg, eqs=rows(rng.randint(0, 3)), ineqs=rows(rng.randint(1, 5)))
+
+
+def test_certificate_refutes_agrees_with_the_dense_sum_on_random_systems():
+    rng = random.Random(2024)
+    verdicts, refuted = set(), 0
+    for _ in range(400):
+        system = _random_system(rng)
+        result = solve(system)
+        if result.feasible:
+            continue
+        refuted += 1
+        cert = result.certificate
+        mult = list(cert.eq_mult + cert.ineq_mult)
+        k = rng.choice([i for i, y in enumerate(mult) if y])
+        mult[k] += F(rng.choice((-1, 1)), rng.choice(DENOMINATORS[3:]) * 10**6)
+        neq = len(cert.eq_mult)
+        moved = Certificate(tuple(mult[:neq]), tuple(mult[neq:]))
+        for c in (cert, moved):
+            verdict = certificate_refutes(system, c)
+            assert verdict == _dense_refutes(system, c), (system, c)
+            verdicts.add(verdict)
+    assert refuted >= 50
     assert verdicts == {True, False}
 
 
