@@ -17,11 +17,13 @@ under both moves. The search uses this twice. It refutes whole cell sets
 through a relaxed split system (the cells binding, every type free to earn),
 and inside a cell set it visits the earning sets from the largest down, so
 that one refuted pattern refutes all of its smaller ones. Nothing is skipped
-on trust: the Farkas certificate of the refuted system is carried over to
-each skipped pattern's own split system and checked there. The split rows
-are built once per market, each with its integer form (`integer_row`), and
-every split system hands that form on, so the LPs and the certificate checks
-of all patterns of a market share one scaling and check in integers.
+on trust: each refuting Farkas certificate is checked once, on the system it
+refutes, and read in index space, as the cells that must bind and the types
+that must be held at zero for its combination to refute another pattern, so
+that each skipped pattern is checked by three mask tests. The split rows are
+built once per market, each with its integer form (`integer_row`), and every
+split system hands that form on, so the LPs and the certificate checks of
+all patterns of a market share one scaling and check in integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -42,7 +44,7 @@ from ._simplex import (
     integer_row,
     solve,
 )
-from .errors import CapExceeded, InternalError
+from .errors import CapExceeded, DimensionMismatch, InternalError
 from .model import LTUProblem, Outcome
 from .stability import verify_stable
 
@@ -138,31 +140,35 @@ def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=Non
     return LinearSystem(nx + ny, (True,) * (nx + ny), rows[:len(eqs)], rows[len(eqs):], forms)
 
 
-def _carry(cert: Certificate, source: ComplementarityPattern, target: ComplementarityPattern,
-           nx: int, ny: int) -> Certificate:
-    """Carry a Farkas certificate of source's split system over to target's,
-    where target binds more cells and lets fewer types earn.
-
-    Rows are matched on what they constrain. A cell's multiplier is read as
-    that of its binding equality, so an inequality's z counts as -z there; a
-    type held at zero keeps its multiplier, or gets 0 where source let it
-    earn. The combination of the rows is unchanged, so the carried
-    certificate refutes target exactly when the original refutes source."""
+def _refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
+    """A checked certificate of pattern's split system in index space:
+    (pattern, cert, positive, umask, vmask), with bit x * ny + y of positive
+    set where cell (x, y)'s multiplier, taken on its binding equality, is
+    positive, and bit x of umask (y of vmask) where worker type x (job type
+    y) is held at zero with a nonzero multiplier. A cell outside the pattern
+    has the no-blocking inequality, its binding equality negated, so that
+    row's multiplier z counts as -z."""
     eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
-    source_cells = set(source.cells)
-    binding = {
-        (x, y): next(eq_mult) if (x, y) in source_cells else -next(ineq_mult)
-        for x in range(nx)
-        for y in range(ny)
-    }
-    held = {x: next(eq_mult) for x in range(nx) if x not in source.pos_u}
-    held.update((nx + y, next(eq_mult)) for y in range(ny) if y not in source.pos_v)
-    target_cells = set(target.cells)
-    eqs = [z for cell, z in binding.items() if cell in target_cells]
-    eqs += [held.get(x, ZERO) for x in range(nx) if x not in target.pos_u]
-    eqs += [held.get(nx + y, ZERO) for y in range(ny) if y not in target.pos_v]
-    ineqs = [-z for cell, z in binding.items() if cell not in target_cells]
-    return Certificate(tuple(eqs), tuple(ineqs))
+    cellset = set(pattern.cells)
+    positive = 0
+    for i in range(nx * ny):
+        if (next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult)) > 0:
+            positive |= 1 << i
+    umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult))
+    vmask = sum(1 << y for y in range(ny) if y not in pattern.pos_v and next(eq_mult))
+    return pattern, cert, positive, umask, vmask
+
+
+def _refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
+    """Whether the refutation's combination of rows is one of the split
+    system of pattern (smask, pumask, pvmask), which it then refutes: when
+    every cell with a positive multiplier binds (an inequality's must be
+    nonnegative) and every type with a nonzero multiplier is held at zero.
+    On a pattern that binds every cell and holds every type at zero that the
+    refutation's pattern does, this is `certificate_refutes` of the
+    certificate carried over to the pattern's own system row by row."""
+    _, _, positive, umask, vmask = refutation
+    return not (positive & ~smask or umask & pumask or vmask & pvmask)
 
 
 def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
@@ -197,7 +203,14 @@ def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> Li
 
 
 def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> PatternResult:
-    """Solve the two halves of a pattern; certify whichever is empty."""
+    """Solve the two halves of a pattern; certify whichever is empty.
+    DimensionMismatch for a repeated index or one outside the market."""
+    nx, ny = problem.nx, problem.ny
+    cells = {(x, y) for x in range(nx) for y in range(ny)}
+    for field, valid in (("cells", cells), ("pos_u", range(nx)), ("pos_v", range(ny))):
+        indices = getattr(pattern, field)
+        if len(set(indices)) != len(indices) or not all(i in valid for i in indices):
+            raise DimensionMismatch(f"pattern {field} {indices} are not distinct indices of a {nx}x{ny} market")
     split_system = _split_system(problem, pattern)
     split = solve(split_system)
     if split.point is None:
@@ -210,7 +223,6 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
         if not certificate_refutes(matching_system, matching.certificate):
             raise InternalError("invalid refutation for the matching system")
         return PatternResult(None, None, matching.certificate)
-    nx, ny = problem.nx, problem.ny
     mu = tuple(
         tuple(matching.point[x * ny + y] for y in range(ny)) for x in range(nx)
     )
@@ -237,13 +249,14 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     Two more prunes use that the split half is monotone: binding more cells
     or letting fewer types earn only adds constraints. Each cell set S gets
     its relaxed split system (S binding, every type free to earn) solved
-    once, or carried over from a refuted subset, and when that is infeasible
+    once, or takes a refuted subset's refutation, and when that is infeasible
     every pattern of S is skipped. Inside a feasible S the earning sets are
     visited from the largest down, and a split-refuted pattern also refutes
-    every pattern of S with fewer earning types. A skipped pattern gets the
-    refuting certificate carried over to its own split system (`_carry`),
-    and that certificate is checked with `certificate_refutes` like any
-    other. Every pattern that is not skipped goes through
+    every pattern of S with fewer earning types. Each refuting certificate is
+    checked with `certificate_refutes` once, on its own system, and read in
+    index space (`_refutation`). A skipped pattern gets the three mask tests
+    of `_refutes`, which are that check on its own split system with the
+    certificate carried over. Every pattern that is not skipped goes through
     `linear_feasibility` as before, so the prunes cannot change the result.
     """
     nx, ny = problem.nx, problem.ny
@@ -261,9 +274,9 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     width = nx + ny
     rows = _split_rows(problem)
     found: dict[tuple, Outcome] = {}
-    # cell set mask -> (pattern, certificate) refuting its relaxed split
-    # system: the relaxed pattern itself or that of a subset
-    refuted: dict[int, tuple[ComplementarityPattern, Certificate]] = {}
+    # cell set mask -> refutation of its relaxed split system: that of the
+    # relaxed pattern itself or of a subset's
+    refuted: dict[int, tuple] = {}
 
     for smask in range(1 << ncells):
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
@@ -280,17 +293,20 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
             refuted[smask] = refuted[sub]
         else:
             relaxed = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
-            result = solve(_split_system(problem, relaxed, rows))
+            system = _split_system(problem, relaxed, rows)
+            result = solve(system)
             if result.point is None:
-                refuted[smask] = relaxed, result.certificate
+                if not certificate_refutes(system, result.certificate):
+                    raise InternalError("invalid refutation for a relaxed split system")
+                refuted[smask] = _refutation(relaxed, result.certificate, nx, ny)
         srows = 0
         scols = 0
         for x, y in scells:
             srows |= 1 << x
             scols |= 1 << y
-        # (pumask, pvmask) -> (pattern, certificate) refuting that pattern's
-        # split system: its own or that of a larger one
-        split_refuted: dict[tuple[int, int], tuple[ComplementarityPattern, Certificate]] = {}
+        # (pumask, pvmask) -> refutation of that pattern's split system: its
+        # own or that of a larger one
+        split_refuted: dict[tuple[int, int], tuple] = {}
         for pumask in reversed(range(1 << nx)):
             if pumask & ~srows:
                 continue
@@ -303,11 +319,6 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
                     for x, y in scells
                 ):
                     continue
-                pattern = ComplementarityPattern(
-                    scells,
-                    tuple(x for x in range(nx) if pumask >> x & 1),
-                    tuple(y for y in range(ny) if pvmask >> y & 1),
-                )
                 # Larger earning sets come first and pass the checks above
                 # whenever this one does, so if any of them was refuted, one
                 # with a single type more was.
@@ -317,15 +328,18 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
                     (split_refuted[k] for k in larger if k in split_refuted), None
                 )
                 if source is not None:
-                    refuting, cert = source
-                    cert = _carry(cert, refuting, pattern, nx, ny)
-                    if not certificate_refutes(_split_system(problem, pattern, rows), cert):
+                    if not _refutes(source, smask, pumask, pvmask):
                         raise InternalError("a carried refutation does not refute its pattern")
                     split_refuted[pumask, pvmask] = source
                     continue
+                pattern = ComplementarityPattern(
+                    scells,
+                    tuple(x for x in range(nx) if pumask >> x & 1),
+                    tuple(y for y in range(ny) if pvmask >> y & 1),
+                )
                 result = linear_feasibility(problem, pattern)
                 if result.split_certificate is not None:
-                    split_refuted[pumask, pvmask] = pattern, result.split_certificate
+                    split_refuted[pumask, pvmask] = _refutation(pattern, result.split_certificate, nx, ny)
                 if result.outcome is not None:
                     key = (result.outcome.mu, result.outcome.u, result.outcome.v)
                     found.setdefault(key, result.outcome)

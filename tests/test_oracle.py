@@ -7,6 +7,7 @@ import pytest
 import test_oracle_differential as oracle_corpus
 from ltumatch import (
     CapExceeded,
+    DimensionMismatch,
     FuzzConfig,
     LTUProblem,
     OracleCaps,
@@ -68,6 +69,25 @@ def test_infeasible_pattern_has_checkable_certificate(uneven2x2):
     assert result.outcome is None
     assert result.split_certificate is not None
     assert certificate_refutes(_split_system(uneven2x2, pattern), result.split_certificate)
+
+
+@pytest.mark.parametrize(
+    "field, pattern",
+    [
+        ("cells", ComplementarityPattern(((5, 5),), (7,), (-1,))),
+        ("cells", ComplementarityPattern(((0, 2),), (0,), ())),
+        ("cells", ComplementarityPattern(((0, 0), (0, 0)), (0,), ())),
+        ("pos_u", ComplementarityPattern(((0, 0),), (2,), ())),
+        ("pos_u", ComplementarityPattern(((0, 0),), (0, 0), ())),
+        ("pos_v", ComplementarityPattern(((0, 1),), (), (-1,))),
+        ("pos_v", ComplementarityPattern(((0, 1),), (), (1, 1))),
+    ],
+    ids=["issue", "cell-out", "cell-twice", "u-out", "u-twice", "v-out", "v-twice"],
+)
+def test_linear_feasibility_refuses_bad_indices(uneven2x2, field, pattern):
+    # uneven2x2 is 2x2: each pattern names an index outside it or one twice
+    with pytest.raises(DimensionMismatch, match=f"pattern {field} "):
+        linear_feasibility(uneven2x2, pattern)
 
 
 def test_negative_output_pairs_never_match():
