@@ -1,0 +1,183 @@
+"""Mutation check: every named mutant of `src/` must fail the tests named for it.
+
+Each mutant is one exact snippet of one file under src/ltumatch, a
+replacement, and the tests that must catch it. The script copies `src/`,
+`tests/`, `data/` and `pyproject.toml` into a temporary directory once, then
+checks that all the named tests pass there unmutated. Then for each mutant
+in turn it puts the replacement in place of the snippet, runs only the
+named tests (one pytest subprocess at a time, stopping at the first
+failure) and restores the file. A mutant survives when those tests pass. A
+snippet that does not occur exactly once is an error too, so the table
+cannot go stale without notice.
+
+    python scripts/mutants.py             # every mutant
+    python scripts/mutants.py NAME ...    # only these
+    python scripts/mutants.py --list      # names and files
+
+Exit status 0 when every mutant is killed, 1 otherwise. Needs pytest and
+hypothesis, as the tests do.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/ltumatch
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids or files, relative to the root
+
+
+ORACLE_MASKS = "tests/test_oracle_differential.py::test_the_mask_tests_refuse_a_corrupted_refutation"
+ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_refute_their_patterns"
+
+MUTANTS = (
+    # an integer-native side system
+    Mutant(
+        "side level with the wrong sign",
+        "gamesolve.py",
+        "(k, -scale))",
+        "(k, scale))",
+        (
+            "tests/test_support_differential.py::test_bos",
+            "tests/test_gamesolve.py::test_side_rows_hold_each_row_times_its_scale",
+        ),
+    ),
+    Mutant(
+        "fraction view without the scale",
+        "_simplex.py",
+        "coeffs[i] = Fraction(c, scale)",
+        "coeffs[i] = Fraction(c)",
+        ("tests/test_simplex.py::test_integer_rows_at_any_scale_give_the_same_system",),
+    ),
+    # certificate_refutes sums in integers
+    Mutant(
+        "row scale left out of the common multiple",
+        "_simplex.py",
+        "common = math.lcm(*(y.denominator * scale for y, (_, _, scale) in terms))",
+        "common = math.lcm(*(y.denominator for y, _ in terms))",
+        ("tests/test_simplex.py::test_certificate_refutes_weighs_each_row_by_its_own_scale",),
+    ),
+    Mutant(
+        "D // b for D // (b * s)",
+        "_simplex.py",
+        "k = y.numerator * (common // (y.denominator * scale))",
+        "k = y.numerator * (common // y.denominator)",
+        ("tests/test_simplex.py::test_certificate_refutes_agrees_with_the_dense_sum_on_random_systems",),
+    ),
+    # the oracle in index space
+    Mutant(
+        "inequality multiplier read without its sign flip",
+        "oracle.py",
+        "if (next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult)) > 0:",
+        "if (next(eq_mult) if divmod(i, ny) in cellset else next(ineq_mult)) > 0:",
+        (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+    Mutant(
+        "held multiplier tested for > 0 instead of != 0",
+        "oracle.py",
+        "umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult))",
+        "umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult) > 0)",
+        (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+    Mutant(
+        "cell mask test dropped",
+        "oracle.py",
+        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
+        "return not (umask & pumask or vmask & pvmask)",
+        (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+    Mutant(
+        "worker mask test dropped",
+        "oracle.py",
+        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
+        "return not (positive & ~smask or vmask & pvmask)",
+        (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+    Mutant(
+        "job mask test dropped",
+        "oracle.py",
+        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
+        "return not (positive & ~smask or umask & pumask)",
+        (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+)
+
+
+def pytest(work: Path, tests) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)  # pyproject.toml puts the copy's src first
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=work,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def run(mutant: Mutant, work: Path) -> str | None:
+    """Apply the mutant in `work`, run its tests, restore the file. Returns
+    why it is not killed, or None when it is."""
+    path = work / "src" / "ltumatch" / mutant.file
+    original = path.read_text(encoding="utf-8")
+    count = original.count(mutant.snippet)
+    if count != 1:
+        return f"its snippet occurs {count} times in src/ltumatch/{mutant.file}"
+    path.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    try:
+        done = pytest(work, mutant.tests)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if done.returncode == 0:
+        return "survived: its tests pass"
+    if done.returncode != 1:  # 1 is "tests failed"; anything else is no verdict
+        return f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(f"{mutant.file}: {mutant.name}")
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failures = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="ltumatch-mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests", "data"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        clean = pytest(work, sorted({test for m in chosen for test in m.tests}))
+        if clean.returncode != 0:
+            print(f"the named tests fail without any mutant:\n{clean.stdout[-2000:]}")
+            return 1
+        for mutant in chosen:
+            t0 = time.perf_counter()
+            problem = run(mutant, work)
+            status = "killed" if problem is None else f"NOT KILLED, {problem}"
+            print(f"{mutant.file}: {mutant.name}: {status} ({time.perf_counter() - t0:.1f} s)", flush=True)
+            failures += problem is not None
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

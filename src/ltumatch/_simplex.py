@@ -10,21 +10,21 @@ right side is negative.
 One integer pivot, `_pivot`, does the work here and in
 `gamesolve.lemke_howson`: a fraction-free pivot on a tableau in dictionary
 form (von Stengel 2002) that divides exactly by the previous pivot element
-(Bareiss 1968). The LP scales each constraint row to integers once, pivots
-the variables into the equality rows in index order, splits sign-free
-variables, and runs a phase-1/phase-2 simplex with Bland's rule. Fractions
-appear only where a system comes in and a point, value or certificate goes
-out; there are no tolerances anywhere.
-
-A system may come with its rows already in integer form (`integer_row`), as
-the oracle's split systems do, built once per market. The LP then takes those
-rows as they are, and `certificate_refutes` sums in integers on them; a
-system without that form is scaled where it is used.
+(Bareiss 1968). A system stores each constraint row in integers, times a
+positive scale of its own; the LP pivots the variables into the equality
+rows in index order, splits sign-free variables, and runs a phase-1/phase-2
+simplex with Bland's rule. Fractions appear only where a system comes in as
+Fraction rows and a point, value or certificate goes out; there are no
+tolerances anywhere. Code that builds its rows in integers (the support
+enumeration's side systems, the oracle's, the lifted systems of
+`relative_interior_point`) hands them over as they are, and
+`certificate_refutes` sums in integers on the same rows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import starmap
 
@@ -37,48 +37,91 @@ Row = tuple[Fraction, ...]
 IntegerRow = tuple[tuple[tuple[int, int], ...], int, int]
 
 
-def _scale(coeffs: Row, rhs: Fraction) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, coefficients then rhs, and
-    that lcm."""
-    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in (*coeffs, rhs)], scale
-
-
 def integer_row(coeffs: Row, rhs: Fraction) -> IntegerRow:
     """The row coeffs . x (== or <=) rhs times the lcm of its denominators:
     its nonzero coefficients as (index, integer) pairs, its rhs, that lcm."""
-    row, scale = _scale(coeffs, rhs)
-    return tuple((i, c) for i, c in enumerate(row[:-1]) if c), row[-1], scale
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return (
+        tuple((i, c.numerator * (scale // c.denominator)) for i, c in enumerate(coeffs) if c),
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearSystem:
     """Variables x_0 .. x_{nvars-1}, with x_i >= 0 wherever nonneg[i].
 
-    Each entry of `eqs` is (coeffs, rhs) read as coeffs . x == rhs; each entry
-    of `ineqs` is read as coeffs . x <= rhs. Flags and rows are tuples, and
-    coefficients and right sides Fractions, as given: they are not copied.
+    `rows` holds the equalities, the first `neq` of them, then the
+    <=-inequalities, each an `IntegerRow` (nonzeros, rhs, scale) that reads
+    sum(c * x_i over its nonzeros (i, c)) == (or <=) rhs, the true row times
+    its scale > 0. Nothing else is stored.
 
-    `integer_form`, when given, holds `integer_row` of every row of `eqs` and
-    then of `ineqs`, so that code that already has it (the oracle, once per
-    market) spares the solver and `certificate_refutes` the scaling. It is
-    trusted to match the Fraction rows.
+    `LinearSystem(nvars, nonneg, eqs, ineqs)` takes Fraction rows, each
+    (coeffs, rhs), and scales each once by the lcm of its denominators.
+    `LinearSystem.from_integer_rows(nvars, nonneg, rows, neq)` checks
+    integer rows and takes them as they are; the library's own builders,
+    whose rows are valid by construction, skip the checks
+    (`_of_valid_rows`). `eqs` and `ineqs` read the rows back as Fraction
+    rows, which are the same at any scale.
     """
 
     nvars: int
     nonneg: tuple[bool, ...]
-    eqs: tuple[tuple[Row, Fraction], ...]
-    ineqs: tuple[tuple[Row, Fraction], ...]
-    integer_form: tuple[IntegerRow, ...] | None = field(default=None, repr=False, compare=False)
+    rows: tuple[IntegerRow, ...]
+    neq: int
 
-    def __post_init__(self):
-        if len(self.nonneg) != self.nvars:
+    def __init__(self, nvars: int, nonneg, eqs, ineqs):
+        if any(len(coeffs) != nvars for coeffs, _ in (*eqs, *ineqs)):
+            raise DimensionMismatch("constraint row has the wrong width")
+        self._store(nvars, nonneg, tuple(starmap(integer_row, (*eqs, *ineqs))), len(eqs))
+
+    @classmethod
+    def from_integer_rows(cls, nvars: int, nonneg, rows, neq: int) -> LinearSystem:
+        """DimensionMismatch for an index outside the variables or repeated
+        in a row, a scale <= 0, or more equalities than rows."""
+        variables = set(range(nvars))
+        for nonzeros, _, scale in rows:
+            indices = dict(nonzeros).keys()
+            if scale <= 0 or len(indices) != len(nonzeros) or not indices <= variables:
+                raise DimensionMismatch(f"{nonzeros} at scale {scale} is no row over {nvars} variables")
+        return cls._of_valid_rows(nvars, nonneg, tuple(rows), neq)
+
+    @classmethod
+    def _of_valid_rows(cls, nvars: int, nonneg, rows: tuple, neq: int) -> LinearSystem:
+        """`from_integer_rows` without the row checks, for the library's own
+        builders, whose rows are valid by construction and which assemble
+        many systems from the same rows."""
+        system = cls.__new__(cls)
+        system._store(nvars, nonneg, rows, neq)
+        return system
+
+    def _store(self, nvars, nonneg, rows, neq):
+        if len(nonneg) != nvars:
             raise DimensionMismatch("nonneg flags must cover every variable")
-        for row, _ in self.eqs + self.ineqs:
-            if len(row) != self.nvars:
-                raise DimensionMismatch("constraint row has the wrong width")
-        if self.integer_form is not None and len(self.integer_form) != len(self.eqs) + len(self.ineqs):
-            raise DimensionMismatch("the integer form must cover every row")
+        if not 0 <= neq <= len(rows):
+            raise DimensionMismatch(f"{neq} equalities among {len(rows)} rows")
+        # frozen: set the fields past the dataclass's __setattr__
+        self.__dict__.update(nvars=nvars, nonneg=nonneg, rows=rows, neq=neq)
+
+    def _fraction_rows(self, rows) -> tuple[tuple[Row, Fraction], ...]:
+        out = []
+        for nonzeros, rhs, scale in rows:
+            coeffs = [ZERO] * self.nvars
+            for i, c in nonzeros:
+                coeffs[i] = Fraction(c, scale)
+            out.append((tuple(coeffs), Fraction(rhs, scale)))
+        return tuple(out)
+
+    @cached_property
+    def eqs(self) -> tuple[tuple[Row, Fraction], ...]:
+        """The equalities as Fraction rows (coeffs, rhs)."""
+        return self._fraction_rows(self.rows[:self.neq])
+
+    @cached_property
+    def ineqs(self) -> tuple[tuple[Row, Fraction], ...]:
+        """The inequalities as Fraction rows (coeffs, rhs)."""
+        return self._fraction_rows(self.rows[self.neq:])
 
 
 @dataclass(frozen=True)
@@ -103,21 +146,18 @@ class SolveResult:
 def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
     """Check a Farkas certificate against the system it claims to refute.
 
-    The combination is summed in integers, on the system's integer form (or
-    on its rows scaled here when it has none). A multiplier y = a/b on a row
-    of scale s weighs that row's integers by a * (D // (b * s)), with D the
-    lcm of every such b * s; so each sum is D > 0 times the Fraction sum, and
-    every sign, the verdict with them, is exactly that of the Fraction sum.
+    The combination is summed in integers, on the system's integer rows. A
+    multiplier y = a/b on a row of scale s weighs that row's integers by
+    a * (D // (b * s)), with D the lcm of every such b * s; so each sum is
+    D > 0 times the Fraction sum, and every sign, the verdict with them, is
+    exactly that of the Fraction sum.
     """
-    if len(cert.eq_mult) != len(system.eqs) or len(cert.ineq_mult) != len(system.ineqs):
+    if len(cert.eq_mult) != system.neq or len(cert.ineq_mult) != len(system.rows) - system.neq:
         return False
     if any(z < 0 for z in cert.ineq_mult):
         return False
-    rows = system.integer_form
-    if rows is None:
-        rows = starmap(integer_row, system.eqs + system.ineqs)
     # zero multipliers and zero coefficients add exactly nothing: skip them
-    terms = [(y, row) for y, row in zip(cert.eq_mult + cert.ineq_mult, rows) if y]
+    terms = [(y, row) for y, row in zip(cert.eq_mult + cert.ineq_mult, system.rows) if y]
     common = math.lcm(*(y.denominator * scale for y, (_, _, scale) in terms))
     combo = [0] * system.nvars
     rhs = 0
@@ -141,11 +181,9 @@ def satisfies(system: LinearSystem, point) -> bool:
         return False
     if any(system.nonneg[i] and point[i] < 0 for i in range(system.nvars)):
         return False
-    for row, r in system.eqs:
-        if sum(c * v for c, v in zip(row, point)) != r:
-            return False
-    for row, r in system.ineqs:
-        if sum(c * v for c, v in zip(row, point)) > r:
+    for k, (nonzeros, rhs, _) in enumerate(system.rows):
+        lhs = sum(c * point[i] for i, c in nonzeros)
+        if lhs > rhs if k >= system.neq else lhs != rhs:
             return False
     return True
 
@@ -189,39 +227,30 @@ def _pivot(t, prev, row, col):
 # Variables go by label: x_j is j, the slack of equality k (held at zero) is
 # e_k = nvars + k, the slack of inequality k is nvars + len(eqs) + k, and the
 # negative parts of split variables and the phase-1 artificials come after.
-# Each constraint row starts as its own slack's row, scaled by the lcm of its
-# denominators (`_dense_rows`), so that slack stands for `scale` times the
-# original one; the scale changes sign where a row is negated to keep the
-# common scale positive.
+# Each constraint row starts as its own slack's row, the system's integer row
+# spread out, so that slack stands for `scale` times the original one; the
+# scale changes sign where a row is negated to keep the common scale
+# positive.
 # A slack's column in a row is that row's multiplier of the slack's
 # constraint, which is how every row and every reduced cost carries its own
 # provenance for certificates.
 
 
-def _dense_rows(system: LinearSystem) -> list[tuple[list[int], int]]:
-    """Each row as (integers, coefficients then rhs; scale): the system's
-    integer form spread out, or the Fraction row scaled here."""
-    if system.integer_form is None:
-        return list(starmap(_scale, system.eqs + system.ineqs))
-    rows = []
-    for nonzeros, rhs, scale in system.integer_form:
-        row = [0] * system.nvars + [rhs]
-        for i, c in nonzeros:
-            row[i] = c
-        rows.append((row, scale))
-    return rows
-
-
 class _Dictionary:
     def __init__(self, nvars, neq, rows):
-        # rows as `_dense_rows` gives them, equalities first; the lists are kept
-        self.t = [row for row, _ in rows]
+        # integer rows, equalities first, each spread into coefficients then rhs
+        self.t = []
+        for nonzeros, rhs, _ in rows:
+            row = [0] * nvars + [rhs]
+            for i, c in nonzeros:
+                row[i] = c
+            self.t.append(row)
         self.neq, self.slacks = neq, range(nvars, nvars + len(rows))
         self.prev = 1
         self.ncols = nvars
         self.basis = list(range(nvars, nvars + len(rows)))
         self.where = [*range(nvars), *(~i for i in range(len(rows)))]
-        self.scale = [1] * nvars + [scale for _, scale in rows]
+        self.scale = [1] * nvars + [scale for _, _, scale in rows]
 
     def pivot(self, row, entering):
         # a negative pivot element would make prev negative: negate the row,
@@ -320,8 +349,8 @@ class _Dictionary:
 def _lp(system: LinearSystem, objective=None):
     """(point, None) for a feasible system, with the point maximizing the
     objective when one is given, or (None, certificate)."""
-    n, neq, nonneg = system.nvars, len(system.eqs), system.nonneg
-    d = _Dictionary(n, neq, _dense_rows(system))
+    n, neq, nonneg = system.nvars, system.neq, system.nonneg
+    d = _Dictionary(n, neq, system.rows)
     rank = d.eliminate()
     for i in range(rank, neq):
         if d.t[i][-1]:
@@ -390,7 +419,7 @@ def _lp(system: LinearSystem, objective=None):
 
 def equations_consistent(eqs, nvars: int) -> bool:
     """Whether the equalities alone admit any solution (signs ignored)."""
-    d = _Dictionary(nvars, len(eqs), list(starmap(_scale, eqs)))
+    d = _Dictionary(nvars, len(eqs), list(starmap(integer_row, eqs)))
     rank = d.eliminate()
     return not any(row[-1] for row in d.t[rank:])
 
@@ -416,28 +445,26 @@ def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...
     """A feasible point that is strictly positive in every coordinate of
     `coords` that is positive anywhere on the feasible set. Averages the base
     point with one maximizer per improvable coordinate; convexity keeps the
-    average feasible and keeps every attained positivity."""
+    average feasible and keeps every attained positivity. DimensionMismatch
+    for a coordinate that is no variable of the system."""
+    n = system.nvars
+    coords = tuple(coords)
+    if not all(0 <= c < n for c in coords):
+        raise DimensionMismatch(f"coordinates {coords} are not all in [0, {n})")
     base = solve(system)
     if base.point is None:
         return None
     points = [base.point]
-    n = system.nvars
+    # maximize a new variable t, absent from the system's rows, over the
+    # system and t <= x_c, t <= 1
     ext_nonneg = system.nonneg + (True,)
-    ext_eqs = tuple((row + (ZERO,), r) for row, r in system.eqs)
-    ext_ineqs = tuple((row + (ZERO,), r) for row, r in system.ineqs)
+    bound = (((n, 1),), 1, 1)
     objective = [ZERO] * n + [ONE]
     for c in coords:
         if base.point[c] > 0:
             continue
-        tc = [ZERO] * (n + 1)
-        tc[n] = ONE
-        tc[c] -= ONE
-        lift = LinearSystem(
-            n + 1,
-            ext_nonneg,
-            ext_eqs,
-            ext_ineqs + ((tuple(tc), ZERO), (tuple([ZERO] * n + [ONE]), ONE)),
-        )
+        below = (((c, -1), (n, 1)), 0, 1)
+        lift = LinearSystem._of_valid_rows(n + 1, ext_nonneg, system.rows + (below, bound), system.neq)
         best = maximize(lift, objective)
         if best is not None and best[0] > 0:
             points.append(best[1][:n])

@@ -10,9 +10,10 @@ equilibrium support of small games at a cost exponential in their size. It
 runs one sweep per player, on that player's own matrix, which decides its
 indifference system of each support pair with that LP and skips a pair
 whenever a refuted neighbour dominates it: the system only gains constraints
-as the player's own support grows and the other's shrinks. Only the pairs
-that neither sweep refutes are pushed into the relative interior of their
-supports.
+as the player's own support grows and the other's shrinks. Each matrix row
+is scaled to integers once per game, and every indifference system is
+assembled from those integer rows. Only the pairs that neither sweep refutes
+are pushed into the relative interior of their supports.
 
 Both return mixed profiles over the game's own row/column order; callers that
 need utilities ask `expected_values`.
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._simplex import LinearSystem, _pivot, relative_interior_point, solve
+from ._simplex import LinearSystem, _pivot, integer_row, relative_interior_point, solve
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -360,27 +361,49 @@ def _supports(size: int) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(size) if mask >> i & 1) for mask in range(1 << size)]
 
 
-def _side_system(matrix, own, other, sign) -> LinearSystem:
-    """The other player's weights over `other`, plus the own player's common
-    level: `matrix` holds the own player's loss (sign -1) or payoff (sign +1)
-    by its own strategy, every strategy in `own` gets exactly that level and
-    none outside `own` a better one."""
-    k = len(other)
-    eqs = [(tuple([ONE] * k + [ZERO]), ONE)]
-    ineqs = []
-    for r, row in enumerate(matrix):
-        coeffs = [row[j] for j in other]
-        if r in own:
-            eqs.append((tuple(coeffs + [-ONE]), ZERO))
-        elif sign > 0:
-            ineqs.append((tuple(coeffs + [-ONE]), ZERO))
-        else:
-            ineqs.append((tuple([-x for x in coeffs] + [ONE]), ZERO))
-    return LinearSystem(k + 1, tuple([True] * k + [False]), tuple(eqs), tuple(ineqs))
+class _Side:
+    """One player's indifference systems: the other player's weights over
+    `other`, plus the own player's common level. `matrix` holds the own
+    player's loss (sign -1) or payoff (sign +1) by its own strategy; every
+    strategy in `own` gets exactly that level and none outside `own` a
+    better one.
+
+    Each matrix row is scaled to integers once (`integer_row`). Its row in a
+    system keeps those integers on `other` and that scale, so the level's
+    coefficient is minus the scale, or plus it where a loss row is negated
+    into loss >= level. The rows over each `other` are built once, as an
+    equality and an inequality per own strategy."""
+
+    def __init__(self, matrix, sign):
+        self.rows = []
+        for row in matrix:
+            nonzeros, _, scale = integer_row(row, ZERO)
+            dense = [0] * len(row)
+            for j, c in nonzeros:
+                dense[j] = c
+            self.rows.append((dense, scale))
+        self.sign = sign
+        self.over = {}
+
+    def system(self, own, other) -> LinearSystem:
+        built = self.over.get(other)
+        if built is None:
+            k = len(other)
+            eqs, ineqs = [], []
+            for dense, scale in self.rows:
+                row = [(i, dense[j]) for i, j in enumerate(other) if dense[j]]
+                row.append((k, -scale))
+                eqs.append((tuple(row), 0, scale))
+                ineqs.append((tuple(row if self.sign > 0 else [(i, -c) for i, c in row]), 0, scale))
+            weights = (tuple([(i, 1) for i in range(k)]), 1, 1)  # they sum to 1
+            built = self.over[other] = (True,) * k + (False,), weights, eqs, ineqs
+        nonneg, weights, eqs, ineqs = built
+        rows = (weights, *[eqs[r] for r in own], *[row for r, row in enumerate(ineqs) if r not in own])
+        return LinearSystem._of_valid_rows(len(nonneg), nonneg, rows, len(own) + 1)
 
 
-def _refuted(matrix, sign, nown: int, nother: int, skip) -> set[tuple[int, int]]:
-    """The (own, other) support mask pairs whose `_side_system` is infeasible.
+def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
+    """The (own, other) support mask pairs whose `side` system is infeasible.
 
     Putting i into `own` turns its inequality into an equality and taking j
     out of `other` fixes that weight at 0, so a system infeasible at
@@ -399,7 +422,7 @@ def _refuted(matrix, sign, nown: int, nother: int, skip) -> set[tuple[int, int]]
                 any((c, b) in refuted for c in smaller[a])
                 or any((a, d) in refuted for d in larger[b])
                 or (a, b) not in skip
-                and solve(_side_system(matrix, owns[a], others[b], sign)).point is None
+                and solve(side.system(owns[a], others[b])).point is None
             ):
                 refuted.add((a, b))
     return refuted
@@ -414,14 +437,15 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
     vice versa. Any jointly feasible pair is an equilibrium, so
     representatives need no filtering.
 
-    Both systems are one `_side_system`, each player's on its own matrix:
-    the hider's loss over (s1, s2) and the seeker's payoff, transposed, over
-    (s2, s1). One `_refuted` sweep decides the first with a plain `solve`
-    per pair, skipping every pair that a refuted neighbour dominates. The
-    same sweep decides the second on the pairs the first left feasible.
-    Each pair refuted by neither has both of its points pushed into the
-    relative interior of their supports, so maximal-support solutions are
-    preferred, and is checked as an equilibrium.
+    Both systems come from a `_Side`, each player's on its own matrix, each
+    row scaled to integers once per call: the hider's loss over (s1, s2) and
+    the seeker's payoff, transposed, over (s2, s1). One `_refuted` sweep
+    decides the first with a plain `solve` per pair, skipping every pair
+    that a refuted neighbour dominates. The same sweep decides the second on
+    the pairs the first left feasible. Each pair refuted by neither has both
+    of its points pushed into the relative interior of their supports, so
+    maximal-support solutions are preferred, and is checked as an
+    equilibrium.
 
     A skip only drops pairs that are infeasible anyway, and the pushed pairs
     see the same systems as without the skips, so the profiles do not depend
@@ -432,9 +456,9 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
     if total > budget:
         raise BudgetExceeded(f"{total} support pairs exceed the budget of {budget}")
 
-    payoff = tuple(zip(*game.payoff))
-    seeker_refuted = _refuted(game.loss, -1, m, n, ())
-    hider_refuted = _refuted(payoff, 1, n, m, {(b, a) for a, b in seeker_refuted})
+    seeker, hider = _Side(game.loss, -1), _Side(tuple(zip(*game.payoff)), 1)
+    seeker_refuted = _refuted(seeker, m, n, ())
+    hider_refuted = _refuted(hider, n, m, {(b, a) for a, b in seeker_refuted})
     supports1, supports2 = _supports(m), _supports(n)
 
     found: dict[tuple, MixedProfile] = {}
@@ -443,8 +467,8 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
             if (a, b) in seeker_refuted or (b, a) in hider_refuted:
                 continue
             s1, s2 = supports1[a], supports2[b]
-            qpt = relative_interior_point(_side_system(game.loss, s1, s2, -1), range(len(s2)))
-            ppt = relative_interior_point(_side_system(payoff, s2, s1, 1), range(len(s1)))
+            qpt = relative_interior_point(seeker.system(s1, s2), range(len(s2)))
+            ppt = relative_interior_point(hider.system(s2, s1), range(len(s1)))
             p, q = dict(zip(s1, ppt)), dict(zip(s2, qpt))  # the levels fall off the end
             profile = MixedProfile(
                 tuple(p.get(i, ZERO) for i in range(m)), tuple(q.get(j, ZERO) for j in range(n))

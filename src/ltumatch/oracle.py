@@ -21,9 +21,11 @@ on trust: each refuting Farkas certificate is checked once, on the system it
 refutes, and read in index space, as the cells that must bind and the types
 that must be held at zero for its combination to refute another pattern, so
 that each skipped pattern is checked by three mask tests. The split rows are
-built once per market, each with its integer form (`integer_row`), and every
-split system hands that form on, so the LPs and the certificate checks of
-all patterns of a market share one scaling and check in integers.
+scaled to integers once per market (`integer_row`), and every split system
+is assembled from those integer rows, so the LPs and the certificate checks
+of all patterns of a market share one scaling and work in integers. The
+matching systems, whose coefficients are all 0 or 1, are built in integers
+directly.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -31,7 +33,6 @@ against accidental monsters.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -90,37 +91,43 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
     return ComplementarityPattern(cells, pos_u, pos_v)
 
 
-@functools.lru_cache(maxsize=1)
+# the last problem given to `_split_rows` and its table
+_last_split_rows: tuple = (None, None)
+
+
 def _split_rows(problem: LTUProblem):
     """The rows that split systems are assembled from: per cell in row-major
-    order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 and its
-    no-blocking inequality, the same row negated; per variable its unit row
-    with rhs 0. Each row is ((coeffs, rhs), its `integer_row`).
+    order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 as a
+    Fraction row (coeffs, rhs), then as an `integer_row`, and its no-blocking
+    inequality, the binding row negated, as an integer row; per variable its
+    unit row with rhs 0, as an integer row.
 
-    Cached for the last problem, so that `linear_feasibility`, which keeps
+    Kept for the last problem, so that `linear_feasibility`, which keeps
     its public (problem, pattern) signature, shares the table that
     `enumerate_stable` builds instead of building it again on every call.
-    The table is read-only, since every caller gets the same one."""
+    The last problem is recognized by identity, which costs nothing where a
+    lookup by equality would hash every Fraction of the problem; a problem
+    that is another object, equal or not, gets its table built anew. The
+    table is read-only, since every caller gets the same one."""
+    global _last_split_rows
+    last, table = _last_split_rows
+    if last is problem:
+        return table
     nx, ny = problem.nx, problem.ny
     width = nx + ny
-
-    def entry(coeffs, rhs):
-        return (coeffs, rhs), integer_row(coeffs, rhs)
-
     cells = {}
     for x in range(nx):
         for y in range(ny):
             row = [ZERO] * width
-            neg = [ZERO] * width
             lam = problem.lam[x][y]
             row[x], row[nx + y] = lam, ONE - lam
-            neg[x], neg[nx + y] = -lam, lam - ONE
-            half = problem.phi[x][y] / 2
-            cells[x, y] = (entry(tuple(row), half), entry(tuple(neg), -half))
-    units = tuple(
-        entry(tuple(ONE if i == k else ZERO for i in range(width)), ZERO) for k in range(width)
-    )
-    return MappingProxyType(cells), units
+            binding = (tuple(row), problem.phi[x][y] / 2)
+            nonzeros, rhs, scale = eq = integer_row(*binding)
+            cells[x, y] = (binding, eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale))
+    units = tuple((((k, 1),), 0, 1) for k in range(width))
+    table = MappingProxyType(cells), units
+    _last_split_rows = problem, table
+    return table
 
 
 def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:
@@ -129,15 +136,14 @@ def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=Non
     cellset = set(pattern.cells)
     eqs = []
     ineqs = []
-    for cell, (eq, ineq) in cells.items():
+    for cell, (_, eq, ineq) in cells.items():
         if cell in cellset:
             eqs.append(eq)
         else:
             ineqs.append(ineq)
     eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
     eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
-    rows, forms = zip(*eqs, *ineqs)  # never empty: every cell gives a row
-    return LinearSystem(nx + ny, (True,) * (nx + ny), rows[:len(eqs)], rows[len(eqs):], forms)
+    return LinearSystem._of_valid_rows(nx + ny, (True,) * (nx + ny), (*eqs, *ineqs), len(eqs))
 
 
 def _refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
@@ -172,34 +178,21 @@ def _refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
 
 
 def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
+    """mu over the cells, x * ny + y for (x, y), in integer rows: mu is 0
+    off the pattern's cells, and each type's line sums to its mass where the
+    type earns, to at most its mass elsewhere. A line's row is scaled by the
+    mass's denominator."""
     nx, ny = problem.nx, problem.ny
     width = nx * ny
     cellset = set(pattern.cells)
-    eqs = []
+    eqs = [(((i, 1),), 0, 1) for i in range(width) if divmod(i, ny) not in cellset]
     ineqs = []
-    for x in range(nx):
-        for y in range(ny):
-            if (x, y) not in cellset:
-                row = [ZERO] * width
-                row[x * ny + y] = ONE
-                eqs.append((tuple(row), ZERO))
-    for x in range(nx):
-        row = [ZERO] * width
-        for y in range(ny):
-            row[x * ny + y] = ONE
-        if x in pattern.pos_u:
-            eqs.append((tuple(row), problem.n[x]))
-        else:
-            ineqs.append((tuple(row), problem.n[x]))
-    for y in range(ny):
-        row = [ZERO] * width
-        for x in range(nx):
-            row[x * ny + y] = ONE
-        if y in pattern.pos_v:
-            eqs.append((tuple(row), problem.m[y]))
-        else:
-            ineqs.append((tuple(row), problem.m[y]))
-    return LinearSystem(width, (True,) * width, tuple(eqs), tuple(ineqs))
+    lines = [(range(x * ny, x * ny + ny), problem.n[x], x in pattern.pos_u) for x in range(nx)]
+    lines += [(range(y, width, ny), problem.m[y], y in pattern.pos_v) for y in range(ny)]
+    for line, mass, earns in lines:
+        scale = mass.denominator
+        (eqs if earns else ineqs).append((tuple((i, scale) for i in line), mass.numerator, scale))
+    return LinearSystem._of_valid_rows(width, (True,) * width, (*eqs, *ineqs), len(eqs))
 
 
 def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> PatternResult:
@@ -282,7 +275,7 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         if any(problem.phi[x][y] < 0 for x, y in scells):
             continue
-        eqs = tuple(rows[0][cell][0][0] for cell in scells)
+        eqs = tuple(rows[0][cell][0] for cell in scells)
         if eqs and not equations_consistent(eqs, width):
             continue
         # Subsets come first and pass the checks above whenever S does, so if

@@ -18,6 +18,7 @@ from ltumatch import (
     require_equilibrium,
     to_game,
 )
+from ltumatch.gamesolve import _Side, _supports
 
 
 def bos():
@@ -159,3 +160,48 @@ def test_all_labels_on_random_games():
         for label in range(len(game.rows) + len(game.cols)):
             prof = lemke_howson(game, label=label)
             assert is_equilibrium(game, prof).ok
+
+
+def _side_rows(matrix, own, other, sign):
+    """An indifference system's rows as Fraction rows (coeffs, rhs),
+    equalities then inequalities: the other player's weights over `other`
+    sum to 1, and the own player's level, the last variable, is met exactly
+    on `own` and not bettered off it."""
+    k = len(other)
+    eqs, ineqs = [((F(1),) * k + (F(0),), F(1))], []
+    for r, row in enumerate(matrix):
+        coeffs = tuple(row[j] for j in other)
+        if r in own:
+            eqs.append((coeffs + (F(-1),), F(0)))
+        elif sign > 0:
+            ineqs.append((coeffs + (F(-1),), F(0)))
+        else:
+            ineqs.append((tuple(-c for c in coeffs) + (F(1),), F(0)))
+    return eqs, ineqs
+
+
+def test_side_rows_hold_each_row_times_its_scale():
+    # imported here: test_support_differential imports this module
+    from test_support_differential import AC3, degenerate_games, dense_games
+
+    # the worked example, seven small markets and the last 2x3 one
+    games = [to_game(problem) for problem in AC3[:8] + AC3[-1:]] + dense_games(2, 3) + degenerate_games(3, 2)
+    for game in games:
+        m, n = game.shape
+        payoff = tuple(zip(*game.payoff))
+        for matrix, sign, nown, nother in ((game.loss, -1, m, n), (payoff, 1, n, m)):
+            side = _Side(matrix, sign)
+            for own in _supports(nown)[1:]:
+                for other in _supports(nother)[1:]:
+                    system = side.system(own, other)
+                    eqs, ineqs = _side_rows(matrix, own, other, sign)
+                    assert (system.eqs, system.ineqs) == (tuple(eqs), tuple(ineqs))
+                    assert system.neq == len(eqs)
+                    for (coeffs, rhs), form in zip(eqs + ineqs, system.rows, strict=True):
+                        nonzeros, int_rhs, scale = form
+                        assert scale > 0
+                        dense = [0] * len(coeffs)
+                        for i, c in nonzeros:
+                            dense[i] = c
+                        assert dense == [c * scale for c in coeffs]
+                        assert int_rhs == rhs * scale

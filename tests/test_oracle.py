@@ -21,8 +21,7 @@ from ltumatch import (
     to_game,
     verify_stable,
 )
-from ltumatch._simplex import integer_row
-from ltumatch.oracle import ComplementarityPattern, _split_rows, _split_system
+from ltumatch.oracle import ComplementarityPattern, _matching_system, _split_rows, _split_system
 
 
 def test_uneven2x2_enumeration(uneven2x2, black, white):
@@ -133,9 +132,13 @@ def test_oracle_agrees_with_pipeline_on_random_instances():
     assert game_count >= 25
 
 
-def _scaled_correctly(row, form):
+def _scaled_correctly(row, form, lcm=True):
+    """The integer row `form` holds the Fraction row `row` times its scale,
+    a positive scale, and with `lcm` the lcm of the row's denominators."""
     (coeffs, rhs), (nonzeros, int_rhs, scale) = row, form
-    assert scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    assert scale > 0
+    if lcm:
+        assert scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
     dense = [0] * len(coeffs)
     for i, c in nonzeros:
         assert c != 0
@@ -148,13 +151,61 @@ def _scaled_correctly(row, form):
 @pytest.mark.parametrize("name", oracle_corpus.NAMES)
 def test_split_rows_hold_each_row_times_its_scale(name):
     problem = oracle_corpus.CORPUS[name]
+    nx, ny = problem.nx, problem.ny
     cells, units = _split_rows(problem)
-    assert len(cells) == problem.nx * problem.ny
-    assert len(units) == problem.nx + problem.ny
-    for row, form in [entry for pair in cells.values() for entry in pair] + list(units):
-        _scaled_correctly(row, form)
-    # a split system hands on the integer form of its own rows, in order
+    assert len(cells) == nx * ny
+    assert len(units) == nx + ny
+    for (x, y), (binding, eq, ineq) in cells.items():
+        lam = problem.lam[x][y]
+        coeffs = [F(0)] * (nx + ny)
+        coeffs[x], coeffs[nx + y] = lam, 1 - lam
+        assert binding == (tuple(coeffs), problem.phi[x][y] / 2)
+        _scaled_correctly(binding, eq)
+        _scaled_correctly((tuple(-c for c in coeffs), -binding[1]), ineq)
+    for k, unit in enumerate(units):
+        _scaled_correctly((tuple(F(int(i == k)) for i in range(nx + ny)), F(0)), unit)
+    # a split system is assembled from the table's integer rows, in order
     everything = ComplementarityPattern(tuple(cells), (), ())
     for pattern in (everything, ComplementarityPattern((), (0,), ())):
         system = _split_system(problem, pattern)
-        assert system.integer_form == tuple(integer_row(*row) for row in system.eqs + system.ineqs)
+        eqs = [eq for cell, (_, eq, _) in cells.items() if cell in pattern.cells]
+        eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
+        eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
+        ineqs = [ineq for cell, (_, _, ineq) in cells.items() if cell not in pattern.cells]
+        assert system.rows == (*eqs, *ineqs) and system.neq == len(eqs)
+
+
+def _matching_rows(problem, pattern):
+    """The matching system's rows as Fraction rows (coeffs, rhs), equalities
+    then inequalities, built cell by cell."""
+    nx, ny = problem.nx, problem.ny
+
+    def row(cells, rhs):
+        return tuple(F(int((x, y) in cells)) for x in range(nx) for y in range(ny)), rhs
+
+    every = [(x, y) for x in range(nx) for y in range(ny)]
+    eqs = [row({cell}, F(0)) for cell in every if cell not in pattern.cells]
+    ineqs = []
+    for x in range(nx):
+        (eqs if x in pattern.pos_u else ineqs).append(row({(x, y) for y in range(ny)}, problem.n[x]))
+    for y in range(ny):
+        (eqs if y in pattern.pos_v else ineqs).append(row({(x, y) for x in range(nx)}, problem.m[y]))
+    return eqs, ineqs
+
+
+@pytest.mark.parametrize("name", oracle_corpus.NAMES)
+def test_matching_rows_hold_each_row_times_its_scale(name):
+    problem = oracle_corpus.CORPUS[name]
+    nx, ny = problem.nx, problem.ny
+    every = tuple((x, y) for x in range(nx) for y in range(ny))
+    for pattern in (
+        ComplementarityPattern(every, tuple(range(nx)), tuple(range(ny))),
+        ComplementarityPattern((), (), ()),
+        ComplementarityPattern(every[::2], (0,), (ny - 1,)),
+    ):
+        system = _matching_system(problem, pattern)
+        eqs, ineqs = _matching_rows(problem, pattern)
+        assert (system.eqs, system.ineqs) == (tuple(eqs), tuple(ineqs))
+        assert system.neq == len(eqs)
+        for row, form in zip(eqs + ineqs, system.rows, strict=True):
+            _scaled_correctly(row, form)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_oracle_differential as oracle_corpus
-from ltumatch import InternalError
+from ltumatch import DimensionMismatch, InternalError
 from ltumatch._simplex import (
     Certificate,
     LinearSystem,
     certificate_refutes,
     equations_consistent,
+    integer_row,
     maximize,
     relative_interior_point,
     satisfies,
@@ -187,6 +188,80 @@ def test_certificate_refutes_agrees_with_the_dense_sum_on_random_systems():
             verdicts.add(verdict)
     assert refuted >= 50
     assert verdicts == {True, False}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InternalError as exc:
+        return f"InternalError: {exc}"
+
+
+def test_integer_rows_at_any_scale_give_the_same_system():
+    """The same rows from Fractions and from integers at other positive
+    scales: the Fraction views, every entry point and every certificate
+    verdict must agree."""
+    rng = random.Random(2025)
+    verdicts, refuted, bounded = set(), 0, 0
+    for _ in range(150):
+        system = _random_system(rng)
+        scaled = tuple(
+            (tuple((i, c * k) for i, c in nonzeros), rhs * k, scale * k)
+            for (nonzeros, rhs, scale), k in ((row, rng.choice(DENOMINATORS)) for row in system.rows)
+        )
+        rows = [integer_row(*row) for row in system.eqs + system.ineqs]
+        assert list(system.rows) == rows
+        other = LinearSystem.from_integer_rows(system.nvars, system.nonneg, scaled, system.neq)
+        assert (other.eqs, other.ineqs) == (system.eqs, system.ineqs)
+        objective = tuple(F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(system.nvars))
+        for fn, args in (
+            (solve, ()),
+            (maximize, (objective,)),
+            (relative_interior_point, (range(system.nvars),)),
+        ):
+            assert _outcome(fn, system, *args) == _outcome(fn, other, *args), fn
+        bounded += isinstance(_outcome(maximize, system, objective), tuple)
+        result = solve(system)
+        if result.feasible:
+            assert satisfies(other, result.point)
+            continue
+        refuted += 1
+        mult = list(result.certificate.eq_mult + result.certificate.ineq_mult)
+        k = rng.choice([i for i, y in enumerate(mult) if y])
+        mult[k] += F(rng.choice((-1, 1)), rng.choice(DENOMINATORS[3:]))
+        moved = Certificate(tuple(mult[:system.neq]), tuple(mult[system.neq:]))
+        for cert in (result.certificate, moved):
+            verdict = certificate_refutes(system, cert)
+            assert certificate_refutes(other, cert) == verdict
+            verdicts.add(verdict)
+    assert refuted >= 20 and bounded >= 10
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "rows, neq",
+    [
+        ([(((0, 1), (2, 1)), 1, 1)], 1),  # index 2 of 2 variables
+        ([(((-1, 1),), 1, 1)], 0),  # a negative index
+        ([(((0, 1), (0, 2)), 1, 1)], 0),  # index 0 twice
+        ([(((0, 1),), 1, 0)], 0),  # scale 0
+        ([(((0, 1),), 1, -2)], 1),  # a negative scale
+        ([(((0, 1),), 1, 1)], 2),  # two equalities among one row
+        ([(((0, 1),), 1, 1)], -1),
+    ],
+)
+def test_the_integer_constructor_refuses_a_bad_row(rows, neq):
+    with pytest.raises(DimensionMismatch):
+        LinearSystem.from_integer_rows(2, (True, True), rows, neq)
+
+
+@pytest.mark.parametrize("coords", [(-1,), (5,), (0, 2)])
+def test_relative_interior_point_refuses_a_coordinate_outside_the_variables(coords):
+    # x0 + x1 = 1: before the check, -1 landed on the lifted variable and the
+    # last coordinate was silently never pushed, and 5 raised IndexError
+    system = _sys(2, (True, True), eqs=[((F(1), F(1)), F(1))])
+    with pytest.raises(DimensionMismatch):
+        relative_interior_point(system, coords)
 
 
 def test_equations_consistent():
