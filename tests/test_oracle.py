@@ -132,13 +132,12 @@ def test_oracle_agrees_with_pipeline_on_random_instances():
     assert game_count >= 25
 
 
-def _scaled_correctly(row, form, lcm=True):
+def _scaled_correctly(row, form):
     """The integer row `form` holds the Fraction row `row` times its scale,
-    a positive scale, and with `lcm` the lcm of the row's denominators."""
+    the lcm of the row's denominators."""
     (coeffs, rhs), (nonzeros, int_rhs, scale) = row, form
     assert scale > 0
-    if lcm:
-        assert scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    assert scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
     dense = [0] * len(coeffs)
     for i, c in nonzeros:
         assert c != 0

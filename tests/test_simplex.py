@@ -213,6 +213,7 @@ def test_integer_rows_at_any_scale_give_the_same_system():
         assert list(system.rows) == rows
         other = LinearSystem.from_integer_rows(system.nvars, system.nonneg, scaled, system.neq)
         assert (other.eqs, other.ineqs) == (system.eqs, system.ineqs)
+        assert other == system and hash(other) == hash(system)
         objective = tuple(F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(system.nvars))
         for fn, args in (
             (solve, ()),
