@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 ORACLE_MASKS = "tests/test_oracle_differential.py::test_the_mask_tests_refuse_a_corrupted_refutation"
 ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_refute_their_patterns"
+ORACLE_MATCHING = "tests/test_oracle_differential.py::test_carried_matching_certificates_refute_their_patterns"
+ORACLE_BOXES = "tests/test_oracle_differential.py::test_box_points_satisfy_the_patterns_they_cover"
 
 MUTANTS = (
     # an integer-native side system
@@ -111,6 +113,43 @@ MUTANTS = (
         "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
         "return not (positive & ~smask or umask & pumask)",
         (ORACLE_MASKS, ORACLE_CARRIED),
+    ),
+    # the oracle's point boxes and matching refutations
+    Mutant(
+        "tight test with <= for ==",
+        "oracle.py",
+        "if sum(c * point[k] for k, c in nonzeros) == rhs:",
+        "if sum(c * point[k] for k, c in nonzeros) <= rhs:",
+        (ORACLE_BOXES,),
+    ),
+    Mutant(
+        "supp u left out of the box test",
+        "oracle.py",
+        "return not (smask & ~tight or umask & ~pumask or vmask & ~pvmask)",
+        "return not (smask & ~tight or vmask & ~pvmask)",
+        (ORACLE_BOXES,),
+    ),
+    Mutant(
+        "matching line multiplier read with the wrong sign",
+        "oracle.py",
+        "negative = [(next(eq_mult) if e else next(ineq_mult)) < 0 for e in earns]",
+        "negative = [(next(eq_mult) if e else next(ineq_mult)) > 0 for e in earns]",
+        (ORACLE_MASKS, ORACLE_MATCHING),
+    ),
+    Mutant(
+        "zero-row cell mask test dropped",
+        "oracle.py",
+        "return not (zmask & smask or negu & ~pumask or negv & ~pvmask)",
+        "return not (negu & ~pumask or negv & ~pvmask)",
+        (ORACLE_MASKS, ORACLE_MATCHING),
+    ),
+    # support enumeration's dominance sweep
+    Mutant(
+        "flipped dominance direction in the sweep",
+        "gamesolve.py",
+        "larger = [[b | 1 << j for j in range(nother) if not b >> j & 1] for b in range(1 << nother)]",
+        "larger = [[b ^ 1 << j for j in range(nother) if b >> j & 1] for b in range(1 << nother)]",
+        ("tests/test_support_differential.py::test_prune_is_active",),
     ),
 )
 

@@ -11,21 +11,24 @@ rest. Any point feasible for both halves is a stable outcome, and every
 stable outcome is feasible for the pattern it induces, so sweeping all
 patterns finds a representative of every stability region.
 
-The split half is monotone: binding more cells or letting fewer types earn
-only adds constraints, so a pattern whose splits are infeasible stays so
-under both moves. The search uses this twice. It refutes whole cell sets
-through a relaxed split system (the cells binding, every type free to earn),
-and inside a cell set it visits the earning sets from the largest down, so
-that one refuted pattern refutes all of its smaller ones. Nothing is skipped
-on trust: each refuting Farkas certificate is checked once, on the system it
-refutes, and read in index space, as the cells that must bind and the types
-that must be held at zero for its combination to refute another pattern, so
-that each skipped pattern is checked by three mask tests. The split rows are
-scaled to integers once per market (`integer_row`), and every split system
-is assembled from those integer rows, so the LPs and the certificate checks
-of all patterns of a market share one scaling and work in integers. The
-matching systems, whose coefficients are all 0 or 1, are built in integers
-directly.
+Both halves are monotone, in opposite directions. Binding more cells or
+letting fewer types earn only adds rows to the split system; matching fewer
+cells or letting more types earn only adds rows to the matching system. So a
+refutation of either half carries over to every pattern whose system has
+every row that its combination uses, and a feasible split point (u, v)
+satisfies the split system of every pattern that binds only cells where its
+no-blocking inequality is tight and lets every type in supp u and supp v
+earn: the point's box. The search keeps every refutation and box of a market
+and skips a pattern by them (see `enumerate_stable`). Nothing is skipped on
+trust: each refuting Farkas certificate is checked once, on the system it
+refutes, and read in index space, as the cells and types whose rows its
+combination uses, so that each skip is three mask tests. A box only reorders
+the work: a pattern it covers solves its matching half first, and gets its
+split point from its own LP. The split rows are scaled to integers once per
+market (`integer_row`), and every split system is assembled from those
+integer rows, so the LPs and the certificate checks of all patterns of a
+market share one scaling and work in integers. The matching systems, whose
+coefficients are all 0 or 1, are built in integers directly.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -177,6 +180,31 @@ def _refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
     return not (positive & ~smask or umask & pumask or vmask & pvmask)
 
 
+def _box(point: tuple, rows, nx: int, ny: int) -> tuple:
+    """The patterns whose split system a feasible split point (u, v)
+    satisfies, in index space: (point, tight, umask, vmask), with bit
+    x * ny + y of tight set where cell (x, y)'s no-blocking inequality holds
+    with equality, and umask (vmask) the support of u (v). The point
+    satisfies every no-blocking inequality, so it satisfies the split system
+    of each pattern that binds only tight cells and lets every type in the
+    supports earn."""
+    cells, _ = rows
+    tight = 0
+    for i, (_, _, (nonzeros, rhs, _)) in enumerate(cells.values()):
+        if sum(c * point[k] for k, c in nonzeros) == rhs:
+            tight |= 1 << i
+    umask = sum(1 << x for x in range(nx) if point[x])
+    vmask = sum(1 << y for y in range(ny) if point[nx + y])
+    return point, tight, umask, vmask
+
+
+def _covers(box: tuple, smask: int, pumask: int, pvmask: int) -> bool:
+    """Whether the box's point satisfies the split system of pattern
+    (smask, pumask, pvmask)."""
+    _, tight, umask, vmask = box
+    return not (smask & ~tight or umask & ~pumask or vmask & ~pvmask)
+
+
 def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
     """mu over the cells, x * ny + y for (x, y), in integer rows: mu is 0
     off the pattern's cells, and each type's line sums to its mass where the
@@ -195,6 +223,55 @@ def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> Li
     return LinearSystem._of_valid_rows(width, (True,) * width, (*eqs, *ineqs), len(eqs))
 
 
+def _matching_refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
+    """A checked certificate of pattern's matching system in index space:
+    (pattern, cert, zmask, negu, negv), with bit x * ny + y of zmask set
+    where the row mu_xy == 0 has a nonzero multiplier, and bit x of negu (y
+    of negv) where worker type x's (job type y's) line has a negative
+    multiplier, which only an equality, an earning type's line, may have."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    cellset = set(pattern.cells)
+    zmask = sum(1 << i for i in range(nx * ny) if divmod(i, ny) not in cellset and next(eq_mult))
+    earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
+    negative = [(next(eq_mult) if e else next(ineq_mult)) < 0 for e in earns]
+    negu = sum(1 << x for x in range(nx) if negative[x])
+    negv = sum(1 << y for y in range(ny) if negative[nx + y])
+    return pattern, cert, zmask, negu, negv
+
+
+def _matching_refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
+    """Whether the refutation's combination of rows is one of the matching
+    system of pattern (smask, pumask, pvmask), which it then refutes: when
+    no cell whose zero row it uses may match and every line with a negative
+    multiplier earns. Fewer cells and more earning types only add rows to a
+    matching system, so on such a pattern this is `certificate_refutes` of
+    the certificate carried over row by row: the zero rows and the lines
+    keep their multipliers, and every other row gets 0."""
+    _, _, zmask, negu, negv = refutation
+    return not (zmask & smask or negu & ~pumask or negv & ~pvmask)
+
+
+def _solved(system: LinearSystem, half: str):
+    """solve(system), with a refuting certificate checked on the system."""
+    result = solve(system)
+    if result.point is None and not certificate_refutes(system, result.certificate):
+        raise InternalError(f"invalid refutation for the {half} system")
+    return result
+
+
+def _outcome(problem: LTUProblem, split_point: tuple, matching_point: tuple) -> Outcome:
+    """The outcome of a pattern's split and matching points, verified stable."""
+    nx, ny = problem.nx, problem.ny
+    mu = tuple(tuple(matching_point[x * ny + y] for y in range(ny)) for x in range(nx))
+    outcome = Outcome(mu, tuple(split_point[:nx]), tuple(split_point[nx:]))
+    report = verify_stable(problem, outcome)
+    if not report.ok:
+        raise InternalError(
+            f"pattern produced an unstable outcome: {report.violations[0].describe()}"
+        )
+    return outcome
+
+
 def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> PatternResult:
     """Solve the two halves of a pattern; certify whichever is empty.
     DimensionMismatch for a repeated index or one outside the market."""
@@ -204,30 +281,13 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
         indices = getattr(pattern, field)
         if len(set(indices)) != len(indices) or not all(i in valid for i in indices):
             raise DimensionMismatch(f"pattern {field} {indices} are not distinct indices of a {nx}x{ny} market")
-    split_system = _split_system(problem, pattern)
-    split = solve(split_system)
+    split = _solved(_split_system(problem, pattern), "split")
     if split.point is None:
-        if not certificate_refutes(split_system, split.certificate):
-            raise InternalError("invalid refutation for the split system")
         return PatternResult(None, split.certificate, None)
-    matching_system = _matching_system(problem, pattern)
-    matching = solve(matching_system)
+    matching = _solved(_matching_system(problem, pattern), "matching")
     if matching.point is None:
-        if not certificate_refutes(matching_system, matching.certificate):
-            raise InternalError("invalid refutation for the matching system")
         return PatternResult(None, None, matching.certificate)
-    mu = tuple(
-        tuple(matching.point[x * ny + y] for y in range(ny)) for x in range(nx)
-    )
-    u = tuple(split.point[:nx])
-    v = tuple(split.point[nx:])
-    outcome = Outcome(mu, u, v)
-    report = verify_stable(problem, outcome)
-    if not report.ok:
-        raise InternalError(
-            f"pattern produced an unstable outcome: {report.violations[0].describe()}"
-        )
-    return PatternResult(outcome, None, None)
+    return PatternResult(_outcome(problem, split.point, matching.point), None, None)
 
 
 def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tuple[Outcome, ...]:
@@ -239,18 +299,29 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     needs someone at the table earning, and binding equalities that are
     already inconsistent on their own kill the whole cell set.
 
-    Two more prunes use that the split half is monotone: binding more cells
-    or letting fewer types earn only adds constraints. Each cell set S gets
-    its relaxed split system (S binding, every type free to earn) solved
-    once, or takes a refuted subset's refutation, and when that is infeasible
-    every pattern of S is skipped. Inside a feasible S the earning sets are
-    visited from the largest down, and a split-refuted pattern also refutes
-    every pattern of S with fewer earning types. Each refuting certificate is
-    checked with `certificate_refutes` once, on its own system, and read in
-    index space (`_refutation`). A skipped pattern gets the three mask tests
-    of `_refutes`, which are that check on its own split system with the
-    certificate carried over. Every pattern that is not skipped goes through
-    `linear_feasibility` as before, so the prunes cannot change the result.
+    Every other pattern gets its two halves, split then matching, the same
+    systems and LPs as in `linear_feasibility`, unless one of three skips
+    applies; each uses that a half is monotone. The split half only gains
+    rows when more cells bind or fewer types earn, the matching half when
+    fewer cells may match or more types earn.
+
+    - Split-skipped: a split refutation found anywhere in the market carries
+      over to the pattern (`_refutes`). Each cell set first gets its relaxed
+      split system (its cells binding, every type free to earn), unless a
+      refutation or a box settles it; when that is refuted, so is every
+      pattern of the cell set. Inside a cell set the earning sets are
+      visited from the largest down.
+    - Matching-skipped: a matching refutation carries over to the pattern
+      (`_matching_refutes`).
+    - Box-covered: a feasible split point solved before satisfies the
+      pattern's split system (`_covers`), so the matching half is solved
+      first, and a refuted one settles the pattern without a split LP.
+
+    Each refuting certificate is checked with `certificate_refutes` once,
+    on its own system, and read in index space, so that a skip costs three
+    mask tests per refutation or box tried. A pattern whose matching half is
+    feasible gets its split point from the LP of its own split system, as
+    in `linear_feasibility`, so the skips cannot change the result.
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
@@ -265,11 +336,12 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
     width = nx + ny
+    every_u, every_v = (1 << nx) - 1, (1 << ny) - 1
     rows = _split_rows(problem)
     found: dict[tuple, Outcome] = {}
-    # cell set mask -> refutation of its relaxed split system: that of the
-    # relaxed pattern itself or of a subset's
-    refuted: dict[int, tuple] = {}
+    split_refutations: list[tuple] = []
+    matching_refutations: list[tuple] = []
+    boxes: list[tuple] = []
 
     for smask in range(1 << ncells):
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
@@ -278,28 +350,23 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         eqs = tuple(rows[0][cell][0] for cell in scells)
         if eqs and not equations_consistent(eqs, width):
             continue
-        # Subsets come first and pass the checks above whenever S does, so if
-        # any of them was refuted, one with a single cell less was.
-        smaller = (smask & ~(1 << i) for i in range(ncells) if smask >> i & 1)
-        sub = next((m for m in smaller if m in refuted), None)
-        if sub is not None:
-            refuted[smask] = refuted[sub]
-        else:
-            relaxed = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
-            system = _split_system(problem, relaxed, rows)
-            result = solve(system)
-            if result.point is None:
-                if not certificate_refutes(system, result.certificate):
-                    raise InternalError("invalid refutation for a relaxed split system")
-                refuted[smask] = _refutation(relaxed, result.certificate, nx, ny)
+        # The relaxed split system: the cells binding, every type free to
+        # earn. A refutation of it has no held type, so it refutes every
+        # pattern of the cell set.
+        if any(_refutes(r, smask, every_u, every_v) for r in reversed(split_refutations)):
+            continue
+        if not any(_covers(b, smask, every_u, every_v) for b in boxes):
+            pattern = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
+            relaxed = _solved(_split_system(problem, pattern, rows), "split")
+            if relaxed.point is None:
+                split_refutations.append(_refutation(pattern, relaxed.certificate, nx, ny))
+                continue
+            boxes.append(_box(relaxed.point, rows, nx, ny))
         srows = 0
         scols = 0
         for x, y in scells:
             srows |= 1 << x
             scols |= 1 << y
-        # (pumask, pvmask) -> refutation of that pattern's split system: its
-        # own or that of a larger one
-        split_refuted: dict[tuple[int, int], tuple] = {}
         for pumask in reversed(range(1 << nx)):
             if pumask & ~srows:
                 continue
@@ -312,29 +379,32 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
                     for x, y in scells
                 ):
                     continue
-                # Larger earning sets come first and pass the checks above
-                # whenever this one does, so if any of them was refuted, one
-                # with a single type more was.
-                larger = [(pumask | 1 << x, pvmask) for x in range(nx) if (srows & ~pumask) >> x & 1]
-                larger += [(pumask, pvmask | 1 << y) for y in range(ny) if (scols & ~pvmask) >> y & 1]
-                source = refuted.get(smask) or next(
-                    (split_refuted[k] for k in larger if k in split_refuted), None
-                )
-                if source is not None:
-                    if not _refutes(source, smask, pumask, pvmask):
-                        raise InternalError("a carried refutation does not refute its pattern")
-                    split_refuted[pumask, pvmask] = source
+                masks = smask, pumask, pvmask
+                if any(_refutes(r, *masks) for r in reversed(split_refutations)):
+                    continue
+                if any(_matching_refutes(r, *masks) for r in matching_refutations):
                     continue
                 pattern = ComplementarityPattern(
                     scells,
                     tuple(x for x in range(nx) if pumask >> x & 1),
                     tuple(y for y in range(ny) if pvmask >> y & 1),
                 )
-                result = linear_feasibility(problem, pattern)
-                if result.split_certificate is not None:
-                    split_refuted[pumask, pvmask] = _refutation(pattern, result.split_certificate, nx, ny)
-                if result.outcome is not None:
-                    key = (result.outcome.mu, result.outcome.u, result.outcome.v)
-                    found.setdefault(key, result.outcome)
+                split = None
+                if not any(_covers(b, *masks) for b in boxes):
+                    split = _solved(_split_system(problem, pattern, rows), "split")
+                    if split.point is None:
+                        split_refutations.append(_refutation(pattern, split.certificate, nx, ny))
+                        continue
+                    boxes.append(_box(split.point, rows, nx, ny))
+                matching = _solved(_matching_system(problem, pattern), "matching")
+                if matching.point is None:
+                    matching_refutations.append(_matching_refutation(pattern, matching.certificate, nx, ny))
+                    continue
+                if split is None:
+                    split = _solved(_split_system(problem, pattern, rows), "split")
+                    if split.point is None:
+                        raise InternalError("a point's box covers a split-refuted pattern")
+                outcome = _outcome(problem, split.point, matching.point)
+                found.setdefault((outcome.mu, outcome.u, outcome.v), outcome)
 
     return tuple(found[key] for key in sorted(found))

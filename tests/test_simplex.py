@@ -139,7 +139,7 @@ def _dense_refutes(system, cert):
 def test_certificate_refutes_agrees_with_the_dense_sum_on_the_oracle_corpus():
     verdicts = set()
     for name in oracle_corpus.NAMES:
-        cases = list(oracle_corpus.run(name)[-1])
+        cases = list(oracle_corpus.run(name)[-1].checked)
         for system, _, _, _, wrongs in oracle_corpus.carried(name):
             cases += [(system, wrong) for wrong, _, _ in wrongs]
         for system, cert in cases:
