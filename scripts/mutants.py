@@ -43,6 +43,7 @@ ORACLE_MASKS = "tests/test_oracle_differential.py::test_the_mask_tests_refuse_a_
 ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_refute_their_patterns"
 ORACLE_MATCHING = "tests/test_oracle_differential.py::test_carried_matching_certificates_refute_their_patterns"
 ORACLE_BOXES = "tests/test_oracle_differential.py::test_box_points_satisfy_the_patterns_they_cover"
+ORACLE_BOX_MASKS = "tests/test_oracle_differential.py::test_boxes_hold_their_points_tight_cells_and_supports"
 
 MUTANTS = (
     # an integer-native side system
@@ -63,20 +64,30 @@ MUTANTS = (
         "coeffs[i] = Fraction(c)",
         ("tests/test_simplex.py::test_integer_rows_at_any_scale_give_the_same_system",),
     ),
-    # certificate_refutes sums in integers
+    # certificate_refutes sums in integers, on integer certificates
     Mutant(
         "row scale left out of the common multiple",
         "_simplex.py",
-        "common = math.lcm(*(y.denominator * scale for y, (_, _, scale) in terms))",
-        "common = math.lcm(*(y.denominator for y, _ in terms))",
+        "common = math.lcm(*(scale for _, (_, _, scale) in terms))",
+        "common = 1",
         ("tests/test_simplex.py::test_certificate_refutes_weighs_each_row_by_its_own_scale",),
     ),
     Mutant(
-        "D // b for D // (b * s)",
+        "D for D // s",
         "_simplex.py",
-        "k = y.numerator * (common // (y.denominator * scale))",
-        "k = y.numerator * (common // y.denominator)",
+        "k = y * (common // scale)",
+        "k = y * common",
         ("tests/test_simplex.py::test_certificate_refutes_agrees_with_the_dense_sum_on_random_systems",),
+    ),
+    Mutant(
+        "certificate denominator left negative",
+        "_simplex.py",
+        "if den < 0:",
+        "if False:",
+        (
+            "tests/test_simplex.py::test_integer_forms_over_other_denominators_are_one_value",
+            "tests/test_simplex.py::test_solver_is_sound_either_way",
+        ),
     ),
     # the oracle in index space
     Mutant(
@@ -118,9 +129,16 @@ MUTANTS = (
     Mutant(
         "tight test with <= for ==",
         "oracle.py",
-        "if sum(c * point[k] for k, c in nonzeros) == rhs:",
-        "if sum(c * point[k] for k, c in nonzeros) <= rhs:",
+        "if sum(c * num[k] for k, c in nonzeros) == rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) <= rhs * den:",
         (ORACLE_BOXES,),
+    ),
+    Mutant(
+        "tight test against rhs for rhs * den",
+        "oracle.py",
+        "if sum(c * num[k] for k, c in nonzeros) == rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) == rhs:",
+        (ORACLE_BOX_MASKS,),
     ),
     Mutant(
         "supp u left out of the box test",
@@ -149,6 +167,13 @@ MUTANTS = (
         "gamesolve.py",
         "larger = [[b | 1 << j for j in range(nother) if not b >> j & 1] for b in range(1 << nother)]",
         "larger = [[b ^ 1 << j for j in range(nother) if b >> j & 1] for b in range(1 << nother)]",
+        ("tests/test_support_differential.py::test_prune_is_active",),
+    ),
+    Mutant(
+        "dropped neighbour check in the sweep",
+        "gamesolve.py",
+        "for d in larger[b]:",
+        "for d in ():",
         ("tests/test_support_differential.py::test_prune_is_active",),
     ),
 )

@@ -13,12 +13,16 @@ form (von Stengel 2002) that divides exactly by the previous pivot element
 (Bareiss 1968). A system stores each constraint row in integers, times a
 positive scale of its own; the LP pivots the variables into the equality
 rows in index order, splits sign-free variables, and runs a phase-1/phase-2
-simplex with Bland's rule. Fractions appear only where a system comes in as
-Fraction rows and a point, value or certificate goes out; there are no
-tolerances anywhere. Code that builds its rows in integers (the support
-enumeration's side systems, the oracle's, the lifted systems of
-`relative_interior_point`) hands them over as they are, and
-`certificate_refutes` sums in integers on the same rows.
+simplex with Bland's rule. There are no tolerances anywhere. Code that
+builds its rows in integers (the support enumeration's side systems, the
+oracle's, the lifted systems of `relative_interior_point`) hands them over as
+they are. `solve` answers in integers too: a `SolveResult` holds its point,
+and a `Certificate` its multipliers, as integer numerators over one positive
+denominator, and `certificate_refutes` sums in integers on the same rows.
+Fractions appear only where a system comes in as Fraction rows, where
+`maximize` or `relative_interior_point` hands back a value or a point, and in
+the cached Fraction views (`point`, `eq_mult`, `ineq_mult`) that a caller
+reads.
 """
 from __future__ import annotations
 
@@ -48,8 +52,22 @@ def integer_row(coeffs: Row, rhs: Fraction) -> IntegerRow:
     )
 
 
-@dataclass(frozen=True, init=False)
-class LinearSystem:
+class _EqualByViews:
+    """Equality and hash by `_key()`, the Fraction views of what a subclass
+    stores in integers: two integer forms of one value are equal whatever
+    their scales or denominators."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class LinearSystem(_EqualByViews):
     """Variables x_0 .. x_{nvars-1}, with x_i >= 0 wherever nonneg[i].
 
     `rows` holds the equalities, the first `neq` of them, then the
@@ -129,54 +147,127 @@ class LinearSystem:
     def _key(self):
         return self.nvars, self.nonneg, self.eqs, self.ineqs
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearSystem):
-            return NotImplemented
-        return self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
+def _over_one_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    values = tuple(Fraction(v) for v in values)
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-@dataclass(frozen=True)
-class Certificate:
+def _views(nums, den) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) for n in nums)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Certificate(_EqualByViews):
     """Farkas multipliers refuting a system: one per equality (any sign) and
-    one per inequality (nonnegative)."""
+    one per inequality (nonnegative).
 
-    eq_mult: tuple[Fraction, ...]
-    ineq_mult: tuple[Fraction, ...]
+    Stored in integers: the multipliers are eq_num / den and ineq_num / den,
+    over one denominator den > 0. `Certificate(eq_mult, ineq_mult)` takes
+    rationals; the LP builds its certificates in integers
+    (`_of_integers`), negating every numerator where its denominator is
+    negative. `eq_mult` and `ineq_mult` read the multipliers back as
+    Fractions, which are the same over any denominator; two certificates are
+    equal, hash alike and print alike when these views are the same.
+    """
+
+    eq_num: tuple[int, ...]
+    ineq_num: tuple[int, ...]
+    den: int
+
+    def __init__(self, eq_mult, ineq_mult):
+        eq_mult, ineq_mult = tuple(eq_mult), tuple(ineq_mult)
+        nums, den = _over_one_denominator(eq_mult + ineq_mult)
+        self.__dict__.update(eq_num=nums[:len(eq_mult)], ineq_num=nums[len(eq_mult):], den=den)
+
+    @classmethod
+    def _of_integers(cls, eq_num: tuple, ineq_num: tuple, den: int) -> Certificate:
+        if den < 0:
+            eq_num, ineq_num, den = tuple(-n for n in eq_num), tuple(-n for n in ineq_num), -den
+        cert = cls.__new__(cls)
+        # frozen: set the fields past the dataclass's __setattr__
+        cert.__dict__.update(eq_num=eq_num, ineq_num=ineq_num, den=den)
+        return cert
+
+    @cached_property
+    def eq_mult(self) -> tuple[Fraction, ...]:
+        return _views(self.eq_num, self.den)
+
+    @cached_property
+    def ineq_mult(self) -> tuple[Fraction, ...]:
+        return _views(self.ineq_num, self.den)
+
+    def _key(self):
+        return self.eq_mult, self.ineq_mult
+
+    def __repr__(self):
+        return f"Certificate(eq_mult={self.eq_mult!r}, ineq_mult={self.ineq_mult!r})"
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    point: tuple[Fraction, ...] | None
+@dataclass(frozen=True, init=False, eq=False)
+class SolveResult(_EqualByViews):
+    """A feasible point or a certificate refuting the system.
+
+    A point is stored in integers, its coordinates num / den over one
+    denominator den > 0 (the LP's last pivot element); num is None when
+    there is no point. `SolveResult(point, certificate)` takes a point of
+    rationals or None; the LP builds its points in integers
+    (`_of_integer_point`). `point` reads the coordinates back as
+    Fractions, and results are equal, hash alike and print alike by it and
+    the certificate.
+    """
+
+    num: tuple[int, ...] | None
+    den: int
     certificate: Certificate | None
+
+    def __init__(self, point, certificate):
+        num, den = (None, 1) if point is None else _over_one_denominator(point)
+        self.__dict__.update(num=num, den=den, certificate=certificate)
+
+    @classmethod
+    def _of_integer_point(cls, num: tuple, den: int) -> SolveResult:
+        result = cls.__new__(cls)
+        result.__dict__.update(num=num, den=den, certificate=None)
+        return result
 
     @property
     def feasible(self) -> bool:
-        return self.point is not None
+        return self.num is not None
+
+    @cached_property
+    def point(self) -> tuple[Fraction, ...] | None:
+        return None if self.num is None else _views(self.num, self.den)
+
+    def _key(self):
+        return self.point, self.certificate
+
+    def __repr__(self):
+        return f"SolveResult(point={self.point!r}, certificate={self.certificate!r})"
 
 
 def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
     """Check a Farkas certificate against the system it claims to refute.
 
-    The combination is summed in integers, on the system's integer rows. A
-    multiplier y = a/b on a row of scale s weighs that row's integers by
-    a * (D // (b * s)), with D the lcm of every such b * s; so each sum is
-    D > 0 times the Fraction sum, and every sign, the verdict with them, is
-    exactly that of the Fraction sum.
+    The combination is summed in integers, on the system's integer rows and
+    the certificate's numerators. A multiplier n / den on a row of scale s
+    weighs that row's integers by n * (D // s), with D the lcm of every such
+    s; so each sum is D * den > 0 times the Fraction sum, and every sign,
+    the verdict with them, is exactly that of the Fraction sum.
     """
-    if len(cert.eq_mult) != system.neq or len(cert.ineq_mult) != len(system.rows) - system.neq:
+    if len(cert.eq_num) != system.neq or len(cert.ineq_num) != len(system.rows) - system.neq:
         return False
-    if any(z < 0 for z in cert.ineq_mult):
+    if any(z < 0 for z in cert.ineq_num):
         return False
     # zero multipliers and zero coefficients add exactly nothing: skip them
-    terms = [(y, row) for y, row in zip(cert.eq_mult + cert.ineq_mult, system.rows) if y]
-    common = math.lcm(*(y.denominator * scale for y, (_, _, scale) in terms))
+    terms = [(y, row) for y, row in zip(cert.eq_num + cert.ineq_num, system.rows) if y]
+    common = math.lcm(*(scale for _, (_, _, scale) in terms))
     combo = [0] * system.nvars
     rhs = 0
     for y, (nonzeros, r, scale) in terms:
-        k = y.numerator * (common // (y.denominator * scale))
+        k = y * (common // scale)
         for i, c in nonzeros:
             combo[i] += k * c
         rhs += k * r
@@ -313,14 +404,15 @@ class _Dictionary:
         return self.prev if i < len(self.basis) and self.basis[i] == v else 0
 
     def value(self, v):
+        """prev times the value of variable v."""
         c = self.where[v]
-        return Fraction(self.t[~c][-1], self.prev) if c < 0 else ZERO
+        return self.t[~c][-1] if c < 0 else 0
 
     def certificate(self, i, den):
         """The multipliers of row i (or of the reduced costs, when i is the
         objective row), in units of the original constraints, over den."""
-        mult = [Fraction(self.scale[v] * self.coeff(i, v), den) for v in self.slacks]
-        return Certificate(tuple(mult[:self.neq]), tuple(mult[self.neq:]))
+        mult = [self.scale[v] * self.coeff(i, v) for v in self.slacks]
+        return Certificate._of_integers(tuple(mult[:self.neq]), tuple(mult[self.neq:]), den)
 
     def price(self, cost):
         """Append the objective row: prev times the reduced costs of `cost`,
@@ -360,9 +452,9 @@ class _Dictionary:
             self.pivot(row, entering)
 
 
-def _lp(system: LinearSystem, objective=None):
-    """(point, None) for a feasible system, with the point maximizing the
-    objective when one is given, or (None, certificate)."""
+def _lp(system: LinearSystem, objective=None) -> SolveResult:
+    """A point of a feasible system, maximizing the objective when one is
+    given, or a certificate; both in integers."""
     n, neq, nonneg = system.nvars, system.neq, system.nonneg
     d = _Dictionary(n, neq, system.rows)
     rank = d.eliminate()
@@ -370,7 +462,7 @@ def _lp(system: LinearSystem, objective=None):
         if d.t[i][-1]:
             # 0 == nonzero: the row's combination, signed to make the rhs negative
             den = d.prev * d.scale[d.basis[i]]
-            return None, d.certificate(i, -den if d.t[i][-1] * den > 0 else den)
+            return SolveResult(None, d.certificate(i, -den if d.t[i][-1] * den > 0 else den))
 
     # Simplex rows first: the inequalities, then x_p >= 0 for each nonnegative
     # x_p that the elimination made basic; then the other eliminated rows.
@@ -385,7 +477,7 @@ def _lp(system: LinearSystem, objective=None):
     if not params:
         for i in range(m):
             if d.t[i][-1] < 0:
-                return None, d.certificate(i, d.prev * d.scale[d.basis[i]])
+                return SolveResult(None, d.certificate(i, d.prev * d.scale[d.basis[i]]))
     # Bland's order: each parameter then its negative part, then the slacks
     negative, order = {}, []
     for x in params:
@@ -411,7 +503,7 @@ def _lp(system: LinearSystem, objective=None):
         if not d.simplex(m, order, key):
             raise InternalError("phase-1 objective cannot be unbounded")
         if d.t[-1][-1] < 0:  # the artificials cannot all reach zero
-            return None, d.certificate(len(d.t) - 1, d.prev * big)
+            return SolveResult(None, d.certificate(len(d.t) - 1, d.prev * big))
         d.t.pop()
         for i in range(m):
             if d.basis[i] in arts:
@@ -428,7 +520,7 @@ def _lp(system: LinearSystem, objective=None):
     point = [d.value(x) for x in range(n)]
     for x, neg in negative.items():
         point[x] -= d.value(neg)
-    return tuple(point), None
+    return SolveResult._of_integer_point(tuple(point), d.prev)
 
 
 def equations_consistent(eqs, nvars: int) -> bool:
@@ -440,7 +532,7 @@ def equations_consistent(eqs, nvars: int) -> bool:
 
 def solve(system: LinearSystem) -> SolveResult:
     """Find a feasible point or a Farkas certificate of infeasibility."""
-    return SolveResult(*_lp(system))
+    return _lp(system)
 
 
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]] | None:
@@ -449,7 +541,7 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
     objective = tuple(Fraction(c) for c in objective)
     if len(objective) != system.nvars:
         raise DimensionMismatch("objective has the wrong width")
-    point, _ = _lp(system, objective)
+    point = _lp(system, objective).point
     if point is None:
         return None
     return sum(c * v for c, v in zip(objective, point)), point
@@ -466,7 +558,7 @@ def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...
     if not all(0 <= c < n for c in coords):
         raise DimensionMismatch(f"coordinates {coords} are not all in [0, {n})")
     base = solve(system)
-    if base.point is None:
+    if not base.feasible:
         return None
     points = [base.point]
     # maximize a new variable t, absent from the system's rows, over the

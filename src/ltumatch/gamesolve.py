@@ -418,13 +418,19 @@ def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
     refuted = set()
     for a in range(1, 1 << nown):
         for b in reversed(range(1, 1 << nother)):
-            if (
-                any((c, b) in refuted for c in smaller[a])
-                or any((a, d) in refuted for d in larger[b])
-                or (a, b) not in skip
-                and solve(side.system(owns[a], others[b])).point is None
-            ):
-                refuted.add((a, b))
+            # a refuted neighbour one step up refutes (a, b); without one,
+            # the pair's own LP decides, unless it is in skip
+            for c in smaller[a]:
+                if (c, b) in refuted:
+                    break
+            else:
+                for d in larger[b]:
+                    if (a, d) in refuted:
+                        break
+                else:
+                    if (a, b) in skip or solve(side.system(owns[a], others[b])).feasible:
+                        continue
+            refuted.add((a, b))
     return refuted
 
 

@@ -28,7 +28,9 @@ split point from its own LP. The split rows are scaled to integers once per
 market (`integer_row`), and every split system is assembled from those
 integer rows, so the LPs and the certificate checks of all patterns of a
 market share one scaling and work in integers. The matching systems, whose
-coefficients are all 0 or 1, are built in integers directly.
+coefficients are all 0 or 1, are built in integers directly. The LP hands
+back its points and certificates in integers too, over one denominator
+each, and every mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -43,6 +45,7 @@ from types import MappingProxyType
 from ._simplex import (
     Certificate,
     LinearSystem,
+    SolveResult,
     certificate_refutes,
     equations_consistent,
     integer_row,
@@ -157,7 +160,7 @@ def _refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny:
     y) is held at zero with a nonzero multiplier. A cell outside the pattern
     has the no-blocking inequality, its binding equality negated, so that
     row's multiplier z counts as -z."""
-    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
     cellset = set(pattern.cells)
     positive = 0
     for i in range(nx * ny):
@@ -180,22 +183,24 @@ def _refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
     return not (positive & ~smask or umask & pumask or vmask & pvmask)
 
 
-def _box(point: tuple, rows, nx: int, ny: int) -> tuple:
+def _box(split: SolveResult, rows, nx: int, ny: int) -> tuple:
     """The patterns whose split system a feasible split point (u, v)
     satisfies, in index space: (point, tight, umask, vmask), with bit
     x * ny + y of tight set where cell (x, y)'s no-blocking inequality holds
     with equality, and umask (vmask) the support of u (v). The point
     satisfies every no-blocking inequality, so it satisfies the split system
     of each pattern that binds only tight cells and lets every type in the
-    supports earn."""
+    supports earn. Each test reads the point's integers: with coordinates
+    num / den, an integer row is tight where its sum over num is rhs * den."""
     cells, _ = rows
+    num, den = split.num, split.den
     tight = 0
     for i, (_, _, (nonzeros, rhs, _)) in enumerate(cells.values()):
-        if sum(c * point[k] for k, c in nonzeros) == rhs:
+        if sum(c * num[k] for k, c in nonzeros) == rhs * den:
             tight |= 1 << i
-    umask = sum(1 << x for x in range(nx) if point[x])
-    vmask = sum(1 << y for y in range(ny) if point[nx + y])
-    return point, tight, umask, vmask
+    umask = sum(1 << x for x in range(nx) if num[x])
+    vmask = sum(1 << y for y in range(ny) if num[nx + y])
+    return split.point, tight, umask, vmask
 
 
 def _covers(box: tuple, smask: int, pumask: int, pvmask: int) -> bool:
@@ -229,7 +234,7 @@ def _matching_refutation(pattern: ComplementarityPattern, cert: Certificate, nx:
     where the row mu_xy == 0 has a nonzero multiplier, and bit x of negu (y
     of negv) where worker type x's (job type y's) line has a negative
     multiplier, which only an equality, an earning type's line, may have."""
-    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
     cellset = set(pattern.cells)
     zmask = sum(1 << i for i in range(nx * ny) if divmod(i, ny) not in cellset and next(eq_mult))
     earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
@@ -251,10 +256,20 @@ def _matching_refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -
     return not (zmask & smask or negu & ~pumask or negv & ~pvmask)
 
 
+def _any(test, subjects, masks: tuple) -> bool:
+    """Whether test(subject, *masks) holds for any of the subjects: any()
+    without a generator, which the enumerator would build for every pattern
+    and every pool."""
+    for subject in subjects:
+        if test(subject, *masks):
+            return True
+    return False
+
+
 def _solved(system: LinearSystem, half: str):
     """solve(system), with a refuting certificate checked on the system."""
     result = solve(system)
-    if result.point is None and not certificate_refutes(system, result.certificate):
+    if not result.feasible and not certificate_refutes(system, result.certificate):
         raise InternalError(f"invalid refutation for the {half} system")
     return result
 
@@ -282,10 +297,10 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
         if len(set(indices)) != len(indices) or not all(i in valid for i in indices):
             raise DimensionMismatch(f"pattern {field} {indices} are not distinct indices of a {nx}x{ny} market")
     split = _solved(_split_system(problem, pattern), "split")
-    if split.point is None:
+    if not split.feasible:
         return PatternResult(None, split.certificate, None)
     matching = _solved(_matching_system(problem, pattern), "matching")
-    if matching.point is None:
+    if not matching.feasible:
         return PatternResult(None, None, matching.certificate)
     return PatternResult(_outcome(problem, split.point, matching.point), None, None)
 
@@ -297,7 +312,10 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     syntactic: a cell with negative output can never bind, an earning type
     needs a matchable cell in its line, a binding cell with positive output
     needs someone at the table earning, and binding equalities that are
-    already inconsistent on their own kill the whole cell set.
+    inconsistent on their own kill the whole cell set. That last test
+    (`equations_consistent`) is made only for a cell set that reaches its
+    relaxed split LP: a box's point satisfies the equalities, and a carried
+    refutation settles the cell set anyway.
 
     Every other pattern gets its two halves, split then matching, the same
     systems and LPs as in `linear_feasibility`, unless one of three skips
@@ -319,9 +337,12 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
 
     Each refuting certificate is checked with `certificate_refutes` once,
     on its own system, and read in index space, so that a skip costs three
-    mask tests per refutation or box tried. A pattern whose matching half is
-    feasible gets its split point from the LP of its own split system, as
-    in `linear_feasibility`, so the skips cannot change the result.
+    mask tests per refutation or box tried. Points and certificates are read
+    in the LP's integers; Fractions are made only for a box's point, which
+    it keeps, and for the points of an outcome. A pattern whose matching
+    half is feasible gets its split point from the LP of its own split
+    system, as in `linear_feasibility`, so the skips cannot change the
+    result.
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
@@ -347,42 +368,46 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         if any(problem.phi[x][y] < 0 for x, y in scells):
             continue
-        eqs = tuple(rows[0][cell][0] for cell in scells)
-        if eqs and not equations_consistent(eqs, width):
-            continue
         # The relaxed split system: the cells binding, every type free to
         # earn. A refutation of it has no held type, so it refutes every
         # pattern of the cell set.
-        if any(_refutes(r, smask, every_u, every_v) for r in reversed(split_refutations)):
+        relaxed_masks = smask, every_u, every_v
+        if _any(_refutes, reversed(split_refutations), relaxed_masks):
             continue
-        if not any(_covers(b, smask, every_u, every_v) for b in boxes):
+        if not _any(_covers, boxes, relaxed_masks):
+            # binding equalities inconsistent on their own kill the cell set;
+            # a box's point satisfies them, and a refutation settles it anyway
+            eqs = tuple(rows[0][cell][0] for cell in scells)
+            if eqs and not equations_consistent(eqs, width):
+                continue
             pattern = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
             relaxed = _solved(_split_system(problem, pattern, rows), "split")
-            if relaxed.point is None:
+            if not relaxed.feasible:
                 split_refutations.append(_refutation(pattern, relaxed.certificate, nx, ny))
                 continue
-            boxes.append(_box(relaxed.point, rows, nx, ny))
+            boxes.append(_box(relaxed, rows, nx, ny))
         srows = 0
         scols = 0
         for x, y in scells:
             srows |= 1 << x
             scols |= 1 << y
+        paying = [(x, y) for x, y in scells if problem.phi[x][y] != 0]
         for pumask in reversed(range(1 << nx)):
             if pumask & ~srows:
                 continue
+            # the job types that must earn: those of paying cells whose
+            # worker type does not
+            needed = 0
+            for x, y in paying:
+                if not pumask >> x & 1:
+                    needed |= 1 << y
             for pvmask in reversed(range(1 << ny)):
-                if pvmask & ~scols:
-                    continue
-                if any(
-                    not (pumask >> x & 1) and not (pvmask >> y & 1)
-                    and problem.phi[x][y] != 0
-                    for x, y in scells
-                ):
+                if pvmask & ~scols or needed & ~pvmask:
                     continue
                 masks = smask, pumask, pvmask
-                if any(_refutes(r, *masks) for r in reversed(split_refutations)):
+                if _any(_refutes, reversed(split_refutations), masks):
                     continue
-                if any(_matching_refutes(r, *masks) for r in matching_refutations):
+                if _any(_matching_refutes, matching_refutations, masks):
                     continue
                 pattern = ComplementarityPattern(
                     scells,
@@ -390,19 +415,19 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
                     tuple(y for y in range(ny) if pvmask >> y & 1),
                 )
                 split = None
-                if not any(_covers(b, *masks) for b in boxes):
+                if not _any(_covers, boxes, masks):
                     split = _solved(_split_system(problem, pattern, rows), "split")
-                    if split.point is None:
+                    if not split.feasible:
                         split_refutations.append(_refutation(pattern, split.certificate, nx, ny))
                         continue
-                    boxes.append(_box(split.point, rows, nx, ny))
+                    boxes.append(_box(split, rows, nx, ny))
                 matching = _solved(_matching_system(problem, pattern), "matching")
-                if matching.point is None:
+                if not matching.feasible:
                     matching_refutations.append(_matching_refutation(pattern, matching.certificate, nx, ny))
                     continue
                 if split is None:
                     split = _solved(_split_system(problem, pattern, rows), "split")
-                    if split.point is None:
+                    if not split.feasible:
                         raise InternalError("a point's box covers a split-refuted pattern")
                 outcome = _outcome(problem, split.point, matching.point)
                 found.setdefault((outcome.mu, outcome.u, outcome.v), outcome)

@@ -148,6 +148,8 @@ class Trace:
     read: dict = field(default_factory=lambda: {"split": [], "matching": []})
     # (system, certificate) of each certificate_refutes call
     checked: list = field(default_factory=list)
+    # every box it read from a feasible split point
+    boxes: list = field(default_factory=list)
     solves: int = 0
 
 
@@ -209,6 +211,7 @@ def run(name):
             patch.setattr(oracle, reader, reading(trace.read[kind], getattr(oracle, reader)))
         for kind, builder in BUILDERS.items():
             patch.setattr(oracle, builder, building(getattr(trace, kind), getattr(oracle, builder)))
+        patch.setattr(oracle, "_box", reading(trace.boxes, oracle._box))
         patch.setattr(oracle, "certificate_refutes", refutes)
         patch.setattr(oracle, "solve", solve)
         outcomes = oracle.enumerate_stable(problem)
@@ -366,6 +369,24 @@ def test_box_points_satisfy_the_patterns_they_cover(name):
     for (point, *_), masks in trace.passed["box"]:
         target = pattern_of(problem, *masks)
         assert satisfies(oracle._split_system(problem, target), point), (point, target)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_boxes_hold_their_points_tight_cells_and_supports(name):
+    """Each box's masks, recomputed from its Fraction point: a cell is tight
+    where lam * u + (1 - lam) * v == phi / 2."""
+    problem, _, _, _, trace = run(name)
+    nx, ny = problem.nx, problem.ny
+    assert trace.boxes
+    for point, tight, umask, vmask in trace.boxes:
+        u, v = point[:nx], point[nx:]
+        cells = [(x, y) for x in range(nx) for y in range(ny)]
+        assert tight == sum(
+            1 << i for i, (x, y) in enumerate(cells)
+            if problem.lam[x][y] * u[x] + (1 - problem.lam[x][y]) * v[y] == problem.phi[x][y] / 2
+        ), point
+        assert umask == sum(1 << x for x in range(nx) if u[x]), point
+        assert vmask == sum(1 << y for y in range(ny) if v[y]), point
 
 
 WIDER = [name for name in NAMES if name.startswith(("2x3-", "3x2-"))]

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_oracle_differential as oracle_corpus
-from ltumatch import DimensionMismatch, InternalError
+from ltumatch import DimensionMismatch, FuzzConfig, InternalError, oracle, random_problem
 from ltumatch._simplex import (
     Certificate,
     LinearSystem,
+    SolveResult,
     certificate_refutes,
     equations_consistent,
     integer_row,
@@ -237,6 +238,86 @@ def test_integer_rows_at_any_scale_give_the_same_system():
             verdicts.add(verdict)
     assert refuted >= 20 and bounded >= 10
     assert verdicts == {True, False}
+
+
+def test_integer_forms_over_other_denominators_are_one_value():
+    """A point or a certificate in integers over another denominator, a
+    negative one included, is the same value as from its Fractions."""
+    point = SolveResult((F(1, 3), F(0), F(-2, 3)), None)
+    assert (point.num, point.den) == ((1, 0, -2), 3)
+    certs = [Certificate((F(1, 3),), (F(2, 3), F(0)))]
+    for k in (2, -1, -7):
+        other = SolveResult._of_integer_point((k, 0, -2 * k), 3 * k)
+        assert other == point and hash(other) == hash(point) and repr(other) == repr(point)
+        certs.append(Certificate._of_integers((k,), (2 * k, 0), 3 * k))
+    for cert in certs:
+        assert cert.den > 0 and cert.eq_num[0] > 0 and cert.ineq_num[0] > 0, cert
+        assert cert == certs[0] and hash(cert) == hash(certs[0]) and repr(cert) == repr(certs[0])
+        assert (cert.eq_mult, cert.ineq_mult) == ((F(1, 3),), (F(2, 3), F(0)))
+    assert repr(point) == "SolveResult(point=(Fraction(1, 3), Fraction(0, 1), Fraction(-2, 3)), certificate=None)"
+    assert repr(certs[0]) == "Certificate(eq_mult=(Fraction(1, 3),), ineq_mult=(Fraction(2, 3), Fraction(0, 1)))"
+
+
+def test_certificates_from_fractions_and_from_integers_get_one_verdict():
+    """The LP's integer certificate, the same multipliers as Fractions and
+    over a scaled denominator of either sign: `certificate_refutes` must
+    give all of them one verdict, right or wrong."""
+    rng = random.Random(2026)
+    verdicts, refuted = set(), 0
+    for _ in range(300):
+        system = _random_system(rng)
+        result = solve(system)
+        if result.feasible:
+            continue
+        refuted += 1
+        cert = result.certificate
+        mult = list(cert.eq_mult + cert.ineq_mult)
+        k = rng.choice([i for i, y in enumerate(mult) if y])
+        mult[k] += F(rng.choice((-1, 1)), rng.choice(DENOMINATORS))
+        moved = Certificate(tuple(mult[:system.neq]), tuple(mult[system.neq:]))
+        for c in (cert, moved):
+            verdict = certificate_refutes(system, c)
+            for scale in (rng.choice(DENOMINATORS), -rng.choice(DENOMINATORS)):
+                scaled = Certificate._of_integers(
+                    tuple(n * scale for n in c.eq_num), tuple(n * scale for n in c.ineq_num), c.den * scale
+                )
+                assert certificate_refutes(system, scaled) == verdict, (system, c, scale)
+            assert certificate_refutes(system, Certificate(c.eq_mult, c.ineq_mult)) == verdict
+            verdicts.add(verdict)
+    assert refuted >= 30
+    assert verdicts == {True, False}
+
+
+def test_equations_are_checked_only_before_a_relaxed_lp():
+    """On the seed-31 corpus, `enumerate_stable` checks a cell set's binding
+    equalities only right before it solves that cell set's relaxed split
+    system, whose equalities are exactly those: it holds no type at zero."""
+    rng = random.Random(31)
+    cfg = FuzzConfig(max_workers=2, max_jobs=2)
+    problems = [random_problem(rng, cfg) for _ in range(25)]
+    events = []
+
+    def consistent(eqs, nvars, original=oracle.equations_consistent):
+        events.append(("consistent", eqs, original(eqs, nvars)))
+        return events[-1][2]
+
+    def solving(system, original=oracle.solve):
+        events.append(("solve", system, None))
+        return original(system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "equations_consistent", consistent)
+        patch.setattr(oracle, "solve", solving)
+        for problem in problems:
+            oracle.enumerate_stable(problem)
+    checks = [i for i, (kind, _, _) in enumerate(events) if kind == "consistent"]
+    solves = len(events) - len(checks)
+    assert 0 < len(checks) < solves
+    for i in checks:
+        _, eqs, verdict = events[i]
+        if verdict:  # an inconsistent cell set gets no LP at all
+            kind, system, _ = events[i + 1]
+            assert kind == "solve" and system.eqs == eqs, (eqs, system)
 
 
 @pytest.mark.parametrize(

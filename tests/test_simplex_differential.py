@@ -78,7 +78,9 @@ SUPPORT_CALLS = ("relative_interior_point", "solve", "maximize")
 
 
 def test_oracle_uneven2x2(uneven2x2):
-    assert_same_on_calls(lambda: enumerate_stable(uneven2x2), ORACLE_CALLS)
+    # a box or a refutation settles every nonempty cell set of this market,
+    # so it never reaches `equations_consistent`
+    assert_same_on_calls(lambda: enumerate_stable(uneven2x2), ("solve",))
 
 
 def test_oracle_seed31_corpus():
