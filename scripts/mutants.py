@@ -44,6 +44,10 @@ ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_r
 ORACLE_MATCHING = "tests/test_oracle_differential.py::test_carried_matching_certificates_refute_their_patterns"
 ORACLE_BOXES = "tests/test_oracle_differential.py::test_box_points_satisfy_the_patterns_they_cover"
 ORACLE_BOX_MASKS = "tests/test_oracle_differential.py::test_boxes_hold_their_points_tight_cells_and_supports"
+LH = (
+    "tests/test_lh_differential.py::test_uneven2x2",
+    "tests/test_lh_differential.py::test_seed11_random_corpus",
+)
 
 MUTANTS = (
     # an integer-native side system
@@ -160,6 +164,42 @@ MUTANTS = (
         "return not (zmask & smask or negu & ~pumask or negv & ~pvmask)",
         "return not (negu & ~pumask or negv & ~pvmask)",
         (ORACLE_MASKS, ORACLE_MATCHING),
+    ),
+    # the revised Lemke-Howson tableau
+    Mutant(
+        "lexicographic tie-break reversed",
+        "gamesolve.py",
+        "return lhs < rhs",
+        "return lhs > rhs",
+        LH,
+    ),
+    Mutant(
+        "tie decided by the wrong row's slack",
+        "gamesolve.py",
+        "return stop == sk if stop < m else i < k",
+        "return stop == si if stop < m else i < k",
+        LH,
+    ),
+    Mutant(
+        "slack row built with the wrong sign",
+        "gamesolve.py",
+        "row[v] -= l * prev",
+        "row[v] += l * prev",
+        LH,
+    ),
+    Mutant(
+        "row of c^T z <= 1 left unpivoted",
+        "gamesolve.py",
+        "        self.crow = t[-2]\n",
+        "",
+        LH,
+    ),
+    Mutant(
+        "zero pivot-column entry allowed to leave",
+        "gamesolve.py",
+        "if d <= 0:",
+        "if d < 0:",
+        LH,
     ),
     # support enumeration's dominance sweep
     Mutant(

@@ -61,10 +61,14 @@ def _read_json(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_problem(path: str) -> LTUProblem:

@@ -19,18 +19,19 @@ every row that its combination uses, and a feasible split point (u, v)
 satisfies the split system of every pattern that binds only cells where its
 no-blocking inequality is tight and lets every type in supp u and supp v
 earn: the point's box. The search keeps every refutation and box of a market
-and skips a pattern by them (see `enumerate_stable`). Nothing is skipped on
-trust: each refuting Farkas certificate is checked once, on the system it
-refutes, and read in index space, as the cells and types whose rows its
-combination uses, so that each skip is three mask tests. A box only reorders
-the work: a pattern it covers solves its matching half first, and gets its
-split point from its own LP. The split rows are scaled to integers once per
-market (`integer_row`), and every split system is assembled from those
-integer rows, so the LPs and the certificate checks of all patterns of a
-market share one scaling and work in integers. The matching systems, whose
-coefficients are all 0 or 1, are built in integers directly. The LP hands
-back its points and certificates in integers too, over one denominator
-each, and every mask is read from those integers.
+and skips a pattern by them (see `enumerate_stable`); a cell set whose
+binding equalities are inconsistent is always skipped by the refutation of a
+smaller one. Nothing is skipped on trust: each refuting Farkas certificate
+is checked once, on the system it refutes, and read in index space, as the
+cells and types whose rows its combination uses, so that each skip is three
+mask tests. A box only reorders the work: a pattern it covers solves its
+matching half first, and gets its split point from its own LP. The split
+rows are scaled to integers once per market (`integer_row`), and every split
+system is assembled from those integer rows, so the LPs and the certificate
+checks of all patterns of a market share one scaling and work in integers.
+The matching systems, whose coefficients are all 0 or 1, are built in
+integers directly. The LP hands back its points and certificates in integers
+too, over one denominator each, and every mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. Caps guard
@@ -40,14 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from ._simplex import (
     Certificate,
     LinearSystem,
     SolveResult,
     certificate_refutes,
-    equations_consistent,
     integer_row,
     solve,
 )
@@ -97,28 +96,12 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
     return ComplementarityPattern(cells, pos_u, pos_v)
 
 
-# the last problem given to `_split_rows` and its table
-_last_split_rows: tuple = (None, None)
-
-
 def _split_rows(problem: LTUProblem):
-    """The rows that split systems are assembled from: per cell in row-major
-    order its binding equality (lam, 1 - lam) . (u, v) == phi / 2 as a
-    Fraction row (coeffs, rhs), then as an `integer_row`, and its no-blocking
-    inequality, the binding row negated, as an integer row; per variable its
-    unit row with rhs 0, as an integer row.
-
-    Kept for the last problem, so that `linear_feasibility`, which keeps
-    its public (problem, pattern) signature, shares the table that
-    `enumerate_stable` builds instead of building it again on every call.
-    The last problem is recognized by identity, which costs nothing where a
-    lookup by equality would hash every Fraction of the problem; a problem
-    that is another object, equal or not, gets its table built anew. The
-    table is read-only, since every caller gets the same one."""
-    global _last_split_rows
-    last, table = _last_split_rows
-    if last is problem:
-        return table
+    """The integer rows that split systems are assembled from: per cell in
+    row-major order (eq, ineq), its binding equality
+    (lam, 1 - lam) . (u, v) == phi / 2 as an `integer_row` and its
+    no-blocking inequality, the binding row negated; per variable its unit
+    row with rhs 0."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
     cells = {}
@@ -127,13 +110,10 @@ def _split_rows(problem: LTUProblem):
             row = [ZERO] * width
             lam = problem.lam[x][y]
             row[x], row[nx + y] = lam, ONE - lam
-            binding = (tuple(row), problem.phi[x][y] / 2)
-            nonzeros, rhs, scale = eq = integer_row(*binding)
-            cells[x, y] = (binding, eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale))
+            nonzeros, rhs, scale = eq = integer_row(tuple(row), problem.phi[x][y] / 2)
+            cells[x, y] = (eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale))
     units = tuple((((k, 1),), 0, 1) for k in range(width))
-    table = MappingProxyType(cells), units
-    _last_split_rows = problem, table
-    return table
+    return cells, units
 
 
 def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:
@@ -142,7 +122,7 @@ def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=Non
     cellset = set(pattern.cells)
     eqs = []
     ineqs = []
-    for cell, (_, eq, ineq) in cells.items():
+    for cell, (eq, ineq) in cells.items():
         if cell in cellset:
             eqs.append(eq)
         else:
@@ -195,7 +175,7 @@ def _box(split: SolveResult, rows, nx: int, ny: int) -> tuple:
     cells, _ = rows
     num, den = split.num, split.den
     tight = 0
-    for i, (_, _, (nonzeros, rhs, _)) in enumerate(cells.values()):
+    for i, (_, (nonzeros, rhs, _)) in enumerate(cells.values()):
         if sum(c * num[k] for k, c in nonzeros) == rhs * den:
             tight |= 1 << i
     umask = sum(1 << x for x in range(nx) if num[x])
@@ -311,11 +291,11 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     Patterns are pruned before the linear algebra where infeasibility is
     syntactic: a cell with negative output can never bind, an earning type
     needs a matchable cell in its line, a binding cell with positive output
-    needs someone at the table earning, and binding equalities that are
-    inconsistent on their own kill the whole cell set. That last test
-    (`equations_consistent`) is made only for a cell set that reaches its
-    relaxed split LP: a box's point satisfies the equalities, and a carried
-    refutation settles the cell set anyway.
+    needs someone at the table earning. A cell set whose binding equalities
+    are inconsistent needs no test of its own: their refuting combination
+    puts a negative multiplier on some cell c, so it refutes the relaxed
+    system of the cell set without c, which is visited first, and that
+    refutation carries over.
 
     Every other pattern gets its two halves, split then matching, the same
     systems and LPs as in `linear_feasibility`, unless one of three skips
@@ -356,7 +336,6 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         raise CapExceeded(f"{total} patterns exceed the budget of {caps.pattern_budget}")
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
-    width = nx + ny
     every_u, every_v = (1 << nx) - 1, (1 << ny) - 1
     rows = _split_rows(problem)
     found: dict[tuple, Outcome] = {}
@@ -375,11 +354,6 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
         if _any(_refutes, reversed(split_refutations), relaxed_masks):
             continue
         if not _any(_covers, boxes, relaxed_masks):
-            # binding equalities inconsistent on their own kill the cell set;
-            # a box's point satisfies them, and a refutation settles it anyway
-            eqs = tuple(rows[0][cell][0] for cell in scells)
-            if eqs and not equations_consistent(eqs, width):
-                continue
             pattern = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
             relaxed = _solved(_split_system(problem, pattern, rows), "split")
             if not relaxed.feasible:

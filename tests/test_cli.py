@@ -350,6 +350,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b'{"n": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "nested-too-deeply", "integer-past-the-digit-limit"],
+)
+def test_unreadable_json_exits_2(capsys, tmp_path, content):
+    """A file that cannot be read as JSON is bad input wherever it is given:
+    every subcommand exits 2 with an error line, never with a traceback."""
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    path = str(path)
+    for argv in (["solve", path], ["check-tu", path], ["oracle", path], ["to-game", path],
+                 ["verify", FIG, path], ["from-eq", FIG, path]):
+        code, out, err = _capture(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and path in err, (argv, err)
+
+
 OUTCOME = {"mu": [["1", "0"], ["0", "1"]], "u": ["1", "1"], "v": ["0", "0"]}
 ROOM_RAW = {
     "workers": [{"id": "1", "mass": "2"}],

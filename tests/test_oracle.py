@@ -154,23 +154,23 @@ def test_split_rows_hold_each_row_times_its_scale(name):
     cells, units = _split_rows(problem)
     assert len(cells) == nx * ny
     assert len(units) == nx + ny
-    for (x, y), (binding, eq, ineq) in cells.items():
+    for (x, y), (eq, ineq) in cells.items():
         lam = problem.lam[x][y]
         coeffs = [F(0)] * (nx + ny)
         coeffs[x], coeffs[nx + y] = lam, 1 - lam
-        assert binding == (tuple(coeffs), problem.phi[x][y] / 2)
-        _scaled_correctly(binding, eq)
-        _scaled_correctly((tuple(-c for c in coeffs), -binding[1]), ineq)
+        rhs = problem.phi[x][y] / 2
+        _scaled_correctly((tuple(coeffs), rhs), eq)
+        _scaled_correctly((tuple(-c for c in coeffs), -rhs), ineq)
     for k, unit in enumerate(units):
         _scaled_correctly((tuple(F(int(i == k)) for i in range(nx + ny)), F(0)), unit)
     # a split system is assembled from the table's integer rows, in order
     everything = ComplementarityPattern(tuple(cells), (), ())
     for pattern in (everything, ComplementarityPattern((), (0,), ())):
         system = _split_system(problem, pattern)
-        eqs = [eq for cell, (_, eq, _) in cells.items() if cell in pattern.cells]
+        eqs = [eq for cell, (eq, _) in cells.items() if cell in pattern.cells]
         eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
         eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
-        ineqs = [ineq for cell, (_, _, ineq) in cells.items() if cell not in pattern.cells]
+        ineqs = [ineq for cell, (_, ineq) in cells.items() if cell not in pattern.cells]
         assert system.rows == (*eqs, *ineqs) and system.neq == len(eqs)
 
 

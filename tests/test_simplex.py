@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,23 @@ def test_feasible_equality():
     res = solve(system)
     assert res.feasible
     assert satisfies(system, res.point)
+
+
+@pytest.mark.parametrize(
+    "point, verdict",
+    [
+        ((F(1, 4), F(3, 4)), True),
+        ((F(1, 2),), False),  # one coordinate for two variables
+        ((F(-1), F(2)), False),  # x0 < 0 although x0 >= 0
+        ((F(1), F(0)), False),  # x0 <= 1/2 violated
+        ((F(0), F(0)), False),  # x0 + x1 == 1 violated
+    ],
+)
+def test_satisfies_refuses_each_kind_of_violation(point, verdict):
+    # x0 + x1 == 1 and x0 <= 1/2, with x0 >= 0 and x1 free; each refused
+    # point breaks exactly one of the four conditions
+    system = _sys(2, (True, False), eqs=[((F(1), F(1)), F(1))], ineqs=[((F(1), F(0)), F(1, 2))])
+    assert satisfies(system, point) is verdict
 
 
 def test_infeasible_negative_rhs():
@@ -288,36 +306,55 @@ def test_certificates_from_fractions_and_from_integers_get_one_verdict():
     assert verdicts == {True, False}
 
 
-def test_equations_are_checked_only_before_a_relaxed_lp():
-    """On the seed-31 corpus, `enumerate_stable` checks a cell set's binding
-    equalities only right before it solves that cell set's relaxed split
-    system, whose equalities are exactly those: it holds no type at zero."""
+def test_every_solved_split_system_has_consistent_binding_equalities():
+    """`enumerate_stable` makes no consistency test of its own: a cell set
+    whose binding equalities are inconsistent is always skipped, by the
+    refutation of a smaller cell set, before any split system of it is
+    built. Here every split system it builds, and so solves, has binding
+    equalities that `equations_consistent` accepts, while the markets do
+    hold cell sets without a negative output whose equalities it refuses.
+    The markets are the seed-31 corpus, then seeded 2x2 and 2x3 markets with
+    lambda = 1/2 everywhere, with outputs made zero or negative at random,
+    or with both."""
     rng = random.Random(31)
-    cfg = FuzzConfig(max_workers=2, max_jobs=2)
-    problems = [random_problem(rng, cfg) for _ in range(25)]
-    events = []
+    problems = [random_problem(rng, FuzzConfig(max_workers=2, max_jobs=2)) for _ in range(25)]
+    rng = random.Random(37)
+    for k in range(12):
+        problem = random_problem(rng, FuzzConfig(max_workers=2, max_jobs=3), min_workers=2, min_jobs=2)
+        lam, phi = problem.lam, problem.phi
+        if k % 3 != 1:
+            lam = tuple((F(1, 2),) * problem.ny for _ in range(problem.nx))
+        if k % 3 != 0:
+            phi = tuple(tuple(rng.choice((f, f, F(0), -f)) for f in row) for row in phi)
+        problems.append(replace(problem, lam=lam, phi=phi))
+    built = []
 
-    def consistent(eqs, nvars, original=oracle.equations_consistent):
-        events.append(("consistent", eqs, original(eqs, nvars)))
-        return events[-1][2]
-
-    def solving(system, original=oracle.solve):
-        events.append(("solve", system, None))
-        return original(system)
+    def split_system(problem, pattern, *rows, original=oracle._split_system):
+        system = original(problem, pattern, *rows)
+        built.append((system.eqs[:len(pattern.cells)], system.nvars))
+        return system
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "equations_consistent", consistent)
-        patch.setattr(oracle, "solve", solving)
+        patch.setattr(oracle, "_split_system", split_system)
         for problem in problems:
             oracle.enumerate_stable(problem)
-    checks = [i for i, (kind, _, _) in enumerate(events) if kind == "consistent"]
-    solves = len(events) - len(checks)
-    assert 0 < len(checks) < solves
-    for i in checks:
-        _, eqs, verdict = events[i]
-        if verdict:  # an inconsistent cell set gets no LP at all
-            kind, system, _ = events[i + 1]
-            assert kind == "solve" and system.eqs == eqs, (eqs, system)
+    assert len(built) > 200
+    for eqs, nvars in built:
+        assert equations_consistent(eqs, nvars), eqs
+    inconsistent = 0
+    for problem in problems:
+        nx, ny = problem.nx, problem.ny
+        rows = {}
+        for x in range(nx):
+            for y in range(ny):
+                coeffs = [F(0)] * (nx + ny)
+                coeffs[x], coeffs[nx + y] = problem.lam[x][y], 1 - problem.lam[x][y]
+                rows[x, y] = (tuple(coeffs), problem.phi[x][y] / 2)
+        for smask in range(1 << (nx * ny)):
+            eqs = [row for i, row in enumerate(rows.values()) if smask >> i & 1]
+            if all(rhs >= 0 for _, rhs in eqs):
+                inconsistent += not equations_consistent(eqs, nx + ny)
+    assert inconsistent > 0
 
 
 @pytest.mark.parametrize(

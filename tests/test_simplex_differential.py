@@ -73,14 +73,12 @@ def assert_same_on_calls(run, expected_names):
         assert_same(name, *args)
 
 
-ORACLE_CALLS = ("solve", "equations_consistent")
+ORACLE_CALLS = ("solve",)
 SUPPORT_CALLS = ("relative_interior_point", "solve", "maximize")
 
 
 def test_oracle_uneven2x2(uneven2x2):
-    # a box or a refutation settles every nonempty cell set of this market,
-    # so it never reaches `equations_consistent`
-    assert_same_on_calls(lambda: enumerate_stable(uneven2x2), ("solve",))
+    assert_same_on_calls(lambda: enumerate_stable(uneven2x2), ORACLE_CALLS)
 
 
 def test_oracle_seed31_corpus():
