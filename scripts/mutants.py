@@ -50,6 +50,37 @@ LH = (
 )
 
 MUTANTS = (
+    # the one hide-and-seek reduction of both market kinds
+    Mutant(
+        "one-to-one backward map with s = 1",
+        "reduction.py",
+        "_flat(problem.phi), problem.n + problem.m, 2",
+        "_flat(problem.phi), problem.n + problem.m, 1",
+        (
+            "tests/test_reduction.py::test_maps_are_mutually_inverse",
+            "tests/test_reduction.py::test_round_trips_on_random_problems",
+        ),
+    ),
+    Mutant(
+        "loss entry from the payoff count",
+        "reduction.py",
+        "lrow[c] = weight / scale",
+        "lrow[c] = count / scale",
+        (
+            "tests/test_reduction.py::test_game_matrices",
+            "tests/test_reduction.py::test_roommates_game_matrices",
+        ),
+    ),
+    Mutant(
+        "seeker distribution over the phi mu total",
+        "reduction.py",
+        "tuple(x / total for x in seeking)",
+        "tuple(x / weight for x in seeking)",
+        (
+            "tests/test_reduction.py::test_black_outcome_maps_to_known_profile",
+            "tests/test_reduction.py::test_roommates_maps",
+        ),
+    ),
     # an integer-native side system
     Mutant(
         "side level with the wrong sign",

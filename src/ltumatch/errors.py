@@ -42,11 +42,11 @@ class TaxOutOfRange(LTUError):
 
 
 class DegenerateOutcome(LTUError):
-    """An outcome with zero total matched output or zero total utility cannot be mapped."""
+    """An outcome the forward map cannot rescale: wrong shape or sign, or zero totals."""
 
 
 class NotAnEquilibrium(LTUError):
-    """A profile handed to the backward map failed the equilibrium check."""
+    """A profile failed the equilibrium check of `gamesolve.require_equilibrium`."""
 
     exit_code = 1
 

@@ -259,11 +259,7 @@ def _outcome(problem: LTUProblem, split_point: tuple, matching_point: tuple) -> 
     nx, ny = problem.nx, problem.ny
     mu = tuple(tuple(matching_point[x * ny + y] for y in range(ny)) for x in range(nx))
     outcome = Outcome(mu, tuple(split_point[:nx]), tuple(split_point[nx:]))
-    report = verify_stable(problem, outcome)
-    if not report.ok:
-        raise InternalError(
-            f"pattern produced an unstable outcome: {report.violations[0].describe()}"
-        )
+    verify_stable(problem, outcome).require(InternalError, "pattern produced an unstable outcome")
     return outcome
 
 

@@ -1,26 +1,32 @@
 """Reduction of matching problems to hide-and-seek games and back.
 
-A problem with every pair output positive turns into a two-player game: the
-hider picks a pair (x, y), the seeker picks one side's type. Searching the
-worker side of a hidden pair costs the hider lambda / (n_x phi) and pays the
-seeker 1 / (2 n_x phi); the job side costs (1 - lambda) / (m_y phi) and pays
-1 / (2 m_y phi). Stable outcomes and Nash equilibria then translate into one
-another by two explicit rescalings that are mutually inverse:
+Both market kinds reduce by one construction. The hider picks a row r of
+output phi_r, the seeker a type c of mass n_c. Where r holds members of c,
+it has a loss weight w (the bargaining weight of those members) and a
+payoff count k (how many they are); there the hider loses w / (n_c phi_r)
+and the seeker collects k / (s n_c phi_r), and elsewhere both are zero.
+Stable outcomes and Nash equilibria then translate into one another by two
+explicit rescalings that are mutually inverse:
 
-    p ~ phi * mu             q ~ (n_x u_x | m_y v_y)
-    mu = p / (2 phi pi)      u_x = q_x / (2 n_x l),  v_y = q_y / (2 m_y l)
+    p ~ phi * mu             q ~ n * u
+    mu = p / (s phi pi)      u = q / (s n l)
 
 with l the hider's equilibrium loss and pi the seeker's equilibrium payoff.
-At matched points l = 1 / (2 (n.u + m.v)) and pi = 1 / (2 sum(phi mu)).
+At matched points l = 1 / (s n.u) and pi = 1 / (s sum(phi mu)).
 
-The many-to-one variant plays arrangements against single worker types, drops
-the factor 2 everywhere, and keeps only the worker-side utilities.
+In a one-to-one market, s = 2, the rows are the pairs (x, y) and the
+columns the worker types, then the job types, so that n and u above are
+(n | m) and (u | v). Searching the worker side of (x, y) costs
+lambda / (n_x phi) and pays 1 / (2 n_x phi); the job side costs
+(1 - lambda) / (m_y phi) and pays 1 / (2 m_y phi). In a many-to-one market,
+s = 1, the rows are the arrangements and the columns the worker types.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateOutcome, InternalError, ZeroValue
+from . import stability
+from .errors import DegenerateOutcome, InternalError, NonpositiveOutput, ZeroValue
 from .games import BimatrixGame, MixedProfile
 from .gamesolve import expected_values, lemke_howson
 from .model import (
@@ -36,29 +42,66 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _game(rows, cols, mass, s, hidden) -> BimatrixGame:
+    """The game whose row r, given as (phi_r, entries), loses w / (mass_c
+    phi_r) and pays k / (s mass_c phi_r) at each entry (column c, loss
+    weight w, payoff count k), and is zero elsewhere."""
+    loss = []
+    payoff = []
+    for phi, entries in hidden:
+        lrow = [ZERO] * len(cols)
+        prow = [ZERO] * len(cols)
+        for c, weight, count in entries:
+            scale = mass[c] * phi
+            lrow[c] = weight / scale
+            prow[c] = count / (s * scale)
+        loss.append(tuple(lrow))
+        payoff.append(tuple(prow))
+    return BimatrixGame(tuple(rows), cols, tuple(loss), tuple(payoff))
+
+
+def _forward(phi, mu, mass, u) -> MixedProfile:
+    """p ~ phi mu over the rows and q ~ mass u over the columns."""
+    hiding = [f * w for f, w in zip(phi, mu)]
+    seeking = [k * x for k, x in zip(mass, u)]
+    weight = sum(hiding)
+    if weight <= 0:
+        raise DegenerateOutcome("mu matches nothing, so no hiding distribution exists")
+    total = sum(seeking)
+    if total <= 0:
+        raise DegenerateOutcome("all utilities are zero, so no seeking distribution exists")
+    return MixedProfile(tuple(h / weight for h in hiding), tuple(x / total for x in seeking))
+
+
+def _backward(game: BimatrixGame, profile: MixedProfile, phi, mass, s):
+    """mu = p / (s phi pi) over the rows and u = q / (s mass l) over the
+    columns, with the hider loss l and seeker payoff pi of the profile."""
+    hider_loss, seeker_payoff = expected_values(game, profile)
+    if hider_loss == 0 or seeker_payoff == 0:
+        raise ZeroValue("equilibrium values must be positive to invert the rescaling")
+    mu = tuple(p / (s * f * seeker_payoff) for p, f in zip(profile.p, phi))
+    u = tuple(q / (s * k * hider_loss) for q, k in zip(profile.q, mass))
+    return mu, u, hider_loss, seeker_payoff
+
+
+def _flat(matrix) -> tuple:
+    return tuple(entry for row in matrix for entry in row)
+
+
 def to_game(problem: LTUProblem) -> BimatrixGame:
     """The hide-and-seek game of a problem with positive pair outputs."""
     problem.require_positive_outputs()
-    rows = []
-    loss = []
-    payoff = []
-    for x, wid in enumerate(problem.workers):
-        for y, jid in enumerate(problem.jobs):
-            rows.append((wid, jid))
-            lam = problem.lam[x][y]
-            phi = problem.phi[x][y]
-            lrow = [ZERO] * (problem.nx + problem.ny)
-            prow = [ZERO] * (problem.nx + problem.ny)
-            lrow[x] = lam / (problem.n[x] * phi)
-            prow[x] = ONE / (2 * problem.n[x] * phi)
-            lrow[problem.nx + y] = (ONE - lam) / (problem.m[y] * phi)
-            prow[problem.nx + y] = ONE / (2 * problem.m[y] * phi)
-            loss.append(tuple(lrow))
-            payoff.append(tuple(prow))
+    rows = tuple((wid, jid) for wid in problem.workers for jid in problem.jobs)
     cols = tuple(("x", wid) for wid in problem.workers) + tuple(
         ("y", jid) for jid in problem.jobs
     )
-    return BimatrixGame(tuple(rows), cols, tuple(loss), tuple(payoff))
+    nx = problem.nx
+    hidden = (
+        (phi, ((x, lam, 1), (nx + y, ONE - lam, 1)))
+        for x, (lams, phis) in enumerate(zip(problem.lam, problem.phi))
+        for y, (lam, phi) in enumerate(zip(lams, phis))
+    )
+    return _game(rows, cols, problem.n + problem.m, 2, hidden)
 
 
 def outcome_to_equilibrium(problem: LTUProblem, outcome: Outcome) -> MixedProfile:
@@ -70,27 +113,9 @@ def outcome_to_equilibrium(problem: LTUProblem, outcome: Outcome) -> MixedProfil
         raise DegenerateOutcome("mu has a negative entry")
     if any(w < 0 for w in outcome.u + outcome.v):
         raise DegenerateOutcome("utilities have a negative entry")
-    weight = sum(
-        problem.phi[x][y] * outcome.mu[x][y]
-        for x in range(problem.nx)
-        for y in range(problem.ny)
+    return _forward(
+        _flat(problem.phi), _flat(outcome.mu), problem.n + problem.m, outcome.u + outcome.v
     )
-    if weight <= 0:
-        raise DegenerateOutcome("mu matches nothing, so no hiding distribution exists")
-    total = sum(problem.n[x] * outcome.u[x] for x in range(problem.nx)) + sum(
-        problem.m[y] * outcome.v[y] for y in range(problem.ny)
-    )
-    if total <= 0:
-        raise DegenerateOutcome("all utilities are zero, so no seeking distribution exists")
-    p = tuple(
-        problem.phi[x][y] * outcome.mu[x][y] / weight
-        for x in range(problem.nx)
-        for y in range(problem.ny)
-    )
-    q = tuple(problem.n[x] * outcome.u[x] / total for x in range(problem.nx)) + tuple(
-        problem.m[y] * outcome.v[y] / total for y in range(problem.ny)
-    )
-    return MixedProfile(p, q)
 
 
 def equilibrium_to_outcome(problem: LTUProblem, profile: MixedProfile) -> Outcome:
@@ -105,25 +130,12 @@ def equilibrium_to_outcome(problem: LTUProblem, profile: MixedProfile) -> Outcom
 def _map_back(problem: LTUProblem, game: BimatrixGame, profile: MixedProfile):
     """equilibrium_to_outcome on the problem's game, already built; returns
     the outcome with the hider loss and seeker payoff it was scaled by."""
-    hider_loss, seeker_payoff = expected_values(game, profile)
-    if hider_loss == 0 or seeker_payoff == 0:
-        raise ZeroValue("equilibrium values must be positive to invert the rescaling")
-    mu = []
-    k = 0
-    for x in range(problem.nx):
-        row = []
-        for y in range(problem.ny):
-            row.append(profile.p[k] / (2 * problem.phi[x][y] * seeker_payoff))
-            k += 1
-        mu.append(tuple(row))
-    u = tuple(
-        profile.q[x] / (2 * problem.n[x] * hider_loss) for x in range(problem.nx)
+    mu, u, hider_loss, seeker_payoff = _backward(
+        game, profile, _flat(problem.phi), problem.n + problem.m, 2
     )
-    v = tuple(
-        profile.q[problem.nx + y] / (2 * problem.m[y] * hider_loss)
-        for y in range(problem.ny)
-    )
-    return Outcome(tuple(mu), u, v), hider_loss, seeker_payoff
+    nx, ny = problem.nx, problem.ny
+    rows = tuple(mu[k:k + ny] for k in range(0, len(mu), ny))
+    return Outcome(rows, u[:nx], u[nx:]), hider_loss, seeker_payoff
 
 
 def solve_stable(problem: LTUProblem, label: int = 0):
@@ -137,13 +149,9 @@ def solve_stable(problem: LTUProblem, label: int = 0):
 
 
 def _require_stable(problem: LTUProblem, outcome: Outcome) -> None:
-    from .stability import verify_stable
-
-    report = verify_stable(problem, outcome)
-    if not report.ok:
-        raise InternalError(
-            f"equilibrium mapped to an unstable outcome: {report.violations[0].describe()}"
-        )
+    stability.verify_stable(problem, outcome).require(
+        InternalError, "equilibrium mapped to an unstable outcome"
+    )
 
 
 def make_subproblem(spec: SubproblemSpec) -> LTUProblem:
@@ -191,37 +199,30 @@ def normalize_outputs(problem: ManyToOneProblem) -> tuple[ManyToOneProblem, Frac
 
 def to_game_n(problem: ManyToOneProblem) -> BimatrixGame:
     """The hide-and-seek game over arrangements; all outputs must be positive."""
-    occupancy = problem.occupancy
-    rows = []
-    loss = []
-    payoff = []
-    for a, arr in enumerate(problem.arrangements):
+    for arr in problem.arrangements:
         if arr.phi <= 0:
-            raise DegenerateOutcome(
+            raise NonpositiveOutput(
                 f"arrangement {arr.slots} has output {arr.phi}; normalize first"
             )
-        rows.append(arr.slots)
-        lrow = [ZERO] * len(problem.types)
-        prow = [ZERO] * len(problem.types)
-        for x in range(len(problem.types)):
-            if occupancy[a][x]:
-                weight = sum(
-                    w for slot, w in zip(arr.slots, arr.lam) if slot == problem.types[x]
-                )
-                lrow[x] = weight / (problem.n[x] * arr.phi)
-                prow[x] = occupancy[a][x] / (problem.n[x] * arr.phi)
-        loss.append(tuple(lrow))
-        payoff.append(tuple(prow))
+    rows = tuple(arr.slots for arr in problem.arrangements)
     cols = tuple(("x", tid) for tid in problem.types)
-    return BimatrixGame(tuple(rows), cols, tuple(loss), tuple(payoff))
+    index = {tid: x for x, tid in enumerate(problem.types)}
+    hidden = []
+    for arr, counts in zip(problem.arrangements, problem.occupancy):
+        weights = [ZERO] * len(problem.types)
+        for slot, w in zip(arr.slots, arr.lam):
+            if slot is not None:
+                weights[index[slot]] += w
+        hidden.append(
+            (arr.phi, [(x, weights[x], k) for x, k in enumerate(counts) if k])
+        )
+    return _game(rows, cols, problem.n, 1, hidden)
 
 
 def outcome_to_equilibrium_n(
     problem: ManyToOneProblem, outcome: ArrangementOutcome
 ) -> MixedProfile:
-    na = len(problem.arrangements)
-    nt = len(problem.types)
-    if len(outcome.mu) != na or len(outcome.u) != nt:
+    if len(outcome.mu) != len(problem.arrangements) or len(outcome.u) != len(problem.types):
         raise DegenerateOutcome("outcome shape does not match the problem")
     if any(w < 0 for w in outcome.mu):
         raise DegenerateOutcome("mu has a negative entry")
@@ -229,13 +230,9 @@ def outcome_to_equilibrium_n(
         raise DegenerateOutcome(
             "utilities must be positive here; normalize outputs first"
         )
-    weight = sum(arr.phi * mu for arr, mu in zip(problem.arrangements, outcome.mu))
-    if weight <= 0:
-        raise DegenerateOutcome("mu matches nothing, so no hiding distribution exists")
-    total = sum(n * u for n, u in zip(problem.n, outcome.u))
-    p = tuple(arr.phi * mu / weight for arr, mu in zip(problem.arrangements, outcome.mu))
-    q = tuple(n * u / total for n, u in zip(problem.n, outcome.u))
-    return MixedProfile(p, q)
+    return _forward(
+        [arr.phi for arr in problem.arrangements], outcome.mu, problem.n, outcome.u
+    )
 
 
 def equilibrium_to_outcome_n(
@@ -247,15 +244,8 @@ def equilibrium_to_outcome_n(
 def _map_back_n(
     problem: ManyToOneProblem, game: BimatrixGame, profile: MixedProfile
 ) -> ArrangementOutcome:
-    hider_loss, seeker_payoff = expected_values(game, profile)
-    if hider_loss == 0 or seeker_payoff == 0:
-        raise ZeroValue("equilibrium values must be positive to invert the rescaling")
-    mu = tuple(
-        pa / (arr.phi * seeker_payoff)
-        for pa, arr in zip(profile.p, problem.arrangements)
-    )
-    u = tuple(
-        qx / (n * hider_loss) for qx, n in zip(profile.q, problem.n)
+    mu, u, _, _ = _backward(
+        game, profile, [arr.phi for arr in problem.arrangements], problem.n, 1
     )
     return ArrangementOutcome(mu, u)
 
@@ -268,19 +258,14 @@ def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0):
 
 def _solve_stable_m2o(problem: ManyToOneProblem, label: int):
     """solve_stable_m2o, plus the shift K that its one normalization applied."""
-    from .stability import verify_stable_m2o
-
     shifted, k = normalize_outputs(problem)
     game = to_game_n(shifted)
     profile = lemke_howson(game, label=label)
     lifted = _map_back_n(shifted, game, profile)
     outcome = ArrangementOutcome(lifted.mu, tuple(x - k for x in lifted.u))
-    report = verify_stable_m2o(problem, outcome)
-    if not report.ok:
-        raise InternalError(
-            "equilibrium mapped to an unstable arrangement outcome: "
-            + report.violations[0].describe()
-        )
+    stability.verify_stable_m2o(problem, outcome).require(
+        InternalError, "equilibrium mapped to an unstable arrangement outcome"
+    )
     return outcome, profile, k
 
 

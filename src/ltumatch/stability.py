@@ -50,6 +50,11 @@ class StabilityReport:
     ok: bool
     violations: tuple[Violation, ...]
 
+    def require(self, error: type[Exception], what: str) -> None:
+        """Raise error("<what>: <first violation>") unless the outcome is stable."""
+        if not self.ok:
+            raise error(f"{what}: {self.violations[0].describe()}")
+
 
 def _shape_report(parts) -> StabilityReport | None:
     """A condition-0 report naming the first (part, actual, expected) size

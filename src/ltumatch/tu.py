@@ -136,11 +136,7 @@ class ExchangeReport:
 def exchange_test(problem: LTUProblem, first: Outcome, second: Outcome) -> ExchangeReport:
     """Do (mu2, u1, v1) and (mu1, u2, v2) stay stable? Inputs must be stable."""
     for name, outcome in (("first", first), ("second", second)):
-        report = verify_stable(problem, outcome)
-        if not report.ok:
-            raise InputNotStable(
-                f"{name} outcome is not stable: {report.violations[0].describe()}"
-            )
+        verify_stable(problem, outcome).require(InputNotStable, f"{name} outcome is not stable")
     one = verify_stable(problem, Outcome(second.mu, first.u, first.v))
     two = verify_stable(problem, Outcome(first.mu, second.u, second.v))
     return ExchangeReport(one.ok and two.ok, one, two)
@@ -239,12 +235,9 @@ def build_counterexample(problem: LTUProblem) -> Counterexample:
         (hat[1][0] / sv[0], hat[1][1] / sv[1]),
     )
     for name, outcome in (("black", black), ("white", white)):
-        check = verify_stable(sub, outcome)
-        if not check.ok:
-            raise InternalError(
-                f"{name} outcome fails its own subproblem: "
-                f"{check.violations[0].describe()}"
-            )
+        verify_stable(sub, outcome).require(
+            InternalError, f"{name} outcome fails its own subproblem"
+        )
     cross_one = verify_stable(sub, Outcome(white.mu, black.u, black.v))
     cross_two = verify_stable(sub, Outcome(black.mu, white.u, white.v))
     if cross_one.ok or cross_two.ok:

@@ -408,10 +408,11 @@ SINGLES_TRUE_SIZE = {
         (["solve-m2o", "BAD"], SINGLES_TRUE_SIZE),
         (["solve", FIG, "--decimal", "-1"], None),
         (["fuzz", "--count", "-1"], None),
+        (["fuzz", "--count", "abc"], None),
     ],
     ids=["verify-mu", "verify-mu-row", "verify-v", "exchange-first", "exchange-second",
          "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots",
-         "solve-m2o-bool-size", "decimal", "fuzz-count"],
+         "solve-m2o-bool-size", "decimal", "fuzz-count", "fuzz-count-text"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, bad):
     path = tmp_path / "bad.json"

@@ -87,3 +87,24 @@ def test_profile_json_round_trip():
     prof = MixedProfile(p=(F(2, 5), F(3, 5)), q=(F(1),))
     text = json.dumps(games.profile_to_dict(prof), default=str)
     assert games.profile_from_dict(json.loads(text)) == prof
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (DimensionMismatch, lambda: BimatrixGame((), (("x", "L"),), (), ())),
+        (DimensionMismatch, lambda: MixedProfile(p=(), q=(F(1),))),
+        (FormatError, lambda: games.game_from_dict([["a"]])),
+        (FormatError, lambda: games.game_from_dict({"rows": [["a"]], "cols": [["x", "L"]],
+                                                    "loss": [["1"]]})),
+        (FormatError, lambda: games.game_from_dict({"rows": [["a"]], "cols": [["x"]],
+                                                    "loss": [["1"]], "payoff": [["1"]]})),
+        (FormatError, lambda: games.profile_from_dict({"p": ["1"]})),
+    ],
+    ids=["empty game", "empty profile", "game file not an object",
+         "game file missing a list", "column label not a pair", "profile keys missing"],
+)
+def test_input_checks_raise_their_class(error, call):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error

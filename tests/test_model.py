@@ -244,3 +244,60 @@ def test_subproblem_spec_validation(uneven2x2):
         SubproblemSpec(
             uneven2x2, ("bad",), ("j1",), (F(1),), (F(1),), (F(0),), (F(0),)
         )
+
+
+def _input_errors():
+    """Input checks, each with the error class it must raise."""
+    types = {"workers": [{"id": "w", "mass": "1"}], "jobs": [{"id": "j", "mass": "1"}]}
+    pair = {"x": "w", "y": "j", "lambda": "1/2", "phi": "1"}
+    single = {"slots": ["1"], "lambda": ["1"], "phi": "1"}
+    m2o = {"workers": [{"id": "1", "mass": "1"}], "N": 1}
+    parent = LTUProblem(("w",), ("j",), (1,), (1,), ((F(1, 2),),), ((F(1),),))
+    return [
+        ("pair block not a list", FormatError,
+         lambda: validate_problem({**types, "pairs": {"x": "w"}})),
+        ("pair entry not an object", FormatError,
+         lambda: validate_problem({**types, "pairs": [["w", "j"]]})),
+        ("pair entry missing a field", FormatError,
+         lambda: validate_problem({**types, "pairs": [{"x": "w", "y": "j", "lambda": "1/2"}]})),
+        ("type entry without id", FormatError,
+         lambda: validate_problem({**types, "workers": [{"mass": "1"}], "pairs": [pair]})),
+        ("type entry without mass", FormatError,
+         lambda: validate_problem({**types, "jobs": [{"id": "j"}], "pairs": [pair]})),
+        ("m2o file not an object", FormatError, lambda: model.validate_m2o_problem([m2o])),
+        ("m2o file without arrangements", FormatError, lambda: model.validate_m2o_problem(m2o)),
+        ("m2o arrangements not a list", FormatError,
+         lambda: model.validate_m2o_problem({**m2o, "arrangements": single})),
+        ("arrangement not an object", FormatError,
+         lambda: model.validate_m2o_problem({**m2o, "arrangements": [["1"]]})),
+        ("arrangement missing a field", FormatError,
+         lambda: model.validate_m2o_problem(
+             {**m2o, "arrangements": [{"slots": ["1"], "lambda": ["1"]}]})),
+        ("outcome keys missing", FormatError,
+         lambda: model.outcome_from_dict({"mu": [["1"]], "u": ["0"]})),
+        ("m2o outcome keys missing", FormatError,
+         lambda: model.m2o_outcome_from_dict({"mu": ["1"]})),
+        ("m2o mass not positive", NonpositiveMass,
+         lambda: ManyToOneProblem(("1",), (F(0),), 1, (Arrangement(("1",), (F(1),), F(1)),))),
+        ("m2o size below one", DimensionMismatch,
+         lambda: ManyToOneProblem(("1",), (F(1),), 0, (Arrangement(("1",), (F(1),), F(1)),))),
+        ("m2o problem without arrangements", DimensionMismatch,
+         lambda: ManyToOneProblem(("1",), (F(1),), 1, ())),
+        ("arrangement without slots", DimensionMismatch, lambda: Arrangement((), (), F(1))),
+        ("arrangement with a negative weight", FormatError,
+         lambda: Arrangement(("1", "2"), (F(2), F(-1)), F(1))),
+        ("subproblem mass not positive", NonpositiveMass,
+         lambda: SubproblemSpec(parent, ("w",), ("j",), (F(1),), (F(-1),), (F(0),), (F(0),))),
+        ("unknown job id", FormatError, lambda: parent.job_index("k")),
+        ("unknown type id", FormatError,
+         lambda: ManyToOneProblem(
+             ("1",), (F(1),), 1, (Arrangement(("1",), (F(1),), F(1)),)).type_index("2")),
+    ]
+
+
+@pytest.mark.parametrize("error, call", [case[1:] for case in _input_errors()],
+                         ids=[case[0] for case in _input_errors()])
+def test_input_checks_raise_their_class(error, call):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error

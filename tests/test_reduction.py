@@ -206,13 +206,15 @@ def test_roommates_solve(roommates):
 
 
 def test_to_game_n_needs_positive_outputs():
+    from ltumatch import NonpositiveOutput
+
     problem = ManyToOneProblem(
         types=("1",),
         n=(F(1),),
         size=1,
         arrangements=(Arrangement(("1",), (F(1),), F(-1)),),
     )
-    with pytest.raises(DegenerateOutcome):
+    with pytest.raises(NonpositiveOutput, match=r"^arrangement \('1',\) has output -1; normalize first$"):
         to_game_n(problem)
     shifted, shift = normalize_outputs(problem)
     assert shift == F(2)
@@ -246,3 +248,85 @@ def test_round_trips_on_random_problems():
         assert verify_stable(problem, outcome).ok
         assert outcome_to_equilibrium(problem, outcome) == profile
         assert equilibrium_to_outcome(problem, profile) == outcome
+
+
+# ---------------------------------------------------------------------------
+# error paths of both forward maps and both backward maps, class and message
+
+
+def _two_singles() -> ManyToOneProblem:
+    """Two worker types in firms of one slot: the game is diagonal."""
+    return ManyToOneProblem(
+        types=("a", "b"),
+        n=(F(1), F(1)),
+        size=1,
+        arrangements=(
+            Arrangement(("a",), (F(1),), F(1)),
+            Arrangement(("b",), (F(1),), F(1)),
+        ),
+    )
+
+
+def _map_errors():
+    from ltumatch import LTUProblem, NonpositiveOutput
+
+    def uneven(phi=((F(2, 3), F(2, 3)), (F(1), F(1)))):
+        return LTUProblem(
+            ("w1", "w2"), ("j1", "j2"), (F(1), F(1)), (F(1), F(1)),
+            ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))), phi,
+        )
+
+    def one_to_one(mu, u, v, **phi):
+        problem = uneven(**phi)
+        return lambda: outcome_to_equilibrium(problem, Outcome(mu, u, v))
+
+    def many_to_one(mu, u):
+        return lambda: outcome_to_equilibrium_n(_two_singles(), ArrangementOutcome(mu, u))
+
+    diagonal = ((F(1), F(0)), (F(0), F(1)))
+    nothing = ((F(0), F(0)), (F(0), F(0)))
+    ones = (F(1), F(1))
+    zeros = (F(0), F(0))
+    return [
+        ("1-1 nonpositive output", NonpositiveOutput, "phi[w1,j2] = 0 is not positive",
+         one_to_one(diagonal, ones, zeros, phi=((F(1), F(0)), (F(1), F(1))))),
+        ("1-1 shape", DegenerateOutcome, "outcome shape does not match the problem",
+         one_to_one(((F(1),),), (F(1),), (F(0),))),
+        ("1-1 negative mu", DegenerateOutcome, "mu has a negative entry",
+         one_to_one(((F(1), F(-1)), (F(0), F(1))), ones, zeros)),
+        ("1-1 negative utility", DegenerateOutcome, "utilities have a negative entry",
+         one_to_one(diagonal, (F(-1), F(1)), zeros)),
+        ("1-1 empty matching", DegenerateOutcome,
+         "mu matches nothing, so no hiding distribution exists",
+         one_to_one(nothing, ones, zeros)),
+        ("1-1 zero utilities", DegenerateOutcome,
+         "all utilities are zero, so no seeking distribution exists",
+         one_to_one(diagonal, zeros, zeros)),
+        ("1-1 zero value", ZeroValue,
+         "equilibrium values must be positive to invert the rescaling",
+         lambda: equilibrium_to_outcome(
+             uneven(), MixedProfile(p=(F(1), F(0), F(0), F(0)), q=(F(0), F(1), F(0), F(0))))),
+        ("m2o shape", DegenerateOutcome, "outcome shape does not match the problem",
+         many_to_one((F(1),), ones)),
+        ("m2o negative mu", DegenerateOutcome, "mu has a negative entry",
+         many_to_one((F(-1), F(1)), ones)),
+        ("m2o nonpositive utility", DegenerateOutcome,
+         "utilities must be positive here; normalize outputs first",
+         many_to_one(ones, (F(1), F(0)))),
+        ("m2o empty matching", DegenerateOutcome,
+         "mu matches nothing, so no hiding distribution exists",
+         many_to_one(zeros, ones)),
+        ("m2o zero value", ZeroValue,
+         "equilibrium values must be positive to invert the rescaling",
+         lambda: equilibrium_to_outcome_n(
+             _two_singles(), MixedProfile(p=(F(1), F(0)), q=(F(0), F(1))))),
+    ]
+
+
+@pytest.mark.parametrize("error, message, call", [case[1:] for case in _map_errors()],
+                         ids=[case[0] for case in _map_errors()])
+def test_map_error_paths(error, message, call):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
