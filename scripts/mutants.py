@@ -44,6 +44,7 @@ ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_r
 ORACLE_MATCHING = "tests/test_oracle_differential.py::test_carried_matching_certificates_refute_their_patterns"
 ORACLE_BOXES = "tests/test_oracle_differential.py::test_box_points_satisfy_the_patterns_they_cover"
 ORACLE_BOX_MASKS = "tests/test_oracle_differential.py::test_boxes_hold_their_points_tight_cells_and_supports"
+GAME_ROWS = "tests/test_game_rows.py::"
 LH = (
     "tests/test_lh_differential.py::test_uneven2x2",
     "tests/test_lh_differential.py::test_seed11_random_corpus",
@@ -64,8 +65,8 @@ MUTANTS = (
     Mutant(
         "loss entry from the payoff count",
         "reduction.py",
-        "lrow[c] = weight / scale",
-        "lrow[c] = count / scale",
+        "a, b = wn * num, wd * den",
+        "a, b = count * num, den",
         (
             "tests/test_reduction.py::test_game_matrices",
             "tests/test_reduction.py::test_roommates_game_matrices",
@@ -80,6 +81,42 @@ MUTANTS = (
             "tests/test_reduction.py::test_black_outcome_maps_to_known_profile",
             "tests/test_reduction.py::test_roommates_maps",
         ),
+    ),
+    # the game's integer rows, built once by the reduction
+    Mutant(
+        "column scale dropped from the shared loss rows",
+        "reduction.py",
+        "tuple(tuple((c, a * (lscale[c] // b)) for c, a, b in lrow) for lrow in losses)",
+        "tuple(tuple((c, a) for c, a, b in lrow) for lrow in losses)",
+        (GAME_ROWS + "test_to_game_gives_the_formula_games",),
+    ),
+    Mutant(
+        "row scale dropped from the shared payoff rows",
+        "reduction.py",
+        "tuple((c, a * (scale // b)) for c, a, b in prow)",
+        "tuple((c, a) for c, a, b in prow)",
+        (GAME_ROWS + "test_to_game_gives_the_formula_games",),
+    ),
+    Mutant(
+        "tableau column left at the game's scale",
+        "gamesolve.py",
+        "factor = [sign * (t // s) for t, s in zip(own, scale)]",
+        "factor = [sign for t, s in zip(own, scale)]",
+        (GAME_ROWS + "test_tableaux_start_from_the_dense_integers",),
+    ),
+    Mutant(
+        "hider deviation test < loosened to <=",
+        "gamesolve.py",
+        "if l * pd < loss:",
+        "if l * pd <= loss:",
+        (GAME_ROWS + "test_check_accepts_the_pivot_equilibria",),
+    ),
+    Mutant(
+        "seeker deviation test read without the q denominator",
+        "gamesolve.py",
+        "if c * qd > payoff:",
+        "if c > payoff:",
+        (GAME_ROWS + "test_check_agrees_when_the_hider_mix_moves_and_the_seeker_deviates",),
     ),
     # an integer-native side system
     Mutant(

@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import DimensionMismatch, InternalError
+from .rationals import as_fraction, over_one_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -91,9 +92,10 @@ class LinearSystem(_EqualByViews):
     neq: int
 
     def __init__(self, nvars: int, nonneg, eqs, ineqs):
-        if any(len(coeffs) != nvars for coeffs, _ in (*eqs, *ineqs)):
+        rows = [(tuple(map(as_fraction, coeffs)), as_fraction(rhs)) for coeffs, rhs in (*eqs, *ineqs)]
+        if any(len(coeffs) != nvars for coeffs, _ in rows):
             raise DimensionMismatch("constraint row has the wrong width")
-        self._store(nvars, nonneg, tuple(starmap(integer_row, (*eqs, *ineqs))), len(eqs))
+        self._store(nvars, nonneg, tuple(starmap(integer_row, rows)), len(eqs))
 
     @classmethod
     def from_integer_rows(cls, nvars: int, nonneg, rows, neq: int) -> LinearSystem:
@@ -148,13 +150,6 @@ class LinearSystem(_EqualByViews):
         return self.nvars, self.nonneg, self.eqs, self.ineqs
 
 
-def _over_one_denominator(values) -> tuple[tuple[int, ...], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
-    values = tuple(Fraction(v) for v in values)
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
 def _views(nums, den) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in nums)
 
@@ -179,7 +174,7 @@ class Certificate(_EqualByViews):
 
     def __init__(self, eq_mult, ineq_mult):
         eq_mult, ineq_mult = tuple(eq_mult), tuple(ineq_mult)
-        nums, den = _over_one_denominator(eq_mult + ineq_mult)
+        nums, den = over_one_denominator(eq_mult + ineq_mult)
         self.__dict__.update(eq_num=nums[:len(eq_mult)], ineq_num=nums[len(eq_mult):], den=den)
 
     @classmethod
@@ -224,7 +219,7 @@ class SolveResult(_EqualByViews):
     certificate: Certificate | None
 
     def __init__(self, point, certificate):
-        num, den = (None, 1) if point is None else _over_one_denominator(point)
+        num, den = (None, 1) if point is None else over_one_denominator(point)
         self.__dict__.update(num=num, den=den, certificate=certificate)
 
     @classmethod
@@ -281,7 +276,7 @@ def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
 
 
 def satisfies(system: LinearSystem, point) -> bool:
-    point = tuple(Fraction(v) for v in point)
+    point = tuple(map(as_fraction, point))
     if len(point) != system.nvars:
         return False
     if any(system.nonneg[i] and point[i] < 0 for i in range(system.nvars)):
@@ -538,7 +533,7 @@ def solve(system: LinearSystem) -> SolveResult:
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]] | None:
     """Maximize objective . x over the system; None when infeasible. The
     objective must be bounded above on the feasible set."""
-    objective = tuple(Fraction(c) for c in objective)
+    objective = tuple(map(as_fraction, objective))
     if len(objective) != system.nvars:
         raise DimensionMismatch("objective has the wrong width")
     point = _lp(system, objective).point

@@ -4,47 +4,113 @@ The hider picks a row and pays `loss[i][j]`; the seeker picks a column and
 collects `payoff[i][j]`. Games built by the matching reduction have a sparse
 search structure: entry (i, j) causes a loss exactly when it yields a payoff.
 Hand-written games need not satisfy that, so it is a query, not an invariant.
+
+A game stores one exact form, made once where the game is made: each row's
+nonzeros as (column, integer) pairs, the loss over one positive scale per
+column and the payoff over one per row, each scale the lcm of the lowest-terms
+denominators it covers. That form is unique, so games compare by it. The
+solvers read these rows. `loss` and `payoff` are dense Fraction views derived
+from them and cached per game, for the dict form and for tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .rationals import as_fraction, parse_rational, parse_rationals
+from .rationals import as_fraction, over_one_denominator, parse_rational, parse_rationals
 
 RowLabel = tuple[str | None, ...]
 ColLabel = tuple[str, str]
+SparseRow = tuple[tuple[int, int], ...]
+
+ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+def _sparse(row, scale) -> SparseRow:
+    """The nonzeros of a Fraction row as (j, integer) pairs, entry j times scale[j]."""
+    return tuple((j, v.numerator * (scale[j] // v.denominator)) for j, v in enumerate(row) if v)
+
+
+def _dense(row: SparseRow, scale) -> tuple[Fraction, ...]:
+    """A sparse row as dense Fractions, entry j over scale[j]."""
+    dense = [ZERO] * len(scale)
+    for j, c in row:
+        dense[j] = Fraction(c, scale[j])
+    return tuple(dense)
+
+
+@dataclass(frozen=True, init=False)
 class BimatrixGame:
     """Zero-reservation hide-and-seek style game in (loss, payoff) form.
 
     `rows` and `cols` are opaque labels carried through to solutions; the
     reduction uses pair tuples for rows and ("x", id) / ("y", id) for columns.
+    loss[i][j] is c / loss_scale[j] for each (j, c) in loss_rows[i], and
+    payoff[i][j] is c / payoff_scale[i] for each (j, c) in payoff_rows[i];
+    every other entry is zero.
+
+    `BimatrixGame(rows, cols, loss, payoff)` takes dense matrices of
+    rationals and derives the integer rows; the reduction builds its rows in
+    integers (`_of_integer_rows`).
     """
 
     rows: tuple[RowLabel, ...]
     cols: tuple[ColLabel, ...]
-    loss: tuple[tuple[Fraction, ...], ...]
-    payoff: tuple[tuple[Fraction, ...], ...]
+    loss_rows: tuple[SparseRow, ...]
+    loss_scale: tuple[int, ...]
+    payoff_rows: tuple[SparseRow, ...]
+    payoff_scale: tuple[int, ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(str(p) if p is not None else None for p in r) for r in self.rows)
-        cols = tuple((str(a), str(b)) for a, b in self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        loss = tuple(tuple(map(as_fraction, row)) for row in self.loss)
-        payoff = tuple(tuple(map(as_fraction, row)) for row in self.payoff)
-        object.__setattr__(self, "loss", loss)
-        object.__setattr__(self, "payoff", payoff)
+    def __init__(self, rows, cols, loss, payoff):
+        rows = tuple(tuple(str(p) if p is not None else None for p in r) for r in rows)
+        cols = tuple((str(a), str(b)) for a, b in cols)
+        loss = tuple(tuple(map(as_fraction, row)) for row in loss)
+        payoff = tuple(tuple(map(as_fraction, row)) for row in payoff)
         nr, nc = len(rows), len(cols)
         if nr == 0 or nc == 0:
             raise DimensionMismatch("games need at least one row and one column")
         for mat, name in ((loss, "loss"), (payoff, "payoff")):
             if len(mat) != nr or any(len(row) != nc for row in mat):
                 raise DimensionMismatch(f"{name} must be {nr}x{nc}")
+        loss_scale = tuple(math.lcm(*(v.denominator for v in col)) for col in zip(*loss))
+        payoff_scale = tuple(math.lcm(*(v.denominator for v in row)) for row in payoff)
+        self._store(
+            rows,
+            cols,
+            tuple(_sparse(row, loss_scale) for row in loss),
+            loss_scale,
+            tuple(_sparse(row, (s,) * nc) for row, s in zip(payoff, payoff_scale)),
+            payoff_scale,
+        )
+
+    @classmethod
+    def _of_integer_rows(cls, rows, cols, loss_rows, loss_scale, payoff_rows, payoff_scale):
+        """A game from its stored form, for the reduction, whose labels are
+        strings and whose rows are in that form by construction."""
+        game = cls.__new__(cls)
+        game._store(rows, cols, loss_rows, loss_scale, payoff_rows, payoff_scale)
+        return game
+
+    def _store(self, rows, cols, loss_rows, loss_scale, payoff_rows, payoff_scale):
+        # frozen: set the fields past the dataclass's __setattr__
+        self.__dict__.update(
+            rows=rows, cols=cols, loss_rows=loss_rows, loss_scale=loss_scale,
+            payoff_rows=payoff_rows, payoff_scale=payoff_scale,
+        )
+
+    @cached_property
+    def loss(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The loss matrix as Fractions."""
+        return tuple(_dense(row, self.loss_scale) for row in self.loss_rows)
+
+    @cached_property
+    def payoff(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The payoff matrix as Fractions."""
+        n = len(self.cols)
+        return tuple(_dense(row, (s,) * n) for row, s in zip(self.payoff_rows, self.payoff_scale))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -52,10 +118,11 @@ class BimatrixGame:
 
     def is_hide_and_seek(self) -> bool:
         """True when losses and payoffs are nonnegative with matching support."""
-        for lrow, prow in zip(self.loss, self.payoff):
-            for l, p in zip(lrow, prow):
-                if l < 0 or p < 0 or (l > 0) != (p > 0):
-                    return False
+        for lrow, prow in zip(self.loss_rows, self.payoff_rows):
+            if [j for j, _ in lrow] != [j for j, _ in prow]:
+                return False
+            if any(c < 0 for _, c in lrow) or any(c < 0 for _, c in prow):
+                return False
         return True
 
 
@@ -67,17 +134,23 @@ class MixedProfile:
     q: tuple[Fraction, ...]
 
     def __post_init__(self):
-        p = tuple(Fraction(v) for v in self.p)
-        q = tuple(Fraction(v) for v in self.q)
+        p = tuple(map(as_fraction, self.p))
+        q = tuple(map(as_fraction, self.q))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        for dist, name in ((p, "p"), (q, "q")):
+        for dist, (nums, den), name in zip((p, q), self.integers, ("p", "q")):
             if not dist:
                 raise DimensionMismatch(f"{name} must be nonempty")
-            if any(w < 0 for w in dist):
+            if any(w < 0 for w in nums):
                 raise FormatError(f"{name} has a negative weight")
-            if sum(dist) != 1:
-                raise FormatError(f"{name} must sum to 1, got {sum(dist)}")
+            if sum(nums) != den:
+                raise FormatError(f"{name} must sum to 1, got {Fraction(sum(nums), den)}")
+
+    @cached_property
+    def integers(self) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
+        """p and q, each as integer numerators over the lcm of its
+        denominators: ((p_num, p_den), (q_num, q_den))."""
+        return over_one_denominator(self.p), over_one_denominator(self.q)
 
     @property
     def p_support(self) -> tuple[int, ...]:

@@ -10,13 +10,16 @@ equilibrium support of small games at a cost exponential in their size. It
 runs one sweep per player, on that player's own matrix, which decides its
 indifference system of each support pair with that LP and skips a pair
 whenever a refuted neighbour dominates it: the system only gains constraints
-as the player's own support grows and the other's shrinks. Each matrix row
-is scaled to integers once per game, and every indifference system is
-assembled from those integer rows. Only the pairs that neither sweep refutes
-are pushed into the relative interior of their supports.
+as the player's own support grows and the other's shrinks. Each of the
+game's integer rows is put over a scale of its own once per game, and every
+indifference system is assembled from those integer rows. Only the pairs
+that neither sweep refutes are pushed into the relative interior of their
+supports.
 
 Both return mixed profiles over the game's own row/column order; callers that
-need utilities ask `expected_values`.
+need utilities ask `expected_values`. It and `is_equilibrium`, the check on
+every profile either solver returns, sum the game's integer rows against
+each side of the profile over one denominator.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._simplex import LinearSystem, _pivot, integer_row, relative_interior_point, solve
+from ._simplex import LinearSystem, _pivot, relative_interior_point, solve
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -66,45 +69,52 @@ def _check_shape(game: BimatrixGame, profile: MixedProfile) -> None:
         )
 
 
-def _support(weights) -> list[tuple[int, Fraction]]:
-    """(index, weight) of the nonzero weights. The exact sums below skip every
-    zero term: reduction games have two nonzero entries per row, profiles are
-    usually sparse, and a Fraction product costs gcds even with a zero factor."""
-    return [(k, w) for k, w in enumerate(weights) if w]
+def _against(game: BimatrixGame, profile: MixedProfile):
+    """Each hider row's loss against q and each seeker column's payoff
+    against p, as integer numerators over one denominator per side:
+    (row_loss, loss_den, col_payoff, payoff_den). Only the integer rows of
+    the game and the integer form of the profile are read."""
+    (pn, pd), (qn, qd) = profile.integers
+    # q_j / loss_scale_j and p_i / payoff_scale_i, each side over one denominator
+    lcommon = math.lcm(*(s for w, s in zip(qn, game.loss_scale) if w))
+    pcommon = math.lcm(*(s for w, s in zip(pn, game.payoff_scale) if w))
+    qw = [w * (lcommon // s) if w else 0 for w, s in zip(qn, game.loss_scale)]
+    row_loss = [sum(c * qw[j] for j, c in row) for row in game.loss_rows]
+    col_payoff = [0] * len(qn)
+    for w, s, row in zip(pn, game.payoff_scale, game.payoff_rows):
+        if w:
+            w *= pcommon // s
+            for j, c in row:
+                col_payoff[j] += c * w
+    return row_loss, qd * lcommon, col_payoff, pd * pcommon
 
 
 def expected_values(game: BimatrixGame, profile: MixedProfile) -> tuple[Fraction, Fraction]:
     """(expected hider loss, expected seeker payoff) under the profile."""
     _check_shape(game, profile)
-    q = _support(profile.q)
-    loss = payoff = 0
-    for i, p in _support(profile.p):
-        lrow, prow = game.loss[i], game.payoff[i]
-        loss += p * sum(lrow[j] * w for j, w in q if lrow[j])
-        payoff += p * sum(prow[j] * w for j, w in q if prow[j])
-    return Fraction(loss), Fraction(payoff)
+    (pn, pd), (qn, qd) = profile.integers
+    row_loss, lden, col_payoff, pden = _against(game, profile)
+    return (
+        Fraction(sum(w * l for w, l in zip(pn, row_loss)), pd * lden),
+        Fraction(sum(w * c for w, c in zip(qn, col_payoff)), qd * pden),
+    )
 
 
 def is_equilibrium(game: BimatrixGame, profile: MixedProfile) -> EquilibriumReport:
     """Check both players' pure deviations; report the first profitable one."""
     _check_shape(game, profile)
-    p, q = _support(profile.p), _support(profile.q)
-    row_loss = [sum(lrow[j] * w for j, w in q if lrow[j]) for lrow in game.loss]
-    col_payoff = [
-        sum(game.payoff[i][j] * w for i, w in p if game.payoff[i][j])
-        for j in range(len(game.cols))
-    ]
-    loss = sum(row_loss[i] * w for i, w in p)
-    payoff = sum(col_payoff[j] * w for j, w in q)
+    (pn, pd), (qn, qd) = profile.integers
+    row_loss, lden, col_payoff, pden = _against(game, profile)
+    loss = sum(w * l for w, l in zip(pn, row_loss))  # over pd * lden
+    payoff = sum(w * c for w, c in zip(qn, col_payoff))  # over qd * pden
+    values = Fraction(loss, pd * lden), Fraction(payoff, qd * pden)
     for i, l in enumerate(row_loss):
-        if l < loss:
-            dev = Deviation("hider", i, Fraction(loss), Fraction(l))
-            return EquilibriumReport(False, Fraction(loss), Fraction(payoff), dev)
-    for j, w in enumerate(col_payoff):
-        if w > payoff:
-            dev = Deviation("seeker", j, Fraction(payoff), Fraction(w))
-            return EquilibriumReport(False, Fraction(loss), Fraction(payoff), dev)
-    return EquilibriumReport(True, Fraction(loss), Fraction(payoff), None)
+        if l * pd < loss:
+            return EquilibriumReport(False, *values, Deviation("hider", i, values[0], Fraction(l, lden)))
+    for j, c in enumerate(col_payoff):
+        if c * qd > payoff:
+            return EquilibriumReport(False, *values, Deviation("seeker", j, values[1], Fraction(c, pden)))
+    return EquilibriumReport(True, *values, None)
 
 
 def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> EquilibriumReport:
@@ -121,12 +131,15 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # The hider's loss becomes a utility by reflection (max loss + 1 minus loss).
 # The seeker's payoff is kept as it is when it is >= 0 with a positive entry in
 # every row, which bounds the hider's polytope and always holds for reduction
-# games; any other payoff is shifted so that its least entry is 1. Each tableau
-# scales each of its structural columns to integers by its own lcm (a
-# rescaling of x_i or y_j) and undoes the scale when the profile is read back.
-# None of this moves a label or a lexicographic ratio (the shift maps the
-# polytope projectively onto the unshifted one, facet for facet), so the path
-# is the one the game itself takes.
+# games; any other payoff is shifted so that its least entry is 1. The scales
+# come from the game, which holds each structural column of L in integers over
+# one (the loss over one per column, the payoff over one per row). Only `top`
+# and the shift are the tableau's own: a column's scale is the lcm of the
+# game's and their denominator, so the column is multiplied by the quotient
+# (a rescaling of x_i or y_j), and the scale is undone when the profile is
+# read back. None of this moves a label or a lexicographic ratio (the shift
+# maps the polytope projectively onto the unshifted one, facet for facet), so
+# the path is the one the game itself takes.
 #
 # Tableau 1 holds the hider's polytope {x >= 0, payoff^T x <= 1}, one row per
 # constraint j with slack s_j; tableau 2 holds the seeker's
@@ -151,9 +164,11 @@ Var = tuple[str, int]
 class _RevisedTableau:
     """The polytope {z >= 0, A z <= 1}, A = 1 c^T - L, in revised dictionary form.
 
-    c and `lrows[s]`, the nonzeros (j, L_sj) of slack s's row of L, come in
-    Fractions; column j is scaled to integers by the lcm of its denominators
-    (a rescaling of z_j that `values` undoes). z_j has label first_struct + j
+    c is one rational for every column. `lrows[s]`, the nonzeros (j, e) of
+    slack s's row of L, come in integers, with L_sj = sign * e / scale[j].
+    Column j is scaled to integers by the lcm of scale[j] and the denominator
+    of c (a rescaling of z_j that `values` undoes), so each e is only
+    multiplied by the quotient. z_j has label first_struct + j
     and slack s label first_slack + s; row r holds basic basis[r], column v
     nonbasic at[v], column n the rhs; entries are the true coefficients times
     `prev`. Stored are the rows of basic z and `crow`, the row of c^T z <= 1,
@@ -162,15 +177,12 @@ class _RevisedTableau:
     z_j if basic and else -prev at z_j's column.
     """
 
-    def __init__(self, c, lrows, first_slack, first_struct):
-        n, m = len(c), len(lrows)
-        scale = [x.denominator for x in c]
-        for row in lrows:
-            for j, l in row:
-                scale[j] = math.lcm(scale[j], l.denominator)
-        self.lrows = [[(j, l.numerator * (scale[j] // l.denominator)) for j, l in row]
-                      for row in lrows]
-        self.n, self.scale = n, scale
+    def __init__(self, c, lrows, scale, sign, first_slack, first_struct):
+        n, m = len(scale), len(lrows)
+        own = [math.lcm(s, c.denominator) for s in scale]
+        factor = [sign * (t // s) for t, s in zip(own, scale)]
+        self.lrows = [[(j, e * factor[j]) for j, e in row] for row in lrows]
+        self.n, self.scale = n, own
         self.slack0, self.struct0 = first_slack, first_struct
         self.basis = [first_slack + s for s in range(m)]
         self.at = [first_struct + j for j in range(n)]
@@ -179,7 +191,7 @@ class _RevisedTableau:
         self.where = [place[lab] for lab in range(m + n)]
         self.rows = {}  # row -> stored row, for the basic structural variables
         self.slack_rows = list(self.lrows)  # row -> L row of its basic slack, or None
-        self.crow = [x.numerator * (k // x.denominator) for x, k in zip(c, scale)] + [1]
+        self.crow = [c.numerator * (t // c.denominator) for t in own] + [1]
         self.prev = 1
 
     def _column(self, v, cache):
@@ -292,24 +304,44 @@ class _RevisedTableau:
         return out
 
 
+def _columns(game: BimatrixGame) -> list[list[tuple[int, int]]]:
+    """The payoff's integer rows transposed: column j's nonzeros (i, c),
+    entry i over payoff_scale[i]."""
+    columns = [[] for _ in game.cols]
+    for i, row in enumerate(game.payoff_rows):
+        for j, c in row:
+            columns[j].append((i, c))
+    return columns
+
+
 def _revised_tableaux(game: BimatrixGame):
-    """The hider's tableau over payoff^T and the seeker's over the utility."""
+    """The hider's tableau over payoff^T and the seeker's over the utility,
+    each on the game's integer rows."""
     m, n = game.shape
-    loss = [[(j, l) for j, l in enumerate(row) if l] for row in game.loss]
-    gain = [[(j, w) for j, w in enumerate(row) if w] for row in game.payoff]
-    losses = [l for row in loss for _, l in row]
+    lscale, pscale = game.loss_scale, game.payoff_scale
+    # top = max loss + 1, compared as (numerator, scale) pairs; a zero entry
+    # takes part in the max
+    losses = [(c, lscale[j]) for row in game.loss_rows for j, c in row]
     if len(losses) < m * n:
-        losses.append(ZERO)  # a zero entry takes part in the max
-    top = max(losses) + 1
+        losses.append((0, 1))
+    num, den = losses[0]
+    for c, s in losses:
+        if c * den > num * s:
+            num, den = c, s
+    top = Fraction(num + den, den)
     shift = ZERO
-    if not all(row for row in gain) or any(w < 0 for row in gain for _, w in row):
-        shift = ONE - min(ZERO, *(w for row in gain for _, w in row))
+    if not all(game.payoff_rows) or any(c < 0 for row in game.payoff_rows for _, c in row):
+        num, den = 0, 1
+        for row, s in zip(game.payoff_rows, pscale):
+            for _, c in row:
+                if c * den < num * s:
+                    num, den = c, s
+        shift = ONE - Fraction(num, den)
     # payoff^T: c_i = shift, L_ji = -payoff_ij; utility: c_j = top, L_ij = loss_ij
-    lrows = [[] for _ in range(n)]
-    for i, row in enumerate(gain):
-        for j, w in row:
-            lrows[j].append((i, -w))
-    return _RevisedTableau([shift] * m, lrows, m, 0), _RevisedTableau([top] * n, loss, 0, m)
+    return (
+        _RevisedTableau(shift, _columns(game), pscale, -1, m, 0),
+        _RevisedTableau(top, game.loss_rows, lscale, 1, 0, m),
+    )
 
 
 def _named(path, m: int) -> tuple[Var, ...]:
@@ -345,7 +377,9 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise InternalError("pivoting ended at the artificial origin")
-    profile = MixedProfile(tuple(Fraction(v, sx) for v in x), tuple(Fraction(v, sy) for v in y))
+    profile = MixedProfile(
+        tuple(Fraction(v, sx) if v else ZERO for v in x), tuple(Fraction(v, sy) if v else ZERO for v in y)
+    )
     report = is_equilibrium(game, profile)
     if not report.ok:
         raise InternalError(f"pivoting returned a non-equilibrium: {report.deviation}")
@@ -363,25 +397,27 @@ def _supports(size: int) -> list[tuple[int, ...]]:
 
 class _Side:
     """One player's indifference systems: the other player's weights over
-    `other`, plus the own player's common level. `matrix` holds the own
-    player's loss (sign -1) or payoff (sign +1) by its own strategy; every
-    strategy in `own` gets exactly that level and none outside `own` a
-    better one.
+    `other`, plus the own player's common level. `rows` holds the own
+    player's loss (sign -1) or payoff (sign +1) by its own strategy, as the
+    game's integer rows: the nonzeros (k, e) of a row, entry k being e /
+    scale[k]. Every strategy in `own` gets exactly that level and none
+    outside `own` a better one.
 
-    Each matrix row is scaled to integers once (`integer_row`). Its row in a
-    system keeps those integers on `other` and that scale, so the level's
-    coefficient is minus the scale, or plus it where a loss row is negated
-    into loss >= level. The rows over each `other` are built once, as an
-    equality and an inequality per own strategy."""
+    Each row is put once over the lcm of its entries' lowest-terms
+    denominators, the scale that `integer_row` gives its Fraction row. Its
+    row in a system keeps those integers on `other` and that scale, so the
+    level's coefficient is minus the scale, or plus it where a loss row is
+    negated into loss >= level. The rows over each `other` are built once,
+    as an equality and an inequality per own strategy."""
 
-    def __init__(self, matrix, sign):
+    def __init__(self, rows, scale, sign):
         self.rows = []
-        for row in matrix:
-            nonzeros, _, scale = integer_row(row, ZERO)
-            dense = [0] * len(row)
-            for j, c in nonzeros:
-                dense[j] = c
-            self.rows.append((dense, scale))
+        for row in rows:
+            own = math.lcm(*(scale[k] // math.gcd(e, scale[k]) for k, e in row))
+            dense = [0] * len(scale)
+            for k, e in row:
+                dense[k] = e * own // scale[k]
+            self.rows.append((dense, own))
         self.sign = sign
         self.over = {}
 
@@ -400,6 +436,12 @@ class _Side:
         nonneg, weights, eqs, ineqs = built
         rows = (weights, *[eqs[r] for r in own], *[row for r, row in enumerate(ineqs) if r not in own])
         return LinearSystem._of_valid_rows(len(nonneg), nonneg, rows, len(own) + 1)
+
+
+def _sides(game: BimatrixGame) -> tuple[_Side, _Side]:
+    """The seeker's side over the hider's loss rows and the hider's over the
+    seeker's payoff columns."""
+    return _Side(game.loss_rows, game.loss_scale, -1), _Side(_columns(game), game.payoff_scale, 1)
 
 
 def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
@@ -462,7 +504,7 @@ def enumerate_equilibria(game: BimatrixGame, budget: int = 1_000_000) -> tuple[M
     if total > budget:
         raise BudgetExceeded(f"{total} support pairs exceed the budget of {budget}")
 
-    seeker, hider = _Side(game.loss, -1), _Side(tuple(zip(*game.payoff)), 1)
+    seeker, hider = _sides(game)
     seeker_refuted = _refuted(seeker, m, n, ())
     hider_refuted = _refuted(hider, n, m, {(b, a) for a, b in seeker_refuted})
     supports1, supports2 = _supports(m), _supports(n)

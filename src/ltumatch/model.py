@@ -32,7 +32,7 @@ from .errors import (
     NonpositiveOutput,
     TaxOutOfRange,
 )
-from .rationals import parse_rational, parse_rationals
+from .rationals import as_fraction, parse_rational, parse_rationals
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -41,14 +41,14 @@ ONE = Fraction(1)
 
 
 def _vector(values, length: int | None, what: str) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in values)
+    out = tuple(map(as_fraction, values))
     if length is not None and len(out) != length:
         raise DimensionMismatch(f"{what}: expected {length} entries, got {len(out)}")
     return out
 
 
 def _matrix(rows, nrows: int, ncols: int, what: str) -> Matrix:
-    out = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    out = tuple(tuple(map(as_fraction, row)) for row in rows)
     if len(out) != nrows or any(len(row) != ncols for row in out):
         raise DimensionMismatch(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
@@ -134,7 +134,7 @@ class Outcome:
     v: tuple[Fraction, ...]
 
     def __post_init__(self):
-        mu = tuple(tuple(Fraction(v) for v in row) for row in self.mu)
+        mu = tuple(tuple(map(as_fraction, row)) for row in self.mu)
         if mu and any(len(row) != len(mu[0]) for row in mu):
             raise DimensionMismatch("mu must be rectangular")
         object.__setattr__(self, "mu", mu)
@@ -155,7 +155,7 @@ class Arrangement:
         lam = _vector(self.lam, len(slots), "arrangement lambda")
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "phi", Fraction(self.phi))
+        object.__setattr__(self, "phi", as_fraction(self.phi))
         if not slots:
             raise DimensionMismatch("an arrangement needs at least one slot")
         if all(s is None for s in slots):

@@ -6,6 +6,7 @@ computation.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import FormatError
@@ -54,5 +55,14 @@ def decimal_str(value: Fraction, digits: int) -> str:
 
 
 def as_fraction(value) -> Fraction:
-    """Fraction(value), skipping the conversion when value already is one."""
-    return value if type(value) is Fraction else Fraction(value)
+    """The one coercion of rationals passed in memory: a Fraction as it is,
+    anything else through `parse_rational`, so that floats, bools and
+    decimal strings raise FormatError."""
+    return value if type(value) is Fraction else parse_rational(value)
+
+
+def over_one_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    values = tuple(map(as_fraction, values))
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den

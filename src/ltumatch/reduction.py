@@ -24,6 +24,7 @@ s = 1, the rows are the arrangements and the columns the worker types.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import stability
 from .errors import DegenerateOutcome, InternalError, NonpositiveOutput, ZeroValue
@@ -45,19 +46,41 @@ ONE = Fraction(1)
 def _game(rows, cols, mass, s, hidden) -> BimatrixGame:
     """The game whose row r, given as (phi_r, entries), loses w / (mass_c
     phi_r) and pays k / (s mass_c phi_r) at each entry (column c, loss
-    weight w, payoff count k), and is zero elsewhere."""
-    loss = []
-    payoff = []
+    weight w > 0 as its numerator and denominator, payoff count k > 0), and
+    is zero elsewhere.
+
+    Built in integers: each entry is put in lowest terms with one gcd, then
+    the losses of a column and the payoffs of a row go over the lcm of
+    their denominators, which is the game's stored form."""
+    masses = [(k.numerator, k.denominator) for k in mass]
+    lscale = [1] * len(cols)
+    losses, payoffs = [], []
     for phi, entries in hidden:
-        lrow = [ZERO] * len(cols)
-        prow = [ZERO] * len(cols)
-        for c, weight, count in entries:
-            scale = mass[c] * phi
-            lrow[c] = weight / scale
-            prow[c] = count / (s * scale)
-        loss.append(tuple(lrow))
-        payoff.append(tuple(prow))
-    return BimatrixGame(tuple(rows), cols, tuple(loss), tuple(payoff))
+        pn, pd = phi.numerator, phi.denominator
+        lrow, prow = [], []
+        for c, wn, wd, count in entries:
+            kn, kd = masses[c]
+            num, den = kd * pd, kn * pn
+            a, b = wn * num, wd * den
+            g = gcd(a, b)
+            lrow.append((c, a // g, b // g))
+            lscale[c] = lcm(lscale[c], b // g)
+            a, b = count * num, s * den
+            g = gcd(a, b)
+            prow.append((c, a // g, b // g))
+        losses.append(lrow)
+        payoffs.append(prow)
+    pscale = tuple(lcm(*(b for _, _, b in prow)) for prow in payoffs)
+    return BimatrixGame._of_integer_rows(
+        tuple(rows),
+        cols,
+        tuple(tuple((c, a * (lscale[c] // b)) for c, a, b in lrow) for lrow in losses),
+        tuple(lscale),
+        tuple(
+            tuple((c, a * (scale // b)) for c, a, b in prow) for prow, scale in zip(payoffs, pscale)
+        ),
+        pscale,
+    )
 
 
 def _forward(phi, mu, mass, u) -> MixedProfile:
@@ -79,8 +102,8 @@ def _backward(game: BimatrixGame, profile: MixedProfile, phi, mass, s):
     hider_loss, seeker_payoff = expected_values(game, profile)
     if hider_loss == 0 or seeker_payoff == 0:
         raise ZeroValue("equilibrium values must be positive to invert the rescaling")
-    mu = tuple(p / (s * f * seeker_payoff) for p, f in zip(profile.p, phi))
-    u = tuple(q / (s * k * hider_loss) for q, k in zip(profile.q, mass))
+    mu = tuple(p / (s * f * seeker_payoff) if p else ZERO for p, f in zip(profile.p, phi))
+    u = tuple(q / (s * k * hider_loss) if q else ZERO for q, k in zip(profile.q, mass))
     return mu, u, hider_loss, seeker_payoff
 
 
@@ -97,7 +120,9 @@ def to_game(problem: LTUProblem) -> BimatrixGame:
     )
     nx = problem.nx
     hidden = (
-        (phi, ((x, lam, 1), (nx + y, ONE - lam, 1)))
+        # 1 - lam = (b - a) / b for lam = a / b
+        (phi, ((x, lam.numerator, lam.denominator, 1),
+               (nx + y, lam.denominator - lam.numerator, lam.denominator, 1)))
         for x, (lams, phis) in enumerate(zip(problem.lam, problem.phi))
         for y, (lam, phi) in enumerate(zip(lams, phis))
     )
@@ -214,7 +239,8 @@ def to_game_n(problem: ManyToOneProblem) -> BimatrixGame:
             if slot is not None:
                 weights[index[slot]] += w
         hidden.append(
-            (arr.phi, [(x, weights[x], k) for x, k in enumerate(counts) if k])
+            (arr.phi, [(x, weights[x].numerator, weights[x].denominator, k)
+                       for x, k in enumerate(counts) if k])
         )
     return _game(rows, cols, problem.n, 1, hidden)
 

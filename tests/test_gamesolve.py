@@ -18,7 +18,7 @@ from ltumatch import (
     require_equilibrium,
     to_game,
 )
-from ltumatch.gamesolve import _Side, _supports
+from ltumatch.gamesolve import _sides, _supports
 
 
 def bos():
@@ -189,8 +189,9 @@ def test_side_rows_hold_each_row_times_its_scale():
     for game in games:
         m, n = game.shape
         payoff = tuple(zip(*game.payoff))
-        for matrix, sign, nown, nother in ((game.loss, -1, m, n), (payoff, 1, n, m)):
-            side = _Side(matrix, sign)
+        for side, matrix, sign, nown, nother in zip(
+            _sides(game), (game.loss, payoff), (-1, 1), (m, n), (n, m)
+        ):
             for own in _supports(nown)[1:]:
                 for other in _supports(nother)[1:]:
                     system = side.system(own, other)
