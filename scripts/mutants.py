@@ -49,6 +49,11 @@ LH = (
     "tests/test_lh_differential.py::test_uneven2x2",
     "tests/test_lh_differential.py::test_seed11_random_corpus",
 )
+LH_TIES = "tests/test_lh_ties.py::test_inline_ties_agree_with_lex_less"
+STABILITY = (
+    "tests/test_stability_differential.py::test_random_small_problems",
+    "tests/test_stability_differential.py::test_perturbed_outcomes_hit_each_condition",
+)
 
 MUTANTS = (
     # the one hide-and-seek reduction of both market kinds
@@ -268,6 +273,43 @@ MUTANTS = (
         "if d <= 0:",
         "if d < 0:",
         LH,
+    ),
+    # ties in the ratio test settled inline by the rows' own slack labels
+    Mutant(
+        "inline tie loser read from the wrong row",
+        "gamesolve.py",
+        "if stop != bown:",
+        "if stop != own:",
+        (*LH, LH_TIES),
+    ),
+    Mutant(
+        "first free slack taken over all slacks",
+        "gamesolve.py",
+        "first_free = min((lab - slack0 for lab in self.at if 0 <= lab - slack0 < m), default=m)",
+        "first_free = min(range(m), default=m)",
+        (LH_TIES,),
+    ),
+    # verify_stable decides in integers
+    Mutant(
+        "factor 2 dropped from the split",
+        "stability.py",
+        "split = 2 * phi.denominator * (",
+        "split = phi.denominator * (",
+        STABILITY,
+    ),
+    Mutant(
+        "binding test != loosened to <",
+        "stability.py",
+        "elif mun[x][y] > 0 and split != half:",
+        "elif mun[x][y] > 0 and split < half:",
+        STABILITY,
+    ),
+    Mutant(
+        "column sum read from a row",
+        "stability.py",
+        "zip(problem.jobs, problem.m, zip(*mun))",
+        "zip(problem.jobs, problem.m, mun)",
+        STABILITY,
     ),
     # support enumeration's dominance sweep
     Mutant(

@@ -41,7 +41,7 @@ from .model import (
     validate_problem,
 )
 from .oracle import enumerate_stable
-from .rationals import decimal_str
+from .rationals import decimal_str, over_one_denominator
 from .reduction import (
     _map_back,
     _require_stable,
@@ -92,8 +92,12 @@ def _violation_lines(violations, indent: str = "") -> list:
     return [indent + v.describe() for v in violations]
 
 
-def _dot(a, b) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
+def _game_value(a, b) -> Fraction:
+    """1 / (2 sum_k a_k b_k), with the sum taken in integers over one
+    denominator: a game value by the identities of the backward map (AC4)."""
+    an, ad = over_one_denominator(a)
+    bn, bd = over_one_denominator(b)
+    return Fraction(ad * bd, 2 * sum(x * y for x, y in zip(an, bn)))
 
 
 def _outcome_lines(problem: LTUProblem, outcome, fmt, indent: str = "") -> list:
@@ -147,9 +151,10 @@ def cmd_solve(args):
         return 0, payload, lines
 
     outcome, profile = solve_stable(problem, label=args.label)
-    # the game values, by the identities of the backward map (AC4)
-    hider_loss = 1 / (2 * (_dot(problem.n, outcome.u) + _dot(problem.m, outcome.v)))
-    seeker_payoff = 1 / (2 * sum(_dot(phi, mu) for phi, mu in zip(problem.phi, outcome.mu)))
+    hider_loss = _game_value(problem.n + problem.m, outcome.u + outcome.v)
+    seeker_payoff = _game_value(
+        (f for row in problem.phi for f in row), (w for row in outcome.mu for w in row)
+    )
     payload = {
         "label": args.label,
         "outcome": outcome_to_dict(outcome),

@@ -5,8 +5,10 @@ artificial origin after dropping one label. Each of its two integer tableaux
 stores only the rows of basic strategies and derives a basic slack's row from
 the sparse game when it needs one. `_pivot`, the fraction-free kernel shared
 with the exact LP in `_simplex`, updates them once per step; lexicographic
-tie-breaks keep the path from cycling. `enumerate_equilibria` finds every
-equilibrium support of small games at a cost exponential in their size. It
+tie-breaks keep the path from cycling, and most of them are settled by the
+tied rows' own slack labels without reading an entry. `enumerate_equilibria`
+finds every equilibrium support of small games at a cost exponential in
+their size. It
 runs one sweep per player, on that player's own matrix, which decides its
 indifference system of each support pair with that LP and skips a pair
 whenever a refuted neighbour dominates it: the system only gains constraints
@@ -238,25 +240,54 @@ class _RevisedTableau:
 
     def _leaving(self, col):
         """The row of least (rhs, slack block) ratio over the positive entries
-        of column col, or None when there is none."""
+        of column col, or None when there is none.
+
+        Each row's pivot-column entry and rhs are read inline: a stored row's
+        own, a slack row's from crow and the `_column` vectors of col and the
+        rhs, built once per ratio test.
+
+        A tie in the rhs ratio goes to the slack block in label order, where
+        each row holds a unit entry at its own basic slack and zero at every
+        other basic one. Let stop be the lesser own slack label of the two
+        rows (m for a stored row). When no nonbasic slack precedes stop, the
+        block first differs at stop, where the row whose own slack it is has
+        the larger ratio and loses; that settles most ties, since a
+        reduction game is highly degenerate. Only the other ties go to
+        `_lex_less`."""
         cache = {}
+        m, slack0, basis, rows, n = len(self.lrows), self.slack0, self.basis, self.rows, self.n
         kd, vd = self.crow[col], self._column(col, cache)
-        best = bd = bq = None
+        kq, vq = self.crow[n], self._column(n, cache)
+        first_free = min((lab - slack0 for lab in self.at if 0 <= lab - slack0 < m), default=m)
+        best = bd = bq = bown = None
         for r, ls in enumerate(self.slack_rows):
             if ls is None:
-                d = self.rows[r][col]
+                tr = rows[r]
+                d = tr[col]
             else:
                 d = kd
                 for j, l in ls:
                     d += l * vd[j]
             if d <= 0:
                 continue
-            q = self._entry(r, self.n, cache)
+            if ls is None:
+                q, own = tr[n], m
+            else:
+                q, own = kq, basis[r] - slack0
+                for j, l in ls:
+                    q += l * vq[j]
             if best is not None:
                 lhs, rhs = q * bd, bq * d
-                if lhs > rhs or lhs == rhs and not self._lex_less(r, best, d, bd, cache):
+                if lhs > rhs:
                     continue
-            best, bd, bq = r, d, q
+                if lhs == rhs:
+                    stop = own if own < bown else bown
+                    if stop < first_free:
+                        if stop != bown:
+                            continue
+                    elif not self._lex_less(r, best, d, bd, cache):
+                        continue
+            best, bd, bq, bown = r, d, q, own
         return best
 
     def _slack_row(self, r):

@@ -15,6 +15,14 @@ comparison, so a negative verdict is a finite certificate a reader can check
 by hand. The many-to-one variant drops conditions 3, 5, 6 (each arrangement
 already prices its members, masses must clear exactly, and utilities may go
 negative since reservations live inside the single-worker arrangements).
+
+The one-to-one checker decides in integers: u goes over one common
+denominator U, v over one V and mu over one M. With lambda = a / b and
+phi = p / d, conditions 1 and 4 compare 2 d (a u_x V + (b - a) v_y U) with
+p b U V, which are their two sides times 2 b d U V > 0; conditions 2, 3, 5
+and 6 compare a row or column sum of mu's numerators times the mass's
+denominator with the mass's numerator times M. The Fractions of a
+violation's two sides are built only for its report.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import ArrangementOutcome, LTUProblem, ManyToOneProblem, Outcome
+from .rationals import over_one_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,44 +82,60 @@ def verify_stable(problem: LTUProblem, outcome: Outcome) -> StabilityReport:
                          ("mu columns and v", len(outcome.v), problem.ny)])
     if bad is not None:
         return bad
+    ny = problem.ny
+    un, U = over_one_denominator(outcome.u)
+    vn, V = over_one_denominator(outcome.v)
+    flat, M = over_one_denominator(w for row in outcome.mu for w in row)
+    mun = [flat[k:k + ny] for k in range(0, len(flat), ny)]
     out: list[Violation] = []
     for x, wid in enumerate(problem.workers):
         for y, jid in enumerate(problem.jobs):
-            if outcome.mu[x][y] < 0:
+            if mun[x][y] < 0:
                 out.append(Violation(0, "sign", f"mu[{wid},{jid}]", ">=",
                                      outcome.mu[x][y], ZERO))
     for x, wid in enumerate(problem.workers):
-        if outcome.u[x] < 0:
+        if un[x] < 0:
             out.append(Violation(0, "sign", f"u[{wid}]", ">=", outcome.u[x], ZERO))
     for y, jid in enumerate(problem.jobs):
-        if outcome.v[y] < 0:
+        if vn[y] < 0:
             out.append(Violation(0, "sign", f"v[{jid}]", ">=", outcome.v[y], ZERO))
 
-    for x, wid in enumerate(problem.workers):
-        for y, jid in enumerate(problem.jobs):
-            lam = problem.lam[x][y]
-            split = lam * outcome.u[x] + (ONE - lam) * outcome.v[y]
-            half = problem.phi[x][y] / 2
+    uV, vU, UV = [w * V for w in un], [w * U for w in vn], U * V
+    for x, (wid, lams, phis) in enumerate(zip(problem.workers, problem.lam, problem.phi)):
+        for y, (jid, lam, phi) in enumerate(zip(problem.jobs, lams, phis)):
+            a, b = lam.numerator, lam.denominator
+            split = 2 * phi.denominator * (a * uV[x] + (b - a) * vU[y])
+            half = phi.numerator * b * UV
             if split < half:
-                out.append(Violation(1, "blocking", f"({wid},{jid})", ">=", split, half))
-            elif outcome.mu[x][y] > 0 and split != half:
-                out.append(Violation(4, "binding", f"({wid},{jid})", "==", split, half))
+                out.append(Violation(1, "blocking", f"({wid},{jid})", ">=",
+                                     *_sides(problem, outcome, x, y)))
+            elif mun[x][y] > 0 and split != half:
+                out.append(Violation(4, "binding", f"({wid},{jid})", "==",
+                                     *_sides(problem, outcome, x, y)))
 
-    for x, wid in enumerate(problem.workers):
-        matched = sum(outcome.mu[x])
-        if matched > problem.n[x]:
-            out.append(Violation(2, "feasibility", f"row {wid}", "<=", matched, problem.n[x]))
-        elif outcome.u[x] > 0 and matched != problem.n[x]:
-            out.append(Violation(5, "saturation", f"row {wid}", "==", matched, problem.n[x]))
-    for y, jid in enumerate(problem.jobs):
-        matched = sum(outcome.mu[x][y] for x in range(problem.nx))
-        if matched > problem.m[y]:
-            out.append(Violation(3, "feasibility", f"column {jid}", "<=", matched, problem.m[y]))
-        elif outcome.v[y] > 0 and matched != problem.m[y]:
-            out.append(Violation(6, "saturation", f"column {jid}", "==", matched, problem.m[y]))
+    for x, (wid, n, row) in enumerate(zip(problem.workers, problem.n, mun)):
+        matched, mass = sum(row) * n.denominator, n.numerator * M
+        if matched > mass:
+            out.append(Violation(2, "feasibility", f"row {wid}", "<=", sum(outcome.mu[x]), n))
+        elif un[x] > 0 and matched != mass:
+            out.append(Violation(5, "saturation", f"row {wid}", "==", sum(outcome.mu[x]), n))
+    for y, (jid, m, column) in enumerate(zip(problem.jobs, problem.m, zip(*mun))):
+        matched, mass = sum(column) * m.denominator, m.numerator * M
+        if matched > mass:
+            out.append(Violation(3, "feasibility", f"column {jid}", "<=",
+                                 sum(row[y] for row in outcome.mu), m))
+        elif vn[y] > 0 and matched != mass:
+            out.append(Violation(6, "saturation", f"column {jid}", "==",
+                                 sum(row[y] for row in outcome.mu), m))
 
     out.sort(key=lambda v: (v.condition, v.where))
     return StabilityReport(not out, tuple(out))
+
+
+def _sides(problem: LTUProblem, outcome: Outcome, x: int, y: int) -> tuple[Fraction, Fraction]:
+    """The pair's split lam u_x + (1 - lam) v_y and phi / 2, as Fractions."""
+    lam = problem.lam[x][y]
+    return lam * outcome.u[x] + (ONE - lam) * outcome.v[y], problem.phi[x][y] / 2
 
 
 def blocking_pairs(problem: LTUProblem, outcome: Outcome):
@@ -122,9 +147,8 @@ def blocking_pairs(problem: LTUProblem, outcome: Outcome):
     found = []
     for x, wid in enumerate(problem.workers):
         for y, jid in enumerate(problem.jobs):
-            lam = problem.lam[x][y]
-            split = lam * outcome.u[x] + (ONE - lam) * outcome.v[y]
-            deficit = problem.phi[x][y] / 2 - split
+            split, half = _sides(problem, outcome, x, y)
+            deficit = half - split
             if deficit > 0:
                 found.append(((wid, jid), deficit))
     found.sort(key=lambda item: (-item[1], item[0]))
