@@ -50,6 +50,7 @@ LH = (
     "tests/test_lh_differential.py::test_seed11_random_corpus",
 )
 LH_TIES = "tests/test_lh_ties.py::test_inline_ties_agree_with_lex_less"
+LH_WORK = "tests/test_lh_work.py::test_hider_rows_hold_at_most_n_plus_one_integers"
 STABILITY = (
     "tests/test_stability_differential.py::test_random_small_problems",
     "tests/test_stability_differential.py::test_perturbed_outcomes_hit_each_condition",
@@ -103,10 +104,17 @@ MUTANTS = (
         (GAME_ROWS + "test_to_game_gives_the_formula_games",),
     ),
     Mutant(
-        "tableau column left at the game's scale",
+        "seeker tableau column left at the game's scale",
         "gamesolve.py",
-        "factor = [sign * (t // s) for t, s in zip(own, scale)]",
-        "factor = [sign for t, s in zip(own, scale)]",
+        "factor = [t // s for t, s in zip(own, scale)]",
+        "factor = [1 for t, s in zip(own, scale)]",
+        (GAME_ROWS + "test_tableaux_start_from_the_dense_integers",),
+    ),
+    Mutant(
+        "hider tableau column left at the game's scale",
+        "gamesolve.py",
+        "[(j, -e * (t // s)) for j, e in row]",
+        "[(j, -e) for j, e in row]",
         (GAME_ROWS + "test_tableaux_start_from_the_dense_integers",),
     ),
     Mutant(
@@ -242,8 +250,8 @@ MUTANTS = (
     Mutant(
         "lexicographic tie-break reversed",
         "gamesolve.py",
-        "return lhs < rhs",
-        "return lhs > rhs",
+        "self._entry(k, c, cache) * di\n            if lhs != rhs:\n                return lhs < rhs",
+        "self._entry(k, c, cache) * di\n            if lhs != rhs:\n                return lhs > rhs",
         LH,
     ),
     Mutant(
@@ -251,6 +259,15 @@ MUTANTS = (
         "gamesolve.py",
         "return stop == sk if stop < m else i < k",
         "return stop == si if stop < m else i < k",
+        # the seeker's path meets such a tie only after the inline rule
+        # settled it, which the ties test repeats through `_lex_less`
+        (*LH, LH_TIES),
+    ),
+    Mutant(
+        "hider tie decided by the wrong row's slack",
+        "gamesolve.py",
+        "return stop == sk if stop < n else i < k",
+        "return stop == si if stop < n else i < k",
         LH,
     ),
     Mutant(
@@ -270,23 +287,73 @@ MUTANTS = (
     Mutant(
         "zero pivot-column entry allowed to leave",
         "gamesolve.py",
-        "if d <= 0:",
-        "if d < 0:",
+        "d += l * vd[j]\n            if d <= 0:",
+        "d += l * vd[j]\n            if d < 0:",
         LH,
     ),
     # ties in the ratio test settled inline by the rows' own slack labels
     Mutant(
         "inline tie loser read from the wrong row",
         "gamesolve.py",
-        "if stop != bown:",
-        "if stop != own:",
+        "if stop != bown:\n                            continue\n                    elif not self._lex_less(r, best, d, bd, cache):",
+        "if stop != own:\n                            continue\n                    elif not self._lex_less(r, best, d, bd, cache):",
         (*LH, LH_TIES),
     ),
     Mutant(
         "first free slack taken over all slacks",
         "gamesolve.py",
-        "first_free = min((lab - slack0 for lab in self.at if 0 <= lab - slack0 < m), default=m)",
+        "first_free = min((lab for lab in self.at if lab < m), default=m)",
         "first_free = min(range(m), default=m)",
+        (LH_TIES,),
+    ),
+    # the hider's tableau held by its slack block
+    Mutant(
+        "c_i rhs term dropped from an entering column",
+        "gamesolve.py",
+        "col = [c * tr[-1] for tr in rows] if c else [0] * self.n",
+        "col = [0] * self.n",
+        (
+            # reduction games need no shift, so c is 0 there
+            "tests/test_lh_differential.py::test_negative_payoff_keeps_the_shift",
+            "tests/test_lh_differential.py::test_zero_payoff_row_keeps_the_shift",
+        ),
+    ),
+    Mutant(
+        "leaving slack's column stored as +d",
+        "gamesolve.py",
+        "            at[k], where[leaving - m] = leaving - m, k\n",
+        "            at[k], where[leaving - m] = leaving - m, k\n"
+        "            for r, (tr, d) in enumerate(zip(rows, col)):\n"
+        "                if r != row:\n"
+        "                    tr[k] = d\n",
+        (*LH, LH_WORK),
+    ),
+    Mutant(
+        "basic slack's implicit column read at the wrong row",
+        "gamesolve.py",
+        "col[~k] -= l * self.prev",
+        "col[k] -= l * self.prev",
+        (*LH, LH_WORK),
+    ),
+    Mutant(
+        "hider lex scan in stored order, not label order",
+        "gamesolve.py",
+        "for s in sorted(self.at):",
+        "for s in self.at:",
+        (*LH, LH_TIES),
+    ),
+    Mutant(
+        "hider inline tie loser read from the wrong row",
+        "gamesolve.py",
+        "if stop != bown:\n                            continue\n                    elif not self._lex_less(r, best, d, bd):",
+        "if stop != own:\n                            continue\n                    elif not self._lex_less(r, best, d, bd):",
+        (*LH, LH_TIES),
+    ),
+    Mutant(
+        "hider first free slack taken over all slacks",
+        "gamesolve.py",
+        "first_free = min(self.at, default=n)",
+        "first_free = 0",
         (LH_TIES,),
     ),
     # verify_stable decides in integers

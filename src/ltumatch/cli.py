@@ -29,7 +29,7 @@ from pathlib import Path
 from .errors import FormatError, LTUError
 from .fuzz import FuzzConfig, run_campaign
 from .games import game_to_dict, profile_from_dict, profile_to_dict
-from .gamesolve import is_equilibrium, lemke_howson
+from .gamesolve import _equilibrium, is_equilibrium
 from .model import (
     LTUProblem,
     m2o_outcome_from_dict,
@@ -127,8 +127,8 @@ def cmd_solve(args):
         game = to_game(problem)
         groups: dict[tuple, tuple] = {}
         for label in range(sum(game.shape)):
-            profile = lemke_howson(game, label=label)
-            outcome = _map_back(problem, game, profile)[0]
+            profile, *values = _equilibrium(game, label)
+            outcome = _map_back(problem, profile, *values)
             key = (outcome.mu, outcome.u, outcome.v)
             if key not in groups:
                 _require_stable(problem, outcome)
@@ -215,7 +215,7 @@ def cmd_from_eq(args):
             f"({fmt(d.better)} against {fmt(d.current)})"
         )
         return 1, payload, [line]
-    outcome = _map_back(problem, game, profile)[0]
+    outcome = _map_back(problem, profile, report.hider_loss, report.seeker_payoff)
     _require_stable(problem, outcome)
     payload = {"equilibrium": True, "outcome": outcome_to_dict(outcome)}
     return 0, payload, _outcome_lines(problem, outcome, fmt)

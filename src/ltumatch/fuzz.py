@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, IterationLimit, RayTermination
-from .gamesolve import lemke_howson
+from .gamesolve import _equilibrium
 from .model import LTUProblem
 from .reduction import _map_back, outcome_to_equilibrium, to_game
 from .stability import verify_stable
@@ -95,11 +95,11 @@ def run_pipeline_checks(problem: LTUProblem, label: int = 0) -> tuple[str, ...]:
     if not game.is_hide_and_seek():
         failures.append("game structure: loss and payoff supports differ")
     try:
-        profile = lemke_howson(game, label=label)
+        profile, hider_loss, seeker_payoff = _equilibrium(game, label)
     except (RayTermination, IterationLimit, InternalError) as exc:
         failures.append(f"pivot solver: {exc}")
         return tuple(failures)
-    outcome, hider_loss, seeker_payoff = _map_back(problem, game, profile)
+    outcome = _map_back(problem, profile, hider_loss, seeker_payoff)
     report = verify_stable(problem, outcome)
     if not report.ok:
         failures.append(f"stability: {report.violations[0].describe()}")

@@ -2,26 +2,30 @@
 
 Two solvers. `lemke_howson` follows the complementary pivoting path from the
 artificial origin after dropping one label. Each of its two integer tableaux
-stores only the rows of basic strategies and derives a basic slack's row from
-the sparse game when it needs one. `_pivot`, the fraction-free kernel shared
-with the exact LP in `_simplex`, updates them once per step; lexicographic
+holds O(n^2) integers, n being the seeker's strategies, far fewer than the
+hider's: the seeker's stores only the rows of basic strategies and derives a
+basic slack's row from the sparse game when it needs one; the hider's stores
+its slack block, the basis inverse, and builds a strategy's column from it
+when the strategy enters. `_pivot`, the fraction-free kernel shared with the
+exact LP in `_simplex`, updates them once per step; lexicographic
 tie-breaks keep the path from cycling, and most of them are settled by the
-tied rows' own slack labels without reading an entry. `enumerate_equilibria`
-finds every equilibrium support of small games at a cost exponential in
-their size. It
-runs one sweep per player, on that player's own matrix, which decides its
-indifference system of each support pair with that LP and skips a pair
-whenever a refuted neighbour dominates it: the system only gains constraints
-as the player's own support grows and the other's shrinks. Each of the
-game's integer rows is put over a scale of its own once per game, and every
-indifference system is assembled from those integer rows. Only the pairs
-that neither sweep refutes are pushed into the relative interior of their
-supports.
+tied rows' own slack labels without reading an entry.
+`enumerate_equilibria` finds every equilibrium support of small games at a
+cost exponential in their size. It runs one sweep per player, on that
+player's own matrix, which decides its indifference system of each support
+pair with that LP and skips a pair whenever a refuted neighbour dominates
+it: the system only gains constraints as the player's own support grows and
+the other's shrinks. Each of the game's integer rows is put over a scale of
+its own once per game, and every indifference system is assembled from
+those integer rows. Only the pairs that neither sweep refutes are pushed
+into the relative interior of their supports.
 
 Both return mixed profiles over the game's own row/column order; callers that
-need utilities ask `expected_values`. It and `is_equilibrium`, the check on
-every profile either solver returns, sum the game's integer rows against
-each side of the profile over one denominator.
+need utilities ask `expected_values`, or `_equilibrium` for a pivoted
+profile together with the utilities its closing check found.
+`expected_values` and `is_equilibrium`, the check on every profile either
+solver returns, sum the game's integer rows against each side of the
+profile over one denominator.
 """
 from __future__ import annotations
 
@@ -154,59 +158,70 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # Both matrices are A = 1 c^T - L: c is `top` and L the loss for the utility,
 # c is the shift (0 without one) and L minus the payoff for payoff^T. L is as
 # sparse as the game, two nonzeros per hider row in a reduction game, while A
-# is dense. So each tableau stores only the rows of its basic x or y, at most
-# one per column, and derives a basic slack's row from L and those rows when it
-# needs one. Stored and derived rows are rows of the full dictionary (a row is
-# a basic variable and a column a nonbasic one, rhs last; see `_pivot`), so
-# the ratios and the path are the dense tableau's.
+# is dense. Each tableau holds entries of the full dictionary (a row is a
+# basic variable and a column a nonbasic one, rhs last; see `_pivot`) times
+# the same prev, so the ratios and the path are the dense tableau's. What
+# each stores is what keeps its pivot at O(n^2), n being the seeker's
+# strategies; the hider has m of them, nx ny against nx + ny in a one-to-one
+# market:
+#
+# - The seeker's tableau, m rows by n columns, stores the rows of its basic
+#   y, at most one per column, and derives a basic slack's row from L and
+#   those rows when it needs one (`_RevisedTableau`).
+# - The hider's tableau, n rows by m columns, stores its slack block
+#   prev B^-1, n by n: each row's entries at the nonbasic slacks, a basic
+#   slack's column being prev at its own row and 0 elsewhere. Since b = 1,
+#   the rhs is the sum of the block's columns, so x_i's column
+#   prev B^-1 A_i = c_i rhs - sum_j L_ji S_j, S_j being slack j's column, is
+#   built from the rhs and the block when x_i enters (`_SlackBlockTableau`).
 
 Var = tuple[str, int]
 
 
 class _RevisedTableau:
-    """The polytope {z >= 0, A z <= 1}, A = 1 c^T - L, in revised dictionary form.
+    """The seeker's polytope {y >= 0, A y <= 1}, A = 1 c^T - L, in revised
+    dictionary form.
 
-    c is one rational for every column. `lrows[s]`, the nonzeros (j, e) of
-    slack s's row of L, come in integers, with L_sj = sign * e / scale[j].
-    Column j is scaled to integers by the lcm of scale[j] and the denominator
-    of c (a rescaling of z_j that `values` undoes), so each e is only
-    multiplied by the quotient. z_j has label first_struct + j
-    and slack s label first_slack + s; row r holds basic basis[r], column v
-    nonbasic at[v], column n the rhs; entries are the true coefficients times
-    `prev`. Stored are the rows of basic z and `crow`, the row of c^T z <= 1,
-    whose slack never leaves. A basic slack s's row, prev A[s] - sum over
-    basic z of A[s][z] T_z, is then crow + sum_j L_sj R_j with R_j the row of
-    z_j if basic and else -prev at z_j's column.
+    c is `top` in every column and L the loss: `lrows[i]`, the nonzeros
+    (j, e) of row i of L, come in integers, with L_ij = e / scale[j]. Column
+    j is scaled to integers by the lcm of scale[j] and the denominator of c
+    (a rescaling of y_j that `values` undoes), so each e is only multiplied
+    by the quotient. Slack r_i has label i and y_j label m + j; row r holds
+    basic basis[r], column v nonbasic at[v], column n the rhs; entries are
+    the true coefficients times `prev`. Stored are the rows of basic y and
+    `crow`, the row of c^T y <= 1, whose slack never leaves: at most n + 1
+    rows of n + 1 integers. A basic slack r_i's row,
+    prev A[i] - sum over basic y of A[i][y] T_y, is then
+    crow + sum_j L_ij R_j with R_j the row of y_j if basic and else -prev at
+    y_j's column.
     """
 
-    def __init__(self, c, lrows, scale, sign, first_slack, first_struct):
+    def __init__(self, c, lrows, scale):
         n, m = len(scale), len(lrows)
         own = [math.lcm(s, c.denominator) for s in scale]
-        factor = [sign * (t // s) for t, s in zip(own, scale)]
+        factor = [t // s for t, s in zip(own, scale)]
         self.lrows = [[(j, e * factor[j]) for j, e in row] for row in lrows]
-        self.n, self.scale = n, own
-        self.slack0, self.struct0 = first_slack, first_struct
-        self.basis = [first_slack + s for s in range(m)]
-        self.at = [first_struct + j for j in range(n)]
+        self.m, self.n, self.scale = m, n, own
+        self.basis = list(range(m))
+        self.at = [m + j for j in range(n)]
         # each label's column when nonbasic and ~row when basic
-        place = {**{lab: ~r for r, lab in enumerate(self.basis)}, **dict(zip(self.at, range(n)))}
-        self.where = [place[lab] for lab in range(m + n)]
-        self.rows = {}  # row -> stored row, for the basic structural variables
+        self.where = [~r for r in range(m)] + list(range(n))
+        self.rows = {}  # row -> stored row, for the basic y
         self.slack_rows = list(self.lrows)  # row -> L row of its basic slack, or None
         self.crow = [c.numerator * (t // c.denominator) for t in own] + [1]
         self.prev = 1
 
     def _column(self, v, cache):
-        """vec such that a basic slack s holds crow[v] + sum_j L_sj vec[j] in
-        column v (R_j[v] by structural j); cached per ratio test."""
+        """vec such that a basic slack r_i holds crow[v] + sum_j L_ij vec[j]
+        in column v (R_j[v] by j); cached per ratio test."""
         vec = cache.get(v)
         if vec is None:
+            m = self.m
             vec = cache[v] = [0] * self.n
             for r, tr in self.rows.items():
-                vec[self.basis[r] - self.struct0] = tr[v]
-            j = self.at[v] - self.struct0 if v < self.n else -1
-            if 0 <= j < self.n:
-                vec[j] = -self.prev
+                vec[self.basis[r] - m] = tr[v]
+            if v < self.n and self.at[v] >= m:
+                vec[self.at[v] - m] = -self.prev
         return vec
 
     def _entry(self, r, v, cache) -> int:
@@ -223,16 +238,15 @@ class _RevisedTableau:
         their rhs ratios tie (di, dk > 0 in the pivot column). A basic slack's
         unit column is positive in its own row only, so the first slack basic
         in row i or k decides unless a nonbasic slack before it does."""
-        slack0, m = self.slack0, len(self.lrows)
-        si, sk = self.basis[i] - slack0, self.basis[k] - slack0
-        stop = min(si if 0 <= si < m else m, sk if 0 <= sk < m else m)
+        m, si, sk = self.m, self.basis[i], self.basis[k]
+        stop = min(si if si < m else m, sk if sk < m else m)
         free = cache.get("slacks")
         if free is None:
-            free = cache["slacks"] = sorted(lab - slack0 for lab in self.at if 0 <= lab - slack0 < m)
+            free = cache["slacks"] = sorted(lab for lab in self.at if lab < m)
         for s in free:
             if s > stop:
                 break
-            c = self.where[slack0 + s]
+            c = self.where[s]
             lhs, rhs = self._entry(i, c, cache) * dk, self._entry(k, c, cache) * di
             if lhs != rhs:
                 return lhs < rhs
@@ -255,10 +269,10 @@ class _RevisedTableau:
         reduction game is highly degenerate. Only the other ties go to
         `_lex_less`."""
         cache = {}
-        m, slack0, basis, rows, n = len(self.lrows), self.slack0, self.basis, self.rows, self.n
+        m, basis, rows, n = self.m, self.basis, self.rows, self.n
         kd, vd = self.crow[col], self._column(col, cache)
         kq, vq = self.crow[n], self._column(n, cache)
-        first_free = min((lab - slack0 for lab in self.at if 0 <= lab - slack0 < m), default=m)
+        first_free = min((lab for lab in self.at if lab < m), default=m)
         best = bd = bq = bown = None
         for r, ls in enumerate(self.slack_rows):
             if ls is None:
@@ -273,7 +287,7 @@ class _RevisedTableau:
             if ls is None:
                 q, own = tr[n], m
             else:
-                q, own = kq, basis[r] - slack0
+                q, own = kq, basis[r]
                 for j, l in ls:
                     q += l * vq[j]
             if best is not None:
@@ -292,9 +306,9 @@ class _RevisedTableau:
 
     def _slack_row(self, r):
         """The full row of the basic slack in row r, built once when it leaves."""
-        row, prev, rows, where = list(self.crow), self.prev, self.rows, self.where
+        row, prev, rows, where, m = list(self.crow), self.prev, self.rows, self.where, self.m
         for j, l in self.slack_rows[r]:
-            v = where[self.struct0 + j]
+            v = where[m + j]
             if v >= 0:
                 row[v] -= l * prev
             else:
@@ -316,22 +330,154 @@ class _RevisedTableau:
         for r, tr in zip(kept, t):
             rows[r] = tr
         self.crow = t[-2]
-        if 0 <= entering - self.struct0 < self.n:
+        if entering >= self.m:
             rows[row], self.slack_rows[row] = t[-1], None
         else:
             rows.pop(row, None)
-            self.slack_rows[row] = self.lrows[entering - self.slack0]
+            self.slack_rows[row] = self.lrows[entering]
         leaving = self.basis[row]
         self.basis[row], self.at[col] = entering, leaving
         self.where[entering], self.where[leaving] = ~row, col
         return leaving
 
     def values(self):
-        """Each z_j times prev and its column scale."""
+        """Each y_j times prev and its column scale."""
         out = [0] * self.n
         for r, tr in self.rows.items():
-            j = self.basis[r] - self.struct0
+            j = self.basis[r] - self.m
             out[j] = tr[-1] * self.scale[j]
+        return out
+
+
+class _SlackBlockTableau:
+    """The hider's polytope {x >= 0, A x <= 1}, A = 1 c^T - L, held by its
+    slack block prev B^-1.
+
+    c is the shift in every column and L minus the payoff. Column i is
+    scaled to integers by `scale[i]`, the lcm of the payoff scale of the
+    game's row i and the denominator of c (a rescaling of x_i that `values`
+    undoes): `lcols[i]` holds the nonzeros (j, e) of column i of L, from
+    that payoff row, with e = L_ji scale[i], and `c[i]` is c scale[i].
+    x_i has label i and slack s_j label m + j; row r holds basic basis[r].
+    Each row stores its entries at the nonbasic slacks, `at[k]` being the
+    slack of stored column k in the order they left the basis, with the rhs
+    last: at most n + 1 integers, each the dense dictionary's entry times
+    `prev`. `where[j]` is slack j's stored column, or ~row when it is
+    basic; its column is then prev at that row and 0 elsewhere. The column
+    of x_i is not stored: it is `_column(i)`, built when x_i enters.
+    """
+
+    def __init__(self, c, prows, scale, n):
+        m = len(prows)
+        own = [math.lcm(s, c.denominator) for s in scale]
+        self.lcols = [[(j, -e * (t // s)) for j, e in row] for row, t, s in zip(prows, own, scale)]
+        self.c = [c.numerator * (t // c.denominator) for t in own]
+        self.m, self.n, self.scale = m, n, own
+        self.basis = [m + j for j in range(n)]
+        self.where = [~r for r in range(n)]
+        self.at = []
+        self.rows = [[1] for _ in range(n)]
+        self.prev = 1
+
+    def _column(self, i):
+        """x_i's column, c_i rhs - sum_j L_ji S_j, one entry per row."""
+        rows, c = self.rows, self.c[i]
+        col = [c * tr[-1] for tr in rows] if c else [0] * self.n
+        for j, l in self.lcols[i]:
+            k = self.where[j]
+            if k >= 0:
+                col = [a - l * tr[k] for a, tr in zip(col, rows)]
+            else:
+                col[~k] -= l * self.prev
+        return col
+
+    def _lex_less(self, i, k, di, dk) -> bool:
+        """Ratio row i < ratio row k over the slack block in label order once
+        their rhs ratios tie (di, dk > 0 in the pivot column), as
+        `_RevisedTableau._lex_less` decides it, reading the stored block."""
+        m, n = self.m, self.n
+        si, sk = self.basis[i] - m, self.basis[k] - m
+        stop = min(si if si >= 0 else n, sk if sk >= 0 else n)
+        ri, rk = self.rows[i], self.rows[k]
+        for s in sorted(self.at):
+            if s > stop:
+                break
+            v = self.where[s]
+            lhs, rhs = ri[v] * dk, rk[v] * di
+            if lhs != rhs:
+                return lhs < rhs
+        return stop == sk if stop < n else i < k
+
+    def _leaving(self, col):
+        """The row of least (rhs, slack block) ratio over the positive entries
+        of col, ties settled as in `_RevisedTableau._leaving`, a row holding
+        x having own slack label n."""
+        m, n, basis, rows = self.m, self.n, self.basis, self.rows
+        first_free = min(self.at, default=n)
+        best = bd = bq = bown = None
+        for r, d in enumerate(col):
+            if d <= 0:
+                continue
+            q, own = rows[r][-1], basis[r] - m
+            if own < 0:
+                own = n
+            if best is not None:
+                lhs, rhs = q * bd, bq * d
+                if lhs > rhs:
+                    continue
+                if lhs == rhs:
+                    stop = own if own < bown else bown
+                    if stop < first_free:
+                        if stop != bown:
+                            continue
+                    elif not self._lex_less(r, best, d, bd):
+                        continue
+            best, bd, bq, bown = r, d, q, own
+        return best
+
+    def pivot(self, entering):
+        """Enter `entering` by the lexicographic ratio test; return the label
+        that leaves, or None when its column has no positive entry.
+
+        An entering x_i's column is put in front of the rhs and pivoted on;
+        an entering slack is pivoted on its stored column. `_pivot` turns
+        that column into the leaving variable's, which is kept for a slack
+        and dropped for an x."""
+        m, rows, at, where = self.m, self.rows, self.at, self.where
+        if entering < m:
+            col = self._column(entering)
+        else:
+            k = where[entering - m]
+            col = [tr[k] for tr in rows]
+        row = self._leaving(col)
+        if row is None:
+            return None
+        if entering < m:
+            k = len(at)
+            for tr, v in zip(rows, col):
+                tr.insert(k, v)
+            at.append(None)
+        else:
+            where[entering - m] = ~row
+        self.prev = _pivot(rows, self.prev, row, k)
+        leaving = self.basis[row]
+        self.basis[row] = entering
+        if leaving >= m:
+            at[k], where[leaving - m] = leaving - m, k
+        else:
+            for tr in rows:
+                del tr[k]
+            del at[k]
+            for s in at[k:]:
+                where[s] -= 1
+        return leaving
+
+    def values(self):
+        """Each x_i times prev and its column scale."""
+        out = [0] * self.m
+        for i, tr in zip(self.basis, self.rows):
+            if i < self.m:
+                out[i] = tr[-1] * self.scale[i]
         return out
 
 
@@ -370,8 +516,8 @@ def _revised_tableaux(game: BimatrixGame):
         shift = ONE - Fraction(num, den)
     # payoff^T: c_i = shift, L_ji = -payoff_ij; utility: c_j = top, L_ij = loss_ij
     return (
-        _RevisedTableau(shift, _columns(game), pscale, -1, m, 0),
-        _RevisedTableau(top, game.loss_rows, lscale, 1, 0, m),
+        _SlackBlockTableau(shift, game.payoff_rows, pscale, n),
+        _RevisedTableau(top, game.loss_rows, lscale),
     )
 
 
@@ -414,7 +560,16 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     report = is_equilibrium(game, profile)
     if not report.ok:
         raise InternalError(f"pivoting returned a non-equilibrium: {report.deviation}")
+    # the values of the closing check, for `_equilibrium` to hand on
+    vars(profile)["_values"] = report.hider_loss, report.seeker_payoff
     return profile
+
+
+def _equilibrium(game: BimatrixGame, label: int):
+    """lemke_howson's profile with the hider loss and seeker payoff that its
+    closing `is_equilibrium` found, so that no caller sums the game again."""
+    profile = lemke_howson(game, label=label)
+    return profile, *vars(profile)["_values"]
 
 
 # ---------------------------------------------------------------------------

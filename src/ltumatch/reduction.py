@@ -29,7 +29,7 @@ from math import gcd, lcm
 from . import stability
 from .errors import DegenerateOutcome, InternalError, NonpositiveOutput, ZeroValue
 from .games import BimatrixGame, MixedProfile
-from .gamesolve import expected_values, lemke_howson
+from .gamesolve import _equilibrium, expected_values
 from .model import (
     Arrangement,
     ArrangementOutcome,
@@ -96,15 +96,14 @@ def _forward(phi, mu, mass, u) -> MixedProfile:
     return MixedProfile(tuple(h / weight for h in hiding), tuple(x / total for x in seeking))
 
 
-def _backward(game: BimatrixGame, profile: MixedProfile, phi, mass, s):
+def _backward(profile: MixedProfile, hider_loss, seeker_payoff, phi, mass, s):
     """mu = p / (s phi pi) over the rows and u = q / (s mass l) over the
     columns, with the hider loss l and seeker payoff pi of the profile."""
-    hider_loss, seeker_payoff = expected_values(game, profile)
     if hider_loss == 0 or seeker_payoff == 0:
         raise ZeroValue("equilibrium values must be positive to invert the rescaling")
     mu = tuple(p / (s * f * seeker_payoff) if p else ZERO for p, f in zip(profile.p, phi))
     u = tuple(q / (s * k * hider_loss) if q else ZERO for q, k in zip(profile.q, mass))
-    return mu, u, hider_loss, seeker_payoff
+    return mu, u
 
 
 def _flat(matrix) -> tuple:
@@ -149,26 +148,25 @@ def equilibrium_to_outcome(problem: LTUProblem, profile: MixedProfile) -> Outcom
     Stability of the result is exactly the equilibrium property of the input;
     callers that accept untrusted profiles should verify one side or other.
     """
-    return _map_back(problem, to_game(problem), profile)[0]
+    return _map_back(problem, profile, *expected_values(to_game(problem), profile))
 
 
-def _map_back(problem: LTUProblem, game: BimatrixGame, profile: MixedProfile):
-    """equilibrium_to_outcome on the problem's game, already built; returns
-    the outcome with the hider loss and seeker payoff it was scaled by."""
-    mu, u, hider_loss, seeker_payoff = _backward(
-        game, profile, _flat(problem.phi), problem.n + problem.m, 2
+def _map_back(problem: LTUProblem, profile: MixedProfile, hider_loss, seeker_payoff) -> Outcome:
+    """equilibrium_to_outcome, given the profile's hider loss and seeker
+    payoff on the problem's game."""
+    mu, u = _backward(
+        profile, hider_loss, seeker_payoff, _flat(problem.phi), problem.n + problem.m, 2
     )
     nx, ny = problem.nx, problem.ny
     rows = tuple(mu[k:k + ny] for k in range(0, len(mu), ny))
-    return Outcome(rows, u[:nx], u[nx:]), hider_loss, seeker_payoff
+    return Outcome(rows, u[:nx], u[nx:])
 
 
 def solve_stable(problem: LTUProblem, label: int = 0):
     """Pipeline: reduce, run the pivoting solver, map back. Returns the
     outcome together with the profile it came from."""
-    game = to_game(problem)
-    profile = lemke_howson(game, label=label)
-    outcome = _map_back(problem, game, profile)[0]
+    profile, *values = _equilibrium(to_game(problem), label)
+    outcome = _map_back(problem, profile, *values)
     _require_stable(problem, outcome)
     return outcome, profile
 
@@ -264,14 +262,14 @@ def outcome_to_equilibrium_n(
 def equilibrium_to_outcome_n(
     problem: ManyToOneProblem, profile: MixedProfile
 ) -> ArrangementOutcome:
-    return _map_back_n(problem, to_game_n(problem), profile)
+    return _map_back_n(problem, profile, *expected_values(to_game_n(problem), profile))
 
 
 def _map_back_n(
-    problem: ManyToOneProblem, game: BimatrixGame, profile: MixedProfile
+    problem: ManyToOneProblem, profile: MixedProfile, hider_loss, seeker_payoff
 ) -> ArrangementOutcome:
-    mu, u, _, _ = _backward(
-        game, profile, [arr.phi for arr in problem.arrangements], problem.n, 1
+    mu, u = _backward(
+        profile, hider_loss, seeker_payoff, [arr.phi for arr in problem.arrangements], problem.n, 1
     )
     return ArrangementOutcome(mu, u)
 
@@ -285,9 +283,8 @@ def solve_stable_m2o(problem: ManyToOneProblem, label: int = 0):
 def _solve_stable_m2o(problem: ManyToOneProblem, label: int):
     """solve_stable_m2o, plus the shift K that its one normalization applied."""
     shifted, k = normalize_outputs(problem)
-    game = to_game_n(shifted)
-    profile = lemke_howson(game, label=label)
-    lifted = _map_back_n(shifted, game, profile)
+    profile, *values = _equilibrium(to_game_n(shifted), label)
+    lifted = _map_back_n(shifted, profile, *values)
     outcome = ArrangementOutcome(lifted.mu, tuple(x - k for x in lifted.u))
     stability.verify_stable_m2o(problem, outcome).require(
         InternalError, "equilibrium mapped to an unstable arrangement outcome"

@@ -7,7 +7,9 @@
 - `tableau_start` is the integer start of both Lemke-Howson tableaux as
   `gamesolve` built it from the dense Fraction matrices: it finds the
   nonzeros with a truth test per entry and scales each structural column by
-  the lcm of its denominators and that of c (`top` or the shift).
+  the lcm of its denominators and that of c (`top` or the shift). The
+  hider's tableau starts as its L columns, c in each column's scale and one
+  row [1] (the rhs alone) per constraint.
 - `expected_values` and `is_equilibrium` sum dense Fractions, as
   `gamesolve` did before it summed the game's integer rows.
 """
@@ -70,8 +72,9 @@ def _tableau(c, lrows, ncols):
 
 
 def tableau_start(game):
-    """((scale, lrows, crow) of the hider's tableau over payoff^T, the same
-    of the seeker's over the utility), from the dense matrices."""
+    """((scale, lcols, c, rows) of the hider's tableau over payoff^T,
+    (scale, lrows, crow) of the seeker's over the utility), from the dense
+    matrices."""
     m, n = game.shape
     loss = [[(j, l) for j, l in enumerate(row) if l] for row in game.loss]
     gain = [[(j, w) for j, w in enumerate(row) if w] for row in game.payoff]
@@ -86,7 +89,13 @@ def tableau_start(game):
     for i, row in enumerate(gain):
         for j, w in row:
             lrows[j].append((i, -w))
-    return _tableau(shift, lrows, m), _tableau(top, loss, n)
+    scale, ints, crow = _tableau(shift, lrows, m)
+    lcols = [[] for _ in range(m)]
+    for j, row in enumerate(ints):
+        for i, l in row:
+            lcols[i].append((j, l))
+    hider = scale, lcols, crow[:-1], [[1] for _ in range(n)]
+    return hider, _tableau(top, loss, n)
 
 
 def expected_values(game, profile):

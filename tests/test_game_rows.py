@@ -125,10 +125,15 @@ def test_tableaux_start_from_the_dense_integers(uneven2x2, roommates):
     games += [to_game(p) for p in _one_to_one_problems()] + [to_game_n(p) for p in _m2o_problems()]
     games += _hand_games() + _dense_games()
     for game in games:
-        for ours, (scale, lrows, crow) in zip(_revised_tableaux(game), reference_game.tableau_start(game)):
-            assert ours.scale == scale
-            assert [list(row) for row in ours.lrows] == lrows
-            assert ours.crow == crow
+        hider, seeker = _revised_tableaux(game)
+        (scale, lcols, c, rows), (sscale, lrows, crow) = reference_game.tableau_start(game)
+        assert hider.scale == scale
+        assert [list(col) for col in hider.lcols] == lcols
+        assert hider.c == c
+        assert hider.rows == rows
+        assert seeker.scale == sscale
+        assert [list(row) for row in seeker.lrows] == lrows
+        assert seeker.crow == crow
 
 
 # ---------------------------------------------------------------------------
