@@ -114,6 +114,36 @@ def test_solve_all_labels_builds_one_game(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solves_sum_the_game_once_per_pivoted_profile(capsys, monkeypatch):
+    """Each pivoted profile's values come from lemke_howson's closing
+    equilibrium check; the backward map sums the game no second time."""
+    import sys
+
+    from ltumatch import gamesolve
+
+    calls = {"is_equilibrium": 0, "expected_values": 0}
+    for name in calls:
+        original = getattr(gamesolve, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        # every module that binds the name, so that no call goes uncounted
+        for module in [m for key, m in sys.modules.items() if key.startswith("ltumatch")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for argv, pivoted in (
+        (["solve", TAX, "--json"], 1),
+        (["solve", TAX, "--all-labels", "--json"], 3),
+        (["solve-m2o", ROOM, "--json"], 1),
+    ):
+        calls.update(is_equilibrium=0, expected_values=0)
+        code, _, _ = _capture(capsys, argv)
+        assert code == 0
+        assert calls == {"is_equilibrium": pivoted, "expected_values": 0}, argv
+
+
 def test_solve_all_labels_rejects_an_unstable_outcome(capsys, monkeypatch, uneven2x2, mixed):
     from ltumatch import stability
 
