@@ -49,7 +49,10 @@ LH = (
     "tests/test_lh_differential.py::test_uneven2x2",
     "tests/test_lh_differential.py::test_seed11_random_corpus",
 )
-LH_TIES = "tests/test_lh_ties.py::test_inline_ties_agree_with_lex_less"
+LH_SLACKS = (
+    "tests/test_lh_slacks.py::test_uneven2x2",
+    "tests/test_lh_slacks.py::test_general_seven_by_seven",
+)
 LH_WORK = "tests/test_lh_work.py::test_hider_rows_hold_at_most_n_plus_one_integers"
 STABILITY = (
     "tests/test_stability_differential.py::test_random_small_problems",
@@ -257,17 +260,8 @@ MUTANTS = (
     Mutant(
         "tie decided by the wrong row's slack",
         "gamesolve.py",
-        "return stop == sk if stop < m else i < k",
-        "return stop == si if stop < m else i < k",
-        # the seeker's path meets such a tie only after the inline rule
-        # settled it, which the ties test repeats through `_lex_less`
-        (*LH, LH_TIES),
-    ),
-    Mutant(
-        "hider tie decided by the wrong row's slack",
-        "gamesolve.py",
-        "return stop == sk if stop < n else i < k",
-        "return stop == si if stop < n else i < k",
+        "return stop == sk if stop < self.nslack else i < k",
+        "return stop == si if stop < self.nslack else i < k",
         LH,
     ),
     Mutant(
@@ -291,20 +285,27 @@ MUTANTS = (
         "d += l * vd[j]\n            if d < 0:",
         LH,
     ),
-    # ties in the ratio test settled inline by the rows' own slack labels
+    # the slack numbering both tableaux share, read by `_lex_less`
     Mutant(
-        "inline tie loser read from the wrong row",
+        "free appended instead of kept sorted",
         "gamesolve.py",
-        "if stop != bown:\n                            continue\n                    elif not self._lex_less(r, best, d, bd, cache):",
-        "if stop != own:\n                            continue\n                    elif not self._lex_less(r, best, d, bd, cache):",
-        (*LH, LH_TIES),
+        "bisect.insort(self.free, k)",
+        "self.free.append(k)",
+        (*LH, *LH_SLACKS),
     ),
     Mutant(
-        "first free slack taken over all slacks",
+        "own[row] not reset when a strategy enters",
         "gamesolve.py",
-        "first_free = min((lab for lab in self.at if lab < m), default=m)",
-        "first_free = min(range(m), default=m)",
-        (LH_TIES,),
+        "self.own[row] = self.nslack",
+        "pass",
+        LH_SLACKS,
+    ),
+    Mutant(
+        "entering slack left in free",
+        "gamesolve.py",
+        "self.free.remove(k)",
+        "pass",
+        LH_SLACKS,
     ),
     # the hider's tableau held by its slack block
     Mutant(
@@ -334,27 +335,6 @@ MUTANTS = (
         "col[~k] -= l * self.prev",
         "col[k] -= l * self.prev",
         (*LH, LH_WORK),
-    ),
-    Mutant(
-        "hider lex scan in stored order, not label order",
-        "gamesolve.py",
-        "for s in sorted(self.at):",
-        "for s in self.at:",
-        (*LH, LH_TIES),
-    ),
-    Mutant(
-        "hider inline tie loser read from the wrong row",
-        "gamesolve.py",
-        "if stop != bown:\n                            continue\n                    elif not self._lex_less(r, best, d, bd):",
-        "if stop != own:\n                            continue\n                    elif not self._lex_less(r, best, d, bd):",
-        (*LH, LH_TIES),
-    ),
-    Mutant(
-        "hider first free slack taken over all slacks",
-        "gamesolve.py",
-        "first_free = min(self.at, default=n)",
-        "first_free = 0",
-        (LH_TIES,),
     ),
     # verify_stable decides in integers
     Mutant(

@@ -387,9 +387,17 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+# keeps every rendered integer far below the 4300 digits that str() accepts
+MAX_DECIMAL_DIGITS = 1000
+
+
 def _decimal_format(text: str):
-    """The formatter that --decimal N selects: rationals as N-digit decimals."""
-    return partial(decimal_str, digits=_nonnegative(text))
+    """The formatter that --decimal N selects: rationals as N-digit decimals,
+    N at most MAX_DECIMAL_DIGITS."""
+    digits = _nonnegative(text)
+    if digits > MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DECIMAL_DIGITS}, got {digits}")
+    return partial(decimal_str, digits=digits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_decimal_format,
         metavar="N",
         default=str,
-        help="display rationals as N-digit decimals instead of exact fractions",
+        help=f"display rationals as N-digit decimals (N <= {MAX_DECIMAL_DIGITS}) instead of exact fractions",
     )
 
     def command(name, func, text, parents=(output,)):

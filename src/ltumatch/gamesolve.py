@@ -8,8 +8,8 @@ basic slack's row from the sparse game when it needs one; the hider's stores
 its slack block, the basis inverse, and builds a strategy's column from it
 when the strategy enters. `_pivot`, the fraction-free kernel shared with the
 exact LP in `_simplex`, updates them once per step; lexicographic
-tie-breaks keep the path from cycling, and most of them are settled by the
-tied rows' own slack labels without reading an entry.
+tie-breaks, one rule read from a slack numbering both tableaux share, keep
+the path from cycling.
 `enumerate_equilibria` finds every equilibrium support of small games at a
 cost exponential in their size. It runs one sweep per player, on that
 player's own matrix, which decides its indifference system of each support
@@ -29,6 +29,7 @@ profile over one denominator.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,7 +179,50 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 Var = tuple[str, int]
 
 
-class _RevisedTableau:
+class _Slacks:
+    """The slack numbering both tableaux share, and the lexicographic tie
+    rule read from it. Slack k has label first + k, first being 0 in the
+    seeker's tableau and m in the hider's; it starts basic in row k, and
+    `where[k]` is its column while it is nonbasic. `_swap` keeps `own[r]`,
+    the slack basic in row r or nslack where a strategy is, and `free`, the
+    nonbasic slacks in ascending order, current through each pivot."""
+
+    def __init__(self, nslack, first):
+        self.nslack, self.first, self.prev = nslack, first, 1
+        self.basis = list(range(first, first + nslack))
+        self.own, self.free = list(range(nslack)), []
+
+    def _swap(self, row, entering, leaving):
+        k = entering - self.first
+        if 0 <= k < self.nslack:
+            self.own[row] = k
+            self.free.remove(k)
+        else:
+            self.own[row] = self.nslack
+        k = leaving - self.first
+        if 0 <= k < self.nslack:
+            bisect.insort(self.free, k)
+
+    def _lex_less(self, i, k, di, dk, cache) -> bool:
+        """Ratio row i < ratio row k over the slack block in label order once
+        their rhs ratios tie (di, dk > 0 in the pivot column). A basic slack's
+        unit column is positive in its own row only, so the first slack basic
+        in row i or k decides, against the row it is basic in, unless a
+        nonbasic slack before it does; in a degenerate reduction game that
+        first step, which reads no entry, settles most ties."""
+        si, sk = self.own[i], self.own[k]
+        stop = si if si < sk else sk
+        for s in self.free:
+            if s > stop:
+                break
+            c = self.where[s]
+            lhs, rhs = self._entry(i, c, cache) * dk, self._entry(k, c, cache) * di
+            if lhs != rhs:
+                return lhs < rhs
+        return stop == sk if stop < self.nslack else i < k
+
+
+class _RevisedTableau(_Slacks):
     """The seeker's polytope {y >= 0, A y <= 1}, A = 1 c^T - L, in revised
     dictionary form.
 
@@ -202,14 +246,13 @@ class _RevisedTableau:
         factor = [t // s for t, s in zip(own, scale)]
         self.lrows = [[(j, e * factor[j]) for j, e in row] for row in lrows]
         self.m, self.n, self.scale = m, n, own
-        self.basis = list(range(m))
+        super().__init__(m, 0)
         self.at = [m + j for j in range(n)]
         # each label's column when nonbasic and ~row when basic
         self.where = [~r for r in range(m)] + list(range(n))
         self.rows = {}  # row -> stored row, for the basic y
         self.slack_rows = list(self.lrows)  # row -> L row of its basic slack, or None
         self.crow = [c.numerator * (t // c.denominator) for t in own] + [1]
-        self.prev = 1
 
     def _column(self, v, cache):
         """vec such that a basic slack r_i holds crow[v] + sum_j L_ij vec[j]
@@ -233,47 +276,19 @@ class _RevisedTableau:
             e += l * vec[j]
         return e
 
-    def _lex_less(self, i, k, di, dk, cache) -> bool:
-        """Ratio row i < ratio row k over the slack block in label order once
-        their rhs ratios tie (di, dk > 0 in the pivot column). A basic slack's
-        unit column is positive in its own row only, so the first slack basic
-        in row i or k decides unless a nonbasic slack before it does."""
-        m, si, sk = self.m, self.basis[i], self.basis[k]
-        stop = min(si if si < m else m, sk if sk < m else m)
-        free = cache.get("slacks")
-        if free is None:
-            free = cache["slacks"] = sorted(lab for lab in self.at if lab < m)
-        for s in free:
-            if s > stop:
-                break
-            c = self.where[s]
-            lhs, rhs = self._entry(i, c, cache) * dk, self._entry(k, c, cache) * di
-            if lhs != rhs:
-                return lhs < rhs
-        return stop == sk if stop < m else i < k
-
     def _leaving(self, col):
         """The row of least (rhs, slack block) ratio over the positive entries
         of column col, or None when there is none.
 
         Each row's pivot-column entry and rhs are read inline: a stored row's
         own, a slack row's from crow and the `_column` vectors of col and the
-        rhs, built once per ratio test.
-
-        A tie in the rhs ratio goes to the slack block in label order, where
-        each row holds a unit entry at its own basic slack and zero at every
-        other basic one. Let stop be the lesser own slack label of the two
-        rows (m for a stored row). When no nonbasic slack precedes stop, the
-        block first differs at stop, where the row whose own slack it is has
-        the larger ratio and loses; that settles most ties, since a
-        reduction game is highly degenerate. Only the other ties go to
+        rhs, built once per ratio test. A tie in the rhs ratio goes to
         `_lex_less`."""
         cache = {}
-        m, basis, rows, n = self.m, self.basis, self.rows, self.n
+        rows, n = self.rows, self.n
         kd, vd = self.crow[col], self._column(col, cache)
         kq, vq = self.crow[n], self._column(n, cache)
-        first_free = min((lab for lab in self.at if lab < m), default=m)
-        best = bd = bq = bown = None
+        best = bd = bq = None
         for r, ls in enumerate(self.slack_rows):
             if ls is None:
                 tr = rows[r]
@@ -285,23 +300,16 @@ class _RevisedTableau:
             if d <= 0:
                 continue
             if ls is None:
-                q, own = tr[n], m
+                q = tr[n]
             else:
-                q, own = kq, basis[r]
+                q = kq
                 for j, l in ls:
                     q += l * vq[j]
             if best is not None:
                 lhs, rhs = q * bd, bq * d
-                if lhs > rhs:
+                if lhs > rhs or lhs == rhs and not self._lex_less(r, best, d, bd, cache):
                     continue
-                if lhs == rhs:
-                    stop = own if own < bown else bown
-                    if stop < first_free:
-                        if stop != bown:
-                            continue
-                    elif not self._lex_less(r, best, d, bd, cache):
-                        continue
-            best, bd, bq, bown = r, d, q, own
+            best, bd, bq = r, d, q
         return best
 
     def _slack_row(self, r):
@@ -338,6 +346,7 @@ class _RevisedTableau:
         leaving = self.basis[row]
         self.basis[row], self.at[col] = entering, leaving
         self.where[entering], self.where[leaving] = ~row, col
+        self._swap(row, entering, leaving)
         return leaving
 
     def values(self):
@@ -349,7 +358,7 @@ class _RevisedTableau:
         return out
 
 
-class _SlackBlockTableau:
+class _SlackBlockTableau(_Slacks):
     """The hider's polytope {x >= 0, A x <= 1}, A = 1 c^T - L, held by its
     slack block prev B^-1.
 
@@ -373,11 +382,10 @@ class _SlackBlockTableau:
         self.lcols = [[(j, -e * (t // s)) for j, e in row] for row, t, s in zip(prows, own, scale)]
         self.c = [c.numerator * (t // c.denominator) for t in own]
         self.m, self.n, self.scale = m, n, own
-        self.basis = [m + j for j in range(n)]
+        super().__init__(n, m)
         self.where = [~r for r in range(n)]
         self.at = []
         self.rows = [[1] for _ in range(n)]
-        self.prev = 1
 
     def _column(self, i):
         """x_i's column, c_i rhs - sum_j L_ji S_j, one entry per row."""
@@ -391,48 +399,23 @@ class _SlackBlockTableau:
                 col[~k] -= l * self.prev
         return col
 
-    def _lex_less(self, i, k, di, dk) -> bool:
-        """Ratio row i < ratio row k over the slack block in label order once
-        their rhs ratios tie (di, dk > 0 in the pivot column), as
-        `_RevisedTableau._lex_less` decides it, reading the stored block."""
-        m, n = self.m, self.n
-        si, sk = self.basis[i] - m, self.basis[k] - m
-        stop = min(si if si >= 0 else n, sk if sk >= 0 else n)
-        ri, rk = self.rows[i], self.rows[k]
-        for s in sorted(self.at):
-            if s > stop:
-                break
-            v = self.where[s]
-            lhs, rhs = ri[v] * dk, rk[v] * di
-            if lhs != rhs:
-                return lhs < rhs
-        return stop == sk if stop < n else i < k
+    def _entry(self, r, v, cache) -> int:
+        return self.rows[r][v]
 
     def _leaving(self, col):
         """The row of least (rhs, slack block) ratio over the positive entries
-        of col, ties settled as in `_RevisedTableau._leaving`, a row holding
-        x having own slack label n."""
-        m, n, basis, rows = self.m, self.n, self.basis, self.rows
-        first_free = min(self.at, default=n)
-        best = bd = bq = bown = None
+        of col, a tie in the rhs ratio going to `_lex_less`."""
+        rows = self.rows
+        best = bd = bq = None
         for r, d in enumerate(col):
             if d <= 0:
                 continue
-            q, own = rows[r][-1], basis[r] - m
-            if own < 0:
-                own = n
+            q = rows[r][-1]
             if best is not None:
                 lhs, rhs = q * bd, bq * d
-                if lhs > rhs:
+                if lhs > rhs or lhs == rhs and not self._lex_less(r, best, d, bd, None):
                     continue
-                if lhs == rhs:
-                    stop = own if own < bown else bown
-                    if stop < first_free:
-                        if stop != bown:
-                            continue
-                    elif not self._lex_less(r, best, d, bd):
-                        continue
-            best, bd, bq, bown = r, d, q, own
+            best, bd, bq = r, d, q
         return best
 
     def pivot(self, entering):
@@ -470,6 +453,7 @@ class _SlackBlockTableau:
             del at[k]
             for s in at[k:]:
                 where[s] -= 1
+        self._swap(row, entering, leaving)
         return leaving
 
     def values(self):

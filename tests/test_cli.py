@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ltumatch.cli import run
+from ltumatch.cli import MAX_DECIMAL_DIGITS, run
 from ltumatch.games import game_from_dict
 
 FIG = "data/uneven2x2.json"
@@ -75,6 +75,14 @@ def test_solve_decimal(capsys):
     assert data["hider_loss"] == "0.2500"
     assert data["seeker_payoff"] == "0.3000"
     assert data["profile"]["p"] == ["0.0000", "0.4000", "0.6000", "0.0000"]
+
+
+def test_solve_decimal_at_the_maximum_renders_exactly(capsys):
+    code, out, _ = _capture(capsys, ["solve", FIG, "--json", "--decimal", str(MAX_DECIMAL_DIGITS)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["hider_loss"] == "0." + "25".ljust(MAX_DECIMAL_DIGITS, "0")
+    assert data["seeker_payoff"] == "0." + "3".ljust(MAX_DECIMAL_DIGITS, "0")
 
 
 def test_solve_is_deterministic(capsys):
@@ -437,12 +445,13 @@ SINGLES_TRUE_SIZE = {
         (["solve-m2o", "BAD"], _bad_arrangement(slots=5)),
         (["solve-m2o", "BAD"], SINGLES_TRUE_SIZE),
         (["solve", FIG, "--decimal", "-1"], None),
+        (["solve", FIG, "--decimal", "5000"], None),
         (["fuzz", "--count", "-1"], None),
         (["fuzz", "--count", "abc"], None),
     ],
     ids=["verify-mu", "verify-mu-row", "verify-v", "exchange-first", "exchange-second",
          "from-eq-p", "verify-m2o-mu", "solve-m2o-lambda", "solve-m2o-slots",
-         "solve-m2o-bool-size", "decimal", "fuzz-count", "fuzz-count-text"],
+         "solve-m2o-bool-size", "decimal", "decimal-too-many-digits", "fuzz-count", "fuzz-count-text"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, bad):
     path = tmp_path / "bad.json"
