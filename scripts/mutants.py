@@ -106,12 +106,20 @@ MUTANTS = (
         "tuple((c, a) for c, a, b in prow)",
         (GAME_ROWS + "test_to_game_gives_the_formula_games",),
     ),
+    # the seeker's tableau on per-cell row scales
     Mutant(
-        "seeker tableau column left at the game's scale",
+        "row scale d_i dropped",
         "gamesolve.py",
-        "factor = [t // s for t, s in zip(own, scale)]",
-        "factor = [1 for t, s in zip(own, scale)]",
-        (GAME_ROWS + "test_tableaux_start_from_the_dense_integers",),
+        "d = math.lcm(t, *(scale[j] // math.gcd(e, scale[j]) for j, e in row))",
+        "d = t",
+        (GAME_ROWS + "test_tableaux_start_from_the_dense_integers", *LH),
+    ),
+    Mutant(
+        "crow taken without the d_i/t factor",
+        "gamesolve.py",
+        "self.lrows.append((d // t, ",
+        "self.lrows.append((1, ",
+        (GAME_ROWS + "test_tableaux_start_from_the_dense_integers", *LH),
     ),
     Mutant(
         "hider tableau column left at the game's scale",
@@ -357,6 +365,14 @@ MUTANTS = (
         "zip(problem.jobs, problem.m, zip(*mun))",
         "zip(problem.jobs, problem.m, mun)",
         STABILITY,
+    ),
+    # check_tu decided on integer odds
+    Mutant(
+        "one factor of the cross product swapped",
+        "tu.py",
+        "num, den = a00 * axy * bx0 * b0y, ax0 * a0y * b00 * bxy",
+        "num, den = a00 * axy * bx0 * a0y, ax0 * b0y * b00 * bxy",
+        ("tests/test_tu.py::test_check_tu_agrees_with_the_fraction_odds",),
     ),
     # support enumeration's dominance sweep
     Mutant(

@@ -7,7 +7,9 @@ solved by pivoting, mapped back, and the result is audited against facts that
 must hold when the code is right: the game has matching loss/payoff supports,
 the mapped outcome is stable, mapping it forward again returns the very same
 profile, and the equilibrium values match the closed forms
-1 / (2 sum(phi mu)) and 1 / (2 (n.u + m.v)).
+1 / (2 sum(phi mu)) and 1 / (2 (n.u + m.v)). The check-tu verdict on each
+instance is audited from its own certificate: the scales must factorize the
+odds matrix, or the witness's quadruple must have cross ratio rho != 1.
 
 `run_campaign` never raises on a finding; it collects (index, kind, message)
 triples so a driver can print them all and fail loudly once.
@@ -23,7 +25,7 @@ from .gamesolve import _equilibrium
 from .model import LTUProblem
 from .reduction import _map_back, outcome_to_equilibrium, to_game
 from .stability import verify_stable
-from .tu import check_tu
+from .tu import check_tu, omega
 
 WEIGHT_DENOMINATOR = 12
 OUTPUT_NUMERATOR = 10
@@ -88,9 +90,27 @@ def random_non_tu_problem(rng: random.Random, cfg: FuzzConfig = FuzzConfig()) ->
     raise InternalError("could not draw a non-factorizable instance in 200 tries")
 
 
+def _audit_tu(problem: LTUProblem) -> list[str]:
+    """check_tu's verdict, checked against its scales or its witness on the
+    Fraction odds matrix, without deciding factorization again."""
+    report = check_tu(problem)
+    om = omega(problem)
+    if report.ok:
+        a, b = report.worker_scale, report.job_scale
+        if any(om[x][y] * b[y] != a[x] for x in range(problem.nx) for y in range(problem.ny)):
+            return ["check-tu: the scales do not factorize the odds"]
+        return []
+    w = report.witness
+    x0, x1 = problem.worker_index(w.x0), problem.worker_index(w.x1)
+    y0, y1 = problem.job_index(w.y0), problem.job_index(w.y1)
+    if w.rho == 1 or om[x0][y0] * om[x1][y1] != w.rho * om[x0][y1] * om[x1][y0]:
+        return [f"check-tu: witness rho = {w.rho} is 1 or not its quadruple's cross ratio"]
+    return []
+
+
 def run_pipeline_checks(problem: LTUProblem, label: int = 0) -> tuple[str, ...]:
     """Run the full reduce/solve/map-back pipeline; name every broken fact."""
-    failures: list[str] = []
+    failures = _audit_tu(problem)
     game = to_game(problem)
     if not game.is_hide_and_seek():
         failures.append("game structure: loss and payoff supports differ")

@@ -138,15 +138,25 @@ def require_equilibrium(game: BimatrixGame, profile: MixedProfile) -> Equilibriu
 # The hider's loss becomes a utility by reflection (max loss + 1 minus loss).
 # The seeker's payoff is kept as it is when it is >= 0 with a positive entry in
 # every row, which bounds the hider's polytope and always holds for reduction
-# games; any other payoff is shifted so that its least entry is 1. The scales
-# come from the game, which holds each structural column of L in integers over
-# one (the loss over one per column, the payoff over one per row). Only `top`
-# and the shift are the tableau's own: a column's scale is the lcm of the
-# game's and their denominator, so the column is multiplied by the quotient
-# (a rescaling of x_i or y_j), and the scale is undone when the profile is
-# read back. None of this moves a label or a lexicographic ratio (the shift
-# maps the polytope projectively onto the unshifted one, facet for facet), so
-# the path is the one the game itself takes.
+# games; any other payoff is shifted so that its least entry is 1. The game
+# holds L in integers (the loss over one scale per column, the payoff over one
+# per row), and each tableau puts it over scales of its own:
+#
+# - The hider's tableau scales each column, a rescaling of x_i: column i's
+#   scale is the lcm of the payoff's row scale and the shift's denominator,
+#   so each entry is multiplied by the quotient, and the scale is undone when
+#   the profile is read back.
+# - The seeker's tableau scales each constraint row: row i is multiplied by
+#   d_i, the lcm of `top`'s denominator and those of row i's loss entries in
+#   lowest terms. That only rescales the slack r_i, so no variable's value
+#   changes. In a reduction game d_i carries two loss denominators, where a
+#   column's lcm would span every cell in its type's line, and the tableau's
+#   integers grow with the scales they start from.
+#
+# None of this moves a label or a lexicographic ratio (the shift maps the
+# polytope projectively onto the unshifted one, facet for facet, and a
+# positive rescaling of a variable or a slack scales its column or its row),
+# so the path is the one the game itself takes.
 #
 # Tableau 1 holds the hider's polytope {x >= 0, payoff^T x <= 1}, one row per
 # constraint j with slack s_j; tableau 2 holds the seeker's
@@ -226,37 +236,40 @@ class _RevisedTableau(_Slacks):
     """The seeker's polytope {y >= 0, A y <= 1}, A = 1 c^T - L, in revised
     dictionary form.
 
-    c is `top` in every column and L the loss: `lrows[i]`, the nonzeros
-    (j, e) of row i of L, come in integers, with L_ij = e / scale[j]. Column
-    j is scaled to integers by the lcm of scale[j] and the denominator of c
-    (a rescaling of y_j that `values` undoes), so each e is only multiplied
-    by the quotient. Slack r_i has label i and y_j label m + j; row r holds
-    basic basis[r], column v nonbasic at[v], column n the rhs; entries are
-    the true coefficients times `prev`. Stored are the rows of basic y and
-    `crow`, the row of c^T y <= 1, whose slack never leaves: at most n + 1
-    rows of n + 1 integers. A basic slack r_i's row,
-    prev A[i] - sum over basic y of A[i][y] T_y, is then
-    crow + sum_j L_ij R_j with R_j the row of y_j if basic and else -prev at
-    y_j's column.
+    c is `top` in every column and L the loss, whose row i comes from the
+    game as the nonzeros (j, e), L_ij = e / scale[j]. Constraint row i is
+    scaled to integers by d_i, the lcm of t, c's denominator, and the
+    lowest-terms denominators of L_i (a rescaling of the slack r_i alone):
+    `lrows[i]` holds (d_i / t, the nonzeros (j, d_i L_ij)). Slack r_i has
+    label i and y_j label m + j; row r holds basic basis[r], column v
+    nonbasic at[v], column n the rhs; entries are the true coefficients
+    times `prev`. Stored are the rows of basic y and `crow`, the row of
+    t c^T y <= t, whose slack never leaves: at most n + 1 rows of n + 1
+    integers. A basic slack r_i's row,
+    prev d_i A[i] - sum over basic y of d_i A[i][y] T_y, is then
+    (d_i / t) crow + sum_j d_i L_ij R_j with R_j the row of y_j if basic and
+    else -prev at y_j's column.
     """
 
     def __init__(self, c, lrows, scale):
-        n, m = len(scale), len(lrows)
-        own = [math.lcm(s, c.denominator) for s in scale]
-        factor = [t // s for t, s in zip(own, scale)]
-        self.lrows = [[(j, e * factor[j]) for j, e in row] for row in lrows]
-        self.m, self.n, self.scale = m, n, own
+        n, m, t = len(scale), len(lrows), c.denominator
+        self.lrows = []
+        for row in lrows:
+            d = math.lcm(t, *(scale[j] // math.gcd(e, scale[j]) for j, e in row))
+            self.lrows.append((d // t, [(j, e * d // scale[j]) for j, e in row]))
+        self.m, self.n = m, n
         super().__init__(m, 0)
         self.at = [m + j for j in range(n)]
         # each label's column when nonbasic and ~row when basic
         self.where = [~r for r in range(m)] + list(range(n))
         self.rows = {}  # row -> stored row, for the basic y
-        self.slack_rows = list(self.lrows)  # row -> L row of its basic slack, or None
-        self.crow = [c.numerator * (t // c.denominator) for t in own] + [1]
+        self.slack_rows = list(self.lrows)  # row -> (d_i / t, d_i L_i) of its basic slack, or None
+        self.crow = [c.numerator] * n + [t]
 
     def _column(self, v, cache):
-        """vec such that a basic slack r_i holds crow[v] + sum_j L_ij vec[j]
-        in column v (R_j[v] by j); cached per ratio test."""
+        """vec such that a basic slack r_i holds
+        (d_i / t) crow[v] + sum_j d_i L_ij vec[j] in column v (R_j[v] by j);
+        cached per ratio test."""
         vec = cache.get(v)
         if vec is None:
             m = self.m
@@ -271,8 +284,9 @@ class _RevisedTableau(_Slacks):
         tr = self.rows.get(r)
         if tr is not None:
             return tr[v]
-        e, vec = self.crow[v], self._column(v, cache)
-        for j, l in self.slack_rows[r]:
+        k, ls = self.slack_rows[r]
+        e, vec = k * self.crow[v], self._column(v, cache)
+        for j, l in ls:
             e += l * vec[j]
         return e
 
@@ -281,28 +295,29 @@ class _RevisedTableau(_Slacks):
         of column col, or None when there is none.
 
         Each row's pivot-column entry and rhs are read inline: a stored row's
-        own, a slack row's from crow and the `_column` vectors of col and the
-        rhs, built once per ratio test. A tie in the rhs ratio goes to
-        `_lex_less`."""
+        own, a slack row's from its multiple of crow and the `_column`
+        vectors of col and the rhs, built once per ratio test. A tie in the
+        rhs ratio goes to `_lex_less`."""
         cache = {}
         rows, n = self.rows, self.n
         kd, vd = self.crow[col], self._column(col, cache)
         kq, vq = self.crow[n], self._column(n, cache)
         best = bd = bq = None
-        for r, ls in enumerate(self.slack_rows):
-            if ls is None:
+        for r, sl in enumerate(self.slack_rows):
+            if sl is None:
                 tr = rows[r]
                 d = tr[col]
             else:
-                d = kd
+                k, ls = sl
+                d = k * kd
                 for j, l in ls:
                     d += l * vd[j]
             if d <= 0:
                 continue
-            if ls is None:
+            if sl is None:
                 q = tr[n]
             else:
-                q = kq
+                q = k * kq
                 for j, l in ls:
                     q += l * vq[j]
             if best is not None:
@@ -314,8 +329,9 @@ class _RevisedTableau(_Slacks):
 
     def _slack_row(self, r):
         """The full row of the basic slack in row r, built once when it leaves."""
-        row, prev, rows, where, m = list(self.crow), self.prev, self.rows, self.where, self.m
-        for j, l in self.slack_rows[r]:
+        k, ls = self.slack_rows[r]
+        row, prev, rows, where, m = [k * a for a in self.crow], self.prev, self.rows, self.where, self.m
+        for j, l in ls:
             v = where[m + j]
             if v >= 0:
                 row[v] -= l * prev
@@ -350,11 +366,10 @@ class _RevisedTableau(_Slacks):
         return leaving
 
     def values(self):
-        """Each y_j times prev and its column scale."""
+        """Each y_j times prev."""
         out = [0] * self.n
         for r, tr in self.rows.items():
-            j = self.basis[r] - self.m
-            out[j] = tr[-1] * self.scale[j]
+            out[self.basis[r] - self.m] = tr[-1]
         return out
 
 

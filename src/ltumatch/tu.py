@@ -58,19 +58,27 @@ class TuReport:
 
 
 def check_tu(problem: LTUProblem) -> TuReport:
-    """Decide whether the odds matrix factorizes; report scales or a witness."""
-    om = omega(problem)
+    """Decide whether the odds matrix factorizes; report scales or a witness.
+
+    Each lambda = p/q gives the odds as the integer pair (a, b) = (p, q - p),
+    so rho = a00 axy bx0 b0y / (ax0 a0y b00 bxy) is decided by comparing the
+    two cross products; Fractions are built only for what the report holds."""
+    odds = [[(l.numerator, l.denominator - l.numerator) for l in row] for row in problem.lam]
+    a00, b00 = odds[0][0]
     for x in range(1, problem.nx):
+        ax0, bx0 = odds[x][0]
         for y in range(1, problem.ny):
-            rho = om[0][0] * om[x][y] / (om[x][0] * om[0][y])
-            if rho != 1:
+            a0y, b0y = odds[0][y]
+            axy, bxy = odds[x][y]
+            num, den = a00 * axy * bx0 * b0y, ax0 * a0y * b00 * bxy
+            if num != den:
                 witness = TuWitness(
                     problem.workers[0], problem.workers[x],
-                    problem.jobs[0], problem.jobs[y], rho,
+                    problem.jobs[0], problem.jobs[y], Fraction(num, den),
                 )
                 return TuReport(False, witness, None, None)
-    worker_scale = tuple(om[x][0] / om[0][0] for x in range(problem.nx))
-    job_scale = tuple(ONE / om[0][y] for y in range(problem.ny))
+    worker_scale = tuple(Fraction(ax0 * b00, bx0 * a00) for ax0, bx0 in (row[0] for row in odds))
+    job_scale = tuple(Fraction(b0y, a0y) for a0y, b0y in odds[0])
     return TuReport(True, None, worker_scale, job_scale)
 
 

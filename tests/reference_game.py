@@ -4,12 +4,14 @@
   of both reductions entry by entry from the formulas of the `reduction`
   module docstring: where row r holds members of type c, the hider loses
   w / (n_c phi_r) and the seeker collects k / (s n_c phi_r).
-- `tableau_start` is the integer start of both Lemke-Howson tableaux as
-  `gamesolve` built it from the dense Fraction matrices: it finds the
-  nonzeros with a truth test per entry and scales each structural column by
-  the lcm of its denominators and that of c (`top` or the shift). The
-  hider's tableau starts as its L columns, c in each column's scale and one
-  row [1] (the rhs alone) per constraint.
+- `tableau_start` is the integer start of both Lemke-Howson tableaux,
+  built from the dense Fraction matrices: it finds the nonzeros with a
+  truth test per entry. The hider's tableau scales each structural column
+  by the lcm of its denominators and that of the shift, and starts as its L
+  columns, c in each column's scale and one row [1] (the rhs alone) per
+  constraint. The seeker's scales each constraint row i by d_i, the lcm of
+  the denominators of L_i and of `top`, and holds (d_i / t, d_i L_i) with
+  t = top's denominator, and the row t (c^T y <= 1).
 - `expected_values` and `is_equilibrium` sum dense Fractions, as
   `gamesolve` did before it summed the game's integer rows.
 """
@@ -59,21 +61,9 @@ def game_matrices_n(problem):
     return tuple(loss), tuple(payoff)
 
 
-def _tableau(c, lrows, ncols):
-    """(scale, integer lrows, crow) of a tableau with c_j = c in every
-    column j and the sparse Fraction rows lrows of L."""
-    scale = [c.denominator] * ncols
-    for row in lrows:
-        for j, l in row:
-            scale[j] = math.lcm(scale[j], l.denominator)
-    ints = [[(j, l.numerator * (scale[j] // l.denominator)) for j, l in row] for row in lrows]
-    crow = [c.numerator * (k // c.denominator) for k in scale] + [1]
-    return scale, ints, crow
-
-
 def tableau_start(game):
     """((scale, lcols, c, rows) of the hider's tableau over payoff^T,
-    (scale, lrows, crow) of the seeker's over the utility), from the dense
+    (lrows, crow) of the seeker's over the utility), from the dense
     matrices."""
     m, n = game.shape
     loss = [[(j, l) for j, l in enumerate(row) if l] for row in game.loss]
@@ -89,13 +79,24 @@ def tableau_start(game):
     for i, row in enumerate(gain):
         for j, w in row:
             lrows[j].append((i, -w))
-    scale, ints, crow = _tableau(shift, lrows, m)
-    lcols = [[] for _ in range(m)]
-    for j, row in enumerate(ints):
+    # the hider's columns, each over the lcm of its denominators and the shift's
+    scale = [shift.denominator] * m
+    for row in lrows:
         for i, l in row:
-            lcols[i].append((j, l))
-    hider = scale, lcols, crow[:-1], [[1] for _ in range(n)]
-    return hider, _tableau(top, loss, n)
+            scale[i] = math.lcm(scale[i], l.denominator)
+    lcols = [[] for _ in range(m)]
+    for j, row in enumerate(lrows):
+        for i, l in row:
+            lcols[i].append((j, l.numerator * (scale[i] // l.denominator)))
+    c = [shift.numerator * (k // shift.denominator) for k in scale]
+    hider = scale, lcols, c, [[1] for _ in range(n)]
+    # the seeker's rows, row i over d_i
+    t = top.denominator
+    seeker_rows = []
+    for row in loss:
+        d = math.lcm(t, *(l.denominator for _, l in row))
+        seeker_rows.append((d // t, [(j, (d * l).numerator) for j, l in row]))
+    return hider, (seeker_rows, [top.numerator] * n + [t])
 
 
 def expected_values(game, profile):

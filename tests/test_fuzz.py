@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
+from fractions import Fraction as F
 
 from ltumatch import (
     FuzzConfig,
+    TuWitness,
     check_tu,
     random_non_tu_problem,
     random_problem,
@@ -9,6 +12,7 @@ from ltumatch import (
     run_campaign,
     run_pipeline_checks,
 )
+from ltumatch import fuzz, tu
 
 
 def test_campaign_passes():
@@ -58,3 +62,20 @@ def test_same_seed_same_problems():
     a = random_problem(random.Random(9), FuzzConfig())
     b = random_problem(random.Random(9), FuzzConfig())
     assert a == b
+
+
+def test_pipeline_checks_audit_the_tu_verdict(monkeypatch, uneven2x2, tu_2x2):
+    """A verdict whose own certificate fails is a finding: scales that do
+    not factorize the odds, a witness whose cross ratio is not its rho, or
+    a witness with rho = 1."""
+    assert run_pipeline_checks(tu_2x2) == ()
+
+    def corrupted(change):
+        monkeypatch.setattr(fuzz, "check_tu", lambda problem: change(tu.check_tu(problem)))
+
+    corrupted(lambda r: replace(r, job_scale=(r.job_scale[0], 2 * r.job_scale[1])))
+    assert run_pipeline_checks(tu_2x2) == ("check-tu: the scales do not factorize the odds",)
+    corrupted(lambda r: replace(r, witness=replace(r.witness, rho=1 / r.witness.rho)))
+    assert run_pipeline_checks(uneven2x2) == ("check-tu: witness rho = 4 is 1 or not its quadruple's cross ratio",)
+    corrupted(lambda r: replace(r, ok=False, witness=TuWitness("w1", "w2", "j1", "j2", F(1))))
+    assert run_pipeline_checks(tu_2x2) == ("check-tu: witness rho = 1 is 1 or not its quadruple's cross ratio",)

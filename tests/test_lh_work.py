@@ -3,7 +3,10 @@
 The hider's tableau of a 9x9 market has n = 18 rows and m = 81 structural
 columns. It stores only its slack block and the rhs, so none of its rows
 may ever hold more than n + 1 integers; the cells that each tableau hands
-to `_pivot`, summed over the path from every label, are pinned.
+to `_pivot`, summed over the path from every label, are pinned, and so is
+the bit length of the largest integer, prev included, that `_pivot` leaves
+in each. The seeker's rows are scaled per cell; with its columns scaled per
+type instead, its largest integer reached 214 bits.
 """
 import random
 
@@ -15,13 +18,16 @@ def test_hider_rows_hold_at_most_n_plus_one_integers(monkeypatch):
     m, n = game.shape
     assert (m, n) == (81, 18)
     cells = {"hider": 0, "seeker": 0}
+    bits = dict(cells)
     widest = [0]
     side = [None]
     kernel = gamesolve._pivot
 
     def counting_pivot(t, prev, row, col):
         cells[side[0]] += sum(map(len, t))
-        return kernel(t, prev, row, col)
+        prev = kernel(t, prev, row, col)
+        bits[side[0]] = max(bits[side[0]], prev.bit_length(), *(abs(a).bit_length() for tr in t for a in tr))
+        return prev
 
     def watched(kind, method):
         def pivot(self, entering):
@@ -41,3 +47,4 @@ def test_hider_rows_hold_at_most_n_plus_one_integers(monkeypatch):
     assert 1 < widest[0] <= n + 1
     # the hider's rows spanned all m columns before: 3,624,400 cells
     assert cells == {"hider": 821_376, "seeker": 844_550}
+    assert bits == {"hider": 32, "seeker": 85}

@@ -10,12 +10,16 @@ from ltumatch import (
     LTUProblem,
     NotTU,
     Outcome,
+    TuReport,
+    TuWitness,
     build_counterexample,
     check_tu,
     enumerate_stable,
     exchange_test,
     omega,
     random_non_tu_problem,
+    random_problem,
+    random_tu_problem,
     rescale_to_tu,
     solve_stable,
     verify_stable,
@@ -48,6 +52,64 @@ def test_check_tu_accepts_factorizable(tu_2x2):
 def test_one_by_one_always_factorizes():
     p = LTUProblem(("w",), ("j",), (F(1),), (F(1),), ((F(1, 3),),), ((F(5),),))
     assert check_tu(p).ok
+
+
+def _reference_check_tu(problem):
+    """check_tu's report, decided on the Fraction odds matrix."""
+    om = omega(problem)
+    for x in range(1, problem.nx):
+        for y in range(1, problem.ny):
+            rho = om[0][0] * om[x][y] / (om[x][0] * om[0][y])
+            if rho != 1:
+                witness = TuWitness(problem.workers[0], problem.workers[x], problem.jobs[0], problem.jobs[y], rho)
+                return TuReport(False, witness, None, None)
+    return TuReport(
+        True,
+        None,
+        tuple(om[x][0] / om[0][0] for x in range(problem.nx)),
+        tuple(1 / om[0][y] for y in range(problem.ny)),
+    )
+
+
+def _with_lam(problem, lam):
+    return LTUProblem(problem.workers, problem.jobs, problem.n, problem.m, lam, problem.phi)
+
+
+def _tu_draws(rng):
+    """General, equal-split, per-type odds and per-type odds with one cell
+    moved, so that witnesses fall past the first cell, at sizes 1xk, kx1 and
+    up to 4x4."""
+    cfg = FuzzConfig(max_workers=4, max_jobs=4)
+    for _ in range(40):
+        yield random_problem(rng, cfg)
+        plain = random_problem(rng, cfg)
+        yield _with_lam(plain, tuple(tuple(F(1, 2) for _ in row) for row in plain.lam))
+        odds = random_tu_problem(rng, cfg)
+        yield odds
+        x, y = rng.randrange(odds.nx), rng.randrange(odds.ny)
+        lam = [list(row) for row in odds.lam]
+        lam[x][y] = F(rng.randint(1, 11), 12)
+        yield _with_lam(odds, tuple(map(tuple, lam)))
+        k = rng.randint(1, 5)
+        yield random_problem(rng, FuzzConfig(max_workers=1, max_jobs=k), 1, k)
+        yield random_problem(rng, FuzzConfig(max_workers=k, max_jobs=1), k, 1)
+        yield random_tu_problem(rng, FuzzConfig(max_workers=1, max_jobs=k))
+
+
+def test_check_tu_agrees_with_the_fraction_odds():
+    rng = random.Random(23)
+    verdicts, cells = set(), set()
+    for problem in _tu_draws(rng):
+        report = check_tu(problem)
+        assert report == _reference_check_tu(problem)
+        assert all(type(v) is F for v in (report.worker_scale or ()) + (report.job_scale or ()))
+        verdicts.add(report.ok)
+        if not report.ok:
+            assert type(report.witness.rho) is F
+            cells.add((report.witness.x1, report.witness.y1))
+    # both verdicts, and witnesses past the first cell
+    assert verdicts == {True, False}
+    assert len(cells) > 3
 
 
 def test_rescale_to_tu(tu_2x2):
