@@ -389,6 +389,36 @@ MUTANTS = (
         "for d in ():",
         ("tests/test_support_differential.py::test_prune_is_active",),
     ),
+    # the fixed enumeration limits
+    Mutant(
+        "oracle cell cap refuses 9 cells",
+        "oracle.py",
+        "if ncells > MAX_CELLS or",
+        "if ncells >= MAX_CELLS or",
+        ("tests/test_oracle.py::test_caps_are_enforced",),
+    ),
+    Mutant(
+        "oracle type cap refuses 8 types",
+        "oracle.py",
+        "or nx + ny > MAX_TYPES:",
+        "or nx + ny >= MAX_TYPES:",
+        ("tests/test_oracle.py::test_caps_are_enforced",),
+    ),
+    Mutant(
+        "support-pair budget check dropped",
+        "gamesolve.py",
+        "if total > SUPPORT_PAIR_BUDGET:",
+        "if False:",
+        ("tests/test_gamesolve.py::test_enumerate_equilibria_budget",),
+    ),
+    # blocking pairs only of an outcome of the problem's shape
+    Mutant(
+        "blocking_pairs shape guard removed",
+        "stability.py",
+        "if (len(outcome.u), len(outcome.v)) != (problem.nx, problem.ny):",
+        "if False:",
+        ("tests/test_stability.py::test_blocking_pairs_refuses_a_wrong_shape",),
+    ),
 )
 
 

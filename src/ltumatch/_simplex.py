@@ -78,12 +78,11 @@ class LinearSystem(_EqualByViews):
 
     `LinearSystem(nvars, nonneg, eqs, ineqs)` takes Fraction rows, each
     (coeffs, rhs), and scales each once by the lcm of its denominators.
-    `LinearSystem.from_integer_rows(nvars, nonneg, rows, neq)` checks
-    integer rows and takes them as they are; the library's own builders,
-    whose rows are valid by construction, skip the checks
-    (`_of_valid_rows`). `eqs` and `ineqs` read the rows back as Fraction
-    rows, which are the same at any scale; two systems are equal when these
-    views are, whatever their rows' scales.
+    The library's own builders, whose integer rows are valid by
+    construction, hand them over as they are (`_of_valid_rows`). `eqs` and
+    `ineqs` read the rows back as Fraction rows, which are the same at any
+    scale; two systems are equal when these views are, whatever their rows'
+    scales.
     """
 
     nvars: int
@@ -98,23 +97,9 @@ class LinearSystem(_EqualByViews):
         self._store(nvars, nonneg, tuple(starmap(integer_row, rows)), len(eqs))
 
     @classmethod
-    def from_integer_rows(cls, nvars: int, nonneg, rows, neq: int) -> LinearSystem:
-        """DimensionMismatch for an index outside the variables or repeated
-        in a row, a scale <= 0, or more equalities than rows."""
-        rows = tuple(rows)
-        variables = set(range(nvars))
-        for nonzeros, _, scale in rows:
-            indices = dict(nonzeros).keys()
-            if scale <= 0 or len(indices) != len(nonzeros) or not indices <= variables:
-                raise DimensionMismatch(f"{nonzeros} at scale {scale} is no row over {nvars} variables")
-        return cls._of_valid_rows(nvars, nonneg, rows, neq)
-
-    @classmethod
     def _of_valid_rows(cls, nvars: int, nonneg, rows: tuple, neq: int) -> LinearSystem:
-        """`from_integer_rows` without the row checks, for the library's own
-        builders, whose rows are valid by construction. Support enumeration
-        assembles about a hundred systems per game from the same rows, and
-        checking them all costs `support` about 7% of its ops per second."""
+        """Integer rows taken as they are, unchecked: every caller builds them
+        valid, and checking them cost `support` about 7% of its ops per second."""
         system = cls.__new__(cls)
         system._store(nvars, nonneg, rows, neq)
         return system
@@ -122,8 +107,6 @@ class LinearSystem(_EqualByViews):
     def _store(self, nvars, nonneg, rows, neq):
         if len(nonneg) != nvars:
             raise DimensionMismatch("nonneg flags must cover every variable")
-        if not 0 <= neq <= len(rows):
-            raise DimensionMismatch(f"{neq} equalities among {len(rows)} rows")
         # frozen: set the fields past the dataclass's __setattr__
         self.__dict__.update(nvars=nvars, nonneg=nonneg, rows=rows, neq=neq)
 

@@ -173,7 +173,8 @@ def cmd_verify(args):
     problem = _load_problem(args.problem)
     outcome = outcome_from_dict(_read_json(args.outcome))
     report = verify_stable(problem, outcome)
-    blocking = blocking_pairs(problem, outcome) if not report.ok else ()
+    ranked = not report.ok and report.violations[0].kind != "shape"  # a wrong shape has no pairs
+    blocking = blocking_pairs(problem, outcome) if ranked else ()
     payload = {
         "stable": report.ok,
         "violations": _violation_dicts(report.violations),
@@ -387,7 +388,8 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-# keeps every rendered integer far below the 4300 digits that str() accepts
+# bounds the digits after the point only: an integer part past the 4300 digits
+# that str() accepts still exits 2, through `_output`
 MAX_DECIMAL_DIGITS = 1000
 
 
@@ -477,10 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)  # built on first use and kept: parsing leaves it as it was
 
 
+def _output(args) -> tuple[int, str]:
+    """The command's exit code and output text; an output integer longer than
+    str() accepts (sys.get_int_max_str_digits()) is an input error."""
+    try:
+        code, payload, lines = args.func(args)
+        return code, (_render(payload, args.fmt) if args.json else "\n".join(lines))
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise LTUError(f"an output number has over {sys.get_int_max_str_digits()} digits") from None
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, payload, lines = args.func(args)
+        code, text = _output(args)
     except LTUError as exc:
         if exc.exit_code == 1:  # a checked claim is false: the verdict is the output
             print(exc)
@@ -488,7 +502,7 @@ def run(argv=None) -> int:
             kind = "internal error" if exc.exit_code == 3 else "error"
             print(f"{kind}: {exc}", file=sys.stderr)
         return exc.exit_code
-    print(_render(payload, args.fmt) if args.json else "\n".join(lines))
+    print(text)
     return code
 
 

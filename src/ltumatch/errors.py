@@ -45,16 +45,6 @@ class DegenerateOutcome(LTUError):
     """An outcome the forward map cannot rescale: wrong shape or sign, or zero totals."""
 
 
-class NotAnEquilibrium(LTUError):
-    """A profile failed the equilibrium check of `gamesolve.require_equilibrium`."""
-
-    exit_code = 1
-
-    def __init__(self, deviation):
-        self.deviation = deviation
-        super().__init__(f"profile is not an equilibrium: {deviation}")
-
-
 class ZeroValue(LTUError):
     """An equilibrium value of zero reached the backward map (internal guard)."""
 
@@ -83,11 +73,11 @@ class IterationLimit(LTUError):
 
 
 class BudgetExceeded(LTUError):
-    """The support-pair enumeration budget would be exceeded."""
+    """A game has more support pairs than `gamesolve.SUPPORT_PAIR_BUDGET`."""
 
 
 class CapExceeded(LTUError):
-    """A problem is larger than the oracle's enumeration caps allow."""
+    """A market has more cells or types than `oracle.MAX_CELLS`/`MAX_TYPES`."""
 
 
 class NotTU(LTUError):

@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
-from .rationals import as_fraction, over_one_denominator, parse_rational, parse_rationals
+from .rationals import as_fraction, over_one_denominator, parse_rationals
 
 RowLabel = tuple[str | None, ...]
 ColLabel = tuple[str, str]
@@ -162,7 +162,8 @@ class MixedProfile:
 
 
 # ---------------------------------------------------------------------------
-# Dict forms, which the CLI reads from and writes as JSON text
+# Dict forms: the CLI writes games (to-game) and reads and writes profiles
+# as JSON text
 #
 # Game files:
 #   {"rows": [["1", "1"], ...], "cols": [["x", "1"], ["y", "1"], ...],
@@ -179,23 +180,6 @@ def game_to_dict(game: BimatrixGame) -> dict:
         "loss": [list(row) for row in game.loss],
         "payoff": [list(row) for row in game.payoff],
     }
-
-
-def game_from_dict(raw: dict) -> BimatrixGame:
-    if not isinstance(raw, dict):
-        raise FormatError("game file must be a JSON object")
-    for key in ("rows", "cols", "loss", "payoff"):
-        if key not in raw or not isinstance(raw[key], list):
-            raise FormatError(f"game file missing list field {key!r}")
-    rows = tuple(tuple(None if p is None else str(p) for p in r) for r in raw["rows"])
-    cols = []
-    for c in raw["cols"]:
-        if not isinstance(c, list) or len(c) != 2:
-            raise FormatError("each column label must be a [side, id] pair")
-        cols.append((str(c[0]), str(c[1])))
-    loss = tuple(tuple(parse_rational(v) for v in row) for row in raw["loss"])
-    payoff = tuple(tuple(parse_rational(v) for v in row) for row in raw["payoff"])
-    return BimatrixGame(rows, tuple(cols), loss, payoff)
 
 
 def profile_to_dict(profile: MixedProfile) -> dict:

@@ -225,12 +225,6 @@ class ManyToOneProblem:
             rows.append(tuple(counts))
         return tuple(rows)
 
-    def type_index(self, tid: str) -> int:
-        try:
-            return self.types.index(tid)
-        except ValueError:
-            raise FormatError(f"unknown type id {tid!r}") from None
-
 
 @dataclass(frozen=True)
 class ArrangementOutcome:
@@ -457,20 +451,6 @@ def validate_m2o_problem(raw: dict) -> ManyToOneProblem:
         lam = parse_rationals(entry["lambda"], "arrangement lambda")
         arrangements.append(Arrangement(slots, lam, parse_rational(entry["phi"])))
     return ManyToOneProblem(tuple(types), tuple(n), raw["N"], tuple(arrangements))
-
-
-def m2o_to_dict(problem: ManyToOneProblem) -> dict:
-    return {
-        "workers": [{"id": t, "mass": mass}
-                    for t, mass in zip(problem.types, problem.n)],
-        "N": problem.size,
-        "arrangements": [
-            {"slots": list(arr.slots),
-             "lambda": list(arr.lam),
-             "phi": arr.phi}
-            for arr in problem.arrangements
-        ],
-    }
 
 
 def outcome_to_dict(outcome: Outcome) -> dict:

@@ -34,8 +34,9 @@ integers directly. The LP hands back its points and certificates in integers
 too, over one denominator each, and every mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
-game-theoretic pipeline on small instances, not to be fast. Caps guard
-against accidental monsters.
+game-theoretic pipeline on small instances, not to be fast. A market of
+more than MAX_CELLS cells or MAX_TYPES types raises CapExceeded; under
+those caps a market has at most 2^15 = 32,768 patterns (3x3 or 1x7).
 """
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ from .stability import verify_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_CELLS = 9
+MAX_TYPES = 8
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,6 @@ class ComplementarityPattern:
     cells: tuple[tuple[int, int], ...]
     pos_u: tuple[int, ...]
     pos_v: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OracleCaps:
-    max_cells: int = 9
-    max_types: int = 8
-    pattern_budget: int = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,7 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
     return PatternResult(_outcome(problem, split.point, matching.point), None, None)
 
 
-def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tuple[Outcome, ...]:
+def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     """One stable outcome per feasible pattern, deduplicated and sorted.
 
     Patterns are pruned before the linear algebra where infeasibility is
@@ -322,14 +318,11 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
-    if ncells > caps.max_cells or nx + ny > caps.max_types:
+    if ncells > MAX_CELLS or nx + ny > MAX_TYPES:
         raise CapExceeded(
             f"{nx}x{ny} needs {ncells} cells and {nx + ny} types; "
-            f"caps are {caps.max_cells} and {caps.max_types}"
+            f"caps are {MAX_CELLS} and {MAX_TYPES}"
         )
-    total = (1 << ncells) * (1 << nx) * (1 << ny)
-    if total > caps.pattern_budget:
-        raise CapExceeded(f"{total} patterns exceed the budget of {caps.pattern_budget}")
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
     every_u, every_v = (1 << nx) - 1, (1 << ny) - 1

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .model import ArrangementOutcome, LTUProblem, ManyToOneProblem, Outcome
 from .rationals import over_one_denominator
 
@@ -142,8 +143,11 @@ def blocking_pairs(problem: LTUProblem, outcome: Outcome):
     """Pairs whose members could profitably leave, worst deficit first.
 
     Returns ((worker_id, job_id), deficit) tuples with deficit = phi/2 minus
-    the pair's current split value, positive only.
+    the pair's current split value, positive only. DimensionMismatch when
+    the outcome's shape is not the problem's.
     """
+    if (len(outcome.u), len(outcome.v)) != (problem.nx, problem.ny):
+        raise DimensionMismatch(f"{len(outcome.u)}x{len(outcome.v)} outcome, {problem.nx}x{problem.ny} market")
     found = []
     for x, wid in enumerate(problem.workers):
         for y, jid in enumerate(problem.jobs):

@@ -3,9 +3,11 @@
 This is the `enumerate_stable` that `ltumatch.oracle` used before it pruned
 patterns by the monotonicity of the split half. It runs `linear_feasibility`
 on every pattern that survives the syntactic prunes. The function is kept
-verbatim; only its imports differ: the pattern type, the caps, the per-pattern
-`linear_feasibility` and the LP entry points, none of which changed, come from
-`ltumatch`. The production enumerator must return the identical tuple.
+verbatim but for two things. Its imports differ: the pattern type, the caps,
+the per-pattern `linear_feasibility` and the LP entry points, none of which
+changed, come from `ltumatch`. And the caps are the two constants of
+`ltumatch.oracle`, with no pattern budget, which no market under the caps
+reaches. The production enumerator must return the identical tuple.
 """
 from __future__ import annotations
 
@@ -13,13 +15,13 @@ from fractions import Fraction
 
 from ltumatch import CapExceeded, LTUProblem, Outcome
 from ltumatch._simplex import equations_consistent
-from ltumatch.oracle import ComplementarityPattern, OracleCaps, linear_feasibility
+from ltumatch.oracle import MAX_CELLS, MAX_TYPES, ComplementarityPattern, linear_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tuple[Outcome, ...]:
+def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     """One stable outcome per feasible pattern, deduplicated and sorted.
 
     Patterns are pruned before the linear algebra where infeasibility is
@@ -30,14 +32,11 @@ def enumerate_stable(problem: LTUProblem, caps: OracleCaps = OracleCaps()) -> tu
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
-    if ncells > caps.max_cells or nx + ny > caps.max_types:
+    if ncells > MAX_CELLS or nx + ny > MAX_TYPES:
         raise CapExceeded(
             f"{nx}x{ny} needs {ncells} cells and {nx + ny} types; "
-            f"caps are {caps.max_cells} and {caps.max_types}"
+            f"caps are {MAX_CELLS} and {MAX_TYPES}"
         )
-    total = (1 << ncells) * (1 << nx) * (1 << ny)
-    if total > caps.pattern_budget:
-        raise CapExceeded(f"{total} patterns exceed the budget of {caps.pattern_budget}")
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
     width = nx + ny

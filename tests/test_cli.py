@@ -1,10 +1,10 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from ltumatch.cli import MAX_DECIMAL_DIGITS, run
-from ltumatch.games import game_from_dict
 
 FIG = "data/uneven2x2.json"
 BLACK = "data/uneven2x2_black.json"
@@ -204,12 +204,61 @@ def test_verify_json(capsys):
     assert data["blocking_pairs"][0] == {"x": "w2", "y": "j1", "deficit": "1/2"}
 
 
+@pytest.mark.parametrize(
+    "outcome, where",
+    [
+        ({"mu": [["1"]], "u": ["0"], "v": ["1"]}, "mu rows and u: 1 == 2"),
+        ({"mu": [["1", "0", "0"], ["0", "0", "0"]], "u": ["0", "0"], "v": ["1", "0", "0"]},
+         "mu columns and v: 3 == 2"),
+    ],
+    ids=["short", "wide"],
+)
+def test_verify_reports_a_wrong_shape(capsys, tmp_path, outcome, where):
+    # the shape violation alone, with no blocking pairs, in text and JSON
+    path = tmp_path / "outcome.json"
+    path.write_text(json.dumps(outcome))
+    code, out, err = _capture(capsys, ["verify", FIG, str(path)])
+    assert (code, out, err) == (1, f"condition 0 (shape) at {where} fails\n", "")
+    code, out, err = _capture(capsys, ["verify", FIG, str(path), "--json"])
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["stable"] is False and data["blocking_pairs"] == []
+    assert [(v["kind"], v["where"]) for v in data["violations"]] == [("shape", where.split(":")[0])]
+
+
+def _huge_output_problems():
+    """Valid markets whose solve output holds an integer past str()'s
+    4300-digit limit: every output 10^4000 under --decimal 1000, and three
+    masses with 3000-digit denominators shown exactly."""
+    with open(FIG) as f:
+        raw = json.load(f)
+    big_c = json.loads(json.dumps(raw))
+    for pair in big_c["linear_constraints"]:
+        pair["c"] = str(10**4000)
+    masses = json.loads(json.dumps(raw))
+    for entry, k in zip(masses["workers"] + masses["jobs"], range(3)):
+        entry["mass"] = f"1/{10**2999 + 7 + 2 * k}"
+    return [(big_c, ["--decimal", "1000"]), (big_c, ["--decimal", "1000", "--json"]),
+            (masses, []), (masses, ["--json"])]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("index", range(4), ids=["big c", "big c json", "big masses", "big masses json"])
+def test_an_output_past_the_digit_limit_exits_2(capsys, tmp_path, index):
+    raw, flags = _huge_output_problems()[index]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = _capture(capsys, ["solve", str(path), *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_to_game_round_trips(capsys):
     code, out, _ = _capture(capsys, ["to-game", FIG])
     assert code == 0
-    game = game_from_dict(json.loads(out))
-    assert game.shape == (4, 4)
-    assert game.loss[0][0] == F(1, 2)
+    game = json.loads(out)
+    assert (len(game["rows"]), len(game["cols"])) == (4, 4)
+    assert F(game["loss"][0][0]) == F(1, 2)
 
 
 def test_from_eq_good_profile(capsys, tmp_path):
@@ -476,7 +525,7 @@ def test_error_exit_codes():
         2: ["FormatError", "DimensionMismatch", "LambdaOutOfRange", "NonpositiveMass",
             "NonpositiveOutput", "NonpositiveCoefficient", "TaxOutOfRange", "EmptyTypeSet",
             "DegenerateOutcome", "CapExceeded", "BudgetExceeded", "InputNotStable"],
-        1: ["NotTU", "IsTU", "NotAnEquilibrium"],
+        1: ["NotTU", "IsTU"],
         3: ["RayTermination", "IterationLimit", "InternalError", "ZeroValue"],
     }
     classes = {

@@ -9,13 +9,11 @@ from ltumatch import (
     FuzzConfig,
     IterationLimit,
     MixedProfile,
-    NotAnEquilibrium,
     enumerate_equilibria,
     expected_values,
     is_equilibrium,
     lemke_howson,
     random_problem,
-    require_equilibrium,
     to_game,
 )
 from ltumatch.gamesolve import _sides, _supports
@@ -55,14 +53,6 @@ def test_is_equilibrium_accepts_and_rejects(uneven2x2, black):
     assert d.side == "hider"
     assert d.strategy == 2
     assert (d.current, d.better) == (F(1, 2), F(0))
-
-
-def test_require_equilibrium_raises(uneven2x2):
-    game = to_game(uneven2x2)
-    bad = MixedProfile(p=(F(1), F(0), F(0), F(0)), q=(F(1), F(0), F(0), F(0)))
-    with pytest.raises(NotAnEquilibrium) as exc:
-        require_equilibrium(game, bad)
-    assert exc.value.deviation.side == "hider"
 
 
 def test_lemke_howson_on_coordination_game():
@@ -127,11 +117,19 @@ def test_enumerate_equilibria_coordination_game():
         assert is_equilibrium(game, e).ok
 
 
-def test_enumerate_equilibria_budget():
-    from ltumatch import BudgetExceeded
+def test_enumerate_equilibria_budget(monkeypatch):
+    """The game of a 4x4 market has (2^16 - 1)(2^8 - 1) = 16,711,425
+    support pairs, past the budget: refused before any LP."""
+    from ltumatch import BudgetExceeded, gamesolve
 
-    with pytest.raises(BudgetExceeded):
-        enumerate_equilibria(bos(), budget=2)
+    def no_lp(*args):
+        raise AssertionError("an LP ran before the budget check")
+
+    monkeypatch.setattr(gamesolve, "solve", no_lp)  # the sweeps' LP, the first to run
+    game = to_game(random_problem(random.Random(4), FuzzConfig(max_workers=4, max_jobs=4), 4, 4))
+    assert game.shape == (16, 8)
+    with pytest.raises(BudgetExceeded, match="16711425 support pairs"):
+        enumerate_equilibria(game)
 
 
 def test_enumeration_is_deterministic():

@@ -196,7 +196,6 @@ def test_arrangement_validation():
 
 def test_m2o_validation(roommates):
     assert roommates.occupancy == ((1,), (2,))
-    assert roommates.type_index("1") == 0
     with pytest.raises(FormatError):
         ManyToOneProblem(
             ("1",),
@@ -218,11 +217,6 @@ def test_m2o_validation(roommates):
             1,
             (Arrangement(("ghost",), (F(1),), F(1)),),
         )
-
-
-def test_m2o_json_round_trip(roommates):
-    text = json.dumps(model.m2o_to_dict(roommates), default=str)
-    assert model.validate_m2o_problem(json.loads(text)) == roommates
 
 
 def test_subproblem_spec_validation(uneven2x2):
@@ -289,9 +283,6 @@ def _input_errors():
         ("subproblem mass not positive", NonpositiveMass,
          lambda: SubproblemSpec(parent, ("w",), ("j",), (F(1),), (F(-1),), (F(0),), (F(0),))),
         ("unknown job id", FormatError, lambda: parent.job_index("k")),
-        ("unknown type id", FormatError,
-         lambda: ManyToOneProblem(
-             ("1",), (F(1),), 1, (Arrangement(("1",), (F(1),), F(1)),)).type_index("2")),
     ]
 
 

@@ -10,7 +10,6 @@ from ltumatch import (
     DimensionMismatch,
     FuzzConfig,
     LTUProblem,
-    OracleCaps,
     enumerate_stable,
     induced_pattern,
     is_equilibrium,
@@ -101,19 +100,16 @@ def test_negative_output_pairs_never_match():
 
 
 def test_caps_are_enforced():
-    workers = tuple(f"w{i}" for i in range(5))
-    jobs = tuple(f"j{i}" for i in range(4))
-    lam = tuple(tuple(F(1, 2) for _ in jobs) for _ in workers)
-    phi = tuple(tuple(F(1) for _ in jobs) for _ in workers)
-    problem = LTUProblem(workers, jobs, (F(1),) * 5, (F(1),) * 4, lam, phi)
-    with pytest.raises(CapExceeded):
-        enumerate_stable(problem)  # 20 cells > 9
-    small = LTUProblem(
-        ("w1", "w2"), ("j1",), (F(1), F(1)), (F(1),),
-        ((F(1, 2),), (F(1, 2),)), ((F(1),), (F(1),)),
-    )
-    with pytest.raises(CapExceeded):
-        enumerate_stable(small, OracleCaps(max_cells=9, max_types=8, pattern_budget=3))
+    """At most 9 cells and 8 types: 3x3 and 1x7 are enumerated, and one
+    more cell (2x5) or one more type (1x8) is refused."""
+    def market(nx, ny):
+        return random_problem(random.Random(nx * 10 + ny), FuzzConfig(max_workers=nx, max_jobs=ny), nx, ny)
+
+    for nx, ny in ((3, 3), (1, 7), (7, 1)):
+        assert enumerate_stable(market(nx, ny))
+    for nx, ny in ((2, 5), (1, 8), (8, 1), (5, 4)):
+        with pytest.raises(CapExceeded, match="caps are 9 and 8"):
+            enumerate_stable(market(nx, ny))
 
 
 def test_oracle_agrees_with_pipeline_on_random_instances():

@@ -250,6 +250,45 @@ def test_round_trips_on_random_problems():
         assert equilibrium_to_outcome(problem, profile) == outcome
 
 
+def _random_m2o(rng: random.Random) -> ManyToOneProblem:
+    """1-3 worker types in firms of N = 1..3 slots: a single-worker
+    arrangement per type and up to four more, each with random positive
+    weights on its occupied slots. Outputs run from -3 to 6 in quarters, so
+    most markets have one below 1 and need `normalize_outputs`."""
+    types = tuple("abc"[: rng.randint(1, 3)])
+    size = rng.randint(1, 3)
+
+    def arrangement(members):
+        slots = list(members) + [None] * (size - len(members))
+        rng.shuffle(slots)
+        raw = [rng.randint(1, 4) if slot is not None else 0 for slot in slots]
+        lam = tuple(F(w, sum(raw)) for w in raw)
+        return Arrangement(tuple(slots), lam, F(rng.randint(-12, 24), 4))
+
+    arrangements = [arrangement([t]) for t in types]
+    for _ in range(rng.randint(0, 4)):
+        arrangements.append(arrangement(rng.choices(types, k=rng.randint(1, size))))
+    masses = tuple(F(rng.randint(1, 6), rng.randint(1, 3)) for _ in types)
+    return ManyToOneProblem(types, masses, size, tuple(arrangements))
+
+
+def test_random_many_to_one_markets_from_every_label():
+    rng = random.Random(2026)
+    shifted_markets = 0
+    for _ in range(400):
+        problem = _random_m2o(rng)
+        shifted, k = normalize_outputs(problem)
+        shifted_markets += k > 0
+        labels = len(problem.arrangements) + len(problem.types)
+        for label in range(labels):
+            outcome, profile = solve_stable_m2o(problem, label)
+            assert verify_stable_m2o(problem, outcome).ok
+            lifted = ArrangementOutcome(outcome.mu, tuple(x + k for x in outcome.u))
+            assert outcome_to_equilibrium_n(shifted, lifted) == profile
+            assert equilibrium_to_outcome_n(shifted, profile) == lifted
+    assert shifted_markets > 200
+
+
 # ---------------------------------------------------------------------------
 # error paths of both forward maps and both backward maps, class and message
 

@@ -230,7 +230,7 @@ def test_integer_rows_at_any_scale_give_the_same_system():
         )
         rows = [integer_row(*row) for row in system.eqs + system.ineqs]
         assert list(system.rows) == rows
-        other = LinearSystem.from_integer_rows(system.nvars, system.nonneg, scaled, system.neq)
+        other = LinearSystem._of_valid_rows(system.nvars, system.nonneg, scaled, system.neq)
         assert (other.eqs, other.ineqs) == (system.eqs, system.ineqs)
         assert other == system and hash(other) == hash(system)
         objective = tuple(F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(system.nvars))
@@ -355,23 +355,6 @@ def test_every_solved_split_system_has_consistent_binding_equalities():
             if all(rhs >= 0 for _, rhs in eqs):
                 inconsistent += not equations_consistent(eqs, nx + ny)
     assert inconsistent > 0
-
-
-@pytest.mark.parametrize(
-    "rows, neq",
-    [
-        ([(((0, 1), (2, 1)), 1, 1)], 1),  # index 2 of 2 variables
-        ([(((-1, 1),), 1, 1)], 0),  # a negative index
-        ([(((0, 1), (0, 2)), 1, 1)], 0),  # index 0 twice
-        ([(((0, 1),), 1, 0)], 0),  # scale 0
-        ([(((0, 1),), 1, -2)], 1),  # a negative scale
-        ([(((0, 1),), 1, 1)], 2),  # two equalities among one row
-        ([(((0, 1),), 1, 1)], -1),
-    ],
-)
-def test_the_integer_constructor_refuses_a_bad_row(rows, neq):
-    with pytest.raises(DimensionMismatch):
-        LinearSystem.from_integer_rows(2, (True, True), rows, neq)
 
 
 @pytest.mark.parametrize("coords", [(-1,), (5,), (0, 2)])

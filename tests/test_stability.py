@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
+
 from ltumatch import (
     ArrangementOutcome,
+    DimensionMismatch,
     Outcome,
     blocking_pairs,
     verify_stable,
@@ -102,6 +105,21 @@ def test_shape_mismatch_is_reported_not_raised(uneven2x2, roommates):
     # many-to-one: the right arrangement weights, two utilities for one type
     (v,) = verify_stable_m2o(roommates, ArrangementOutcome((F(0), F(1)), (F(2), F(0)))).violations
     assert (v.kind, v.where, v.lhs, v.rhs) == ("shape", "u", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "mu, u, v",
+    [
+        (((F(1),),), (F(0),), (F(1),)),  # one row and one column short
+        (((F(1), F(0), F(0)), (F(0), F(0), F(0))), (F(0),) * 2, (F(1), F(0), F(0))),  # a column wide
+    ],
+    ids=["short", "wide"],
+)
+def test_blocking_pairs_refuses_a_wrong_shape(uneven2x2, mu, u, v):
+    # a short outcome has no u or v for some pair, and a wide one's pairs are
+    # not the market's: neither may be indexed or read by its prefix
+    with pytest.raises(DimensionMismatch):
+        blocking_pairs(uneven2x2, Outcome(mu, u, v))
 
 
 def test_violations_sorted_by_condition_then_place(uneven2x2):
