@@ -44,6 +44,8 @@ ORACLE_CARRIED = "tests/test_oracle_differential.py::test_carried_certificates_r
 ORACLE_MATCHING = "tests/test_oracle_differential.py::test_carried_matching_certificates_refute_their_patterns"
 ORACLE_BOXES = "tests/test_oracle_differential.py::test_box_points_satisfy_the_patterns_they_cover"
 ORACLE_BOX_MASKS = "tests/test_oracle_differential.py::test_boxes_hold_their_points_tight_cells_and_supports"
+ORACLE_FULL_FORM = "tests/test_oracle_differential.py::test_free_variable_systems_agree_with_the_full_form"
+ORACLE_PRUNES = "tests/test_oracle_differential.py::test_prunes_are_active"
 GAME_ROWS = "tests/test_game_rows.py::"
 LH = (
     "tests/test_lh_differential.py::test_uneven2x2",
@@ -189,36 +191,36 @@ MUTANTS = (
     Mutant(
         "inequality multiplier read without its sign flip",
         "oracle.py",
-        "if (next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult)) > 0:",
-        "if (next(eq_mult) if divmod(i, ny) in cellset else next(ineq_mult)) > 0:",
-        (ORACLE_MASKS, ORACLE_CARRIED),
+        "z = [next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult) for i in range(nx * ny)]",
+        "z = [next(eq_mult) if divmod(i, ny) in cellset else next(ineq_mult) for i in range(nx * ny)]",
+        (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
         "held multiplier tested for > 0 instead of != 0",
         "oracle.py",
-        "umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult))",
-        "umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult) > 0)",
-        (ORACLE_MASKS, ORACLE_CARRIED),
+        "umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)",
+        "umask = sum(1 << x for x in range(nx) if used[x] < 0 and x not in pattern.pos_u)",
+        (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
         "cell mask test dropped",
         "oracle.py",
-        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
-        "return not (umask & pumask or vmask & pvmask)",
+        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
+        "if not (umask & pumask or vmask & pvmask):",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     Mutant(
         "worker mask test dropped",
         "oracle.py",
-        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
-        "return not (positive & ~smask or vmask & pvmask)",
+        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
+        "if not (positive & ~smask or vmask & pvmask):",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     Mutant(
         "job mask test dropped",
         "oracle.py",
-        "return not (positive & ~smask or umask & pumask or vmask & pvmask)",
-        "return not (positive & ~smask or umask & pumask)",
+        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
+        "if not (positive & ~smask or umask & pumask):",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     # the oracle's point boxes and matching refutations
@@ -239,23 +241,73 @@ MUTANTS = (
     Mutant(
         "supp u left out of the box test",
         "oracle.py",
-        "return not (smask & ~tight or umask & ~pumask or vmask & ~pvmask)",
-        "return not (smask & ~tight or vmask & ~pvmask)",
+        "if not (smask & ~tight or umask & ~pumask or vmask & ~pvmask):",
+        "if not (smask & ~tight or vmask & ~pvmask):",
         (ORACLE_BOXES,),
     ),
     Mutant(
         "matching line multiplier read with the wrong sign",
         "oracle.py",
-        "negative = [(next(eq_mult) if e else next(ineq_mult)) < 0 for e in earns]",
-        "negative = [(next(eq_mult) if e else next(ineq_mult)) > 0 for e in earns]",
+        "negu = sum(1 << x for x in range(nx) if line[x] < 0)",
+        "negu = sum(1 << x for x in range(nx) if line[x] > 0)",
         (ORACLE_MASKS, ORACLE_MATCHING),
     ),
     Mutant(
         "zero-row cell mask test dropped",
         "oracle.py",
-        "return not (zmask & smask or negu & ~pumask or negv & ~pvmask)",
-        "return not (negu & ~pumask or negv & ~pvmask)",
+        "if not (zmask & smask or negu & ~pumask or negv & ~pvmask):",
+        "if not (negu & ~pumask or negv & ~pvmask):",
         (ORACLE_MASKS, ORACLE_MATCHING),
+    ),
+    # the oracle's halves over their free variables, and its pool scans
+    Mutant(
+        "held worker type's multiplier dropped from umask",
+        "oracle.py",
+        "umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)",
+        "umask = 0",
+        (ORACLE_MASKS, ORACLE_FULL_FORM),
+    ),
+    Mutant(
+        "held job type's multiplier dropped from vmask",
+        "oracle.py",
+        "vmask = sum(1 << y for y in range(ny) if used[nx + y] and y not in pattern.pos_v)",
+        "vmask = 0",
+        (ORACLE_MASKS, ORACLE_FULL_FORM),
+    ),
+    Mutant(
+        "off-pattern cell's multiplier read from one line only",
+        "oracle.py",
+        "if (x, y) not in cellset and line[x] + line[nx + y]",
+        "if (x, y) not in cellset and line[x]",
+        (ORACLE_MASKS, ORACLE_FULL_FORM),
+    ),
+    Mutant(
+        "split pool scan stops after its first subject",
+        "oracle.py",
+        "for refutation in reversed(refutations):",
+        "for refutation in reversed(refutations[-1:]):",
+        (ORACLE_PRUNES,),
+    ),
+    Mutant(
+        "matching pool scan stops after its first subject",
+        "oracle.py",
+        "for refutation in refutations:",
+        "for refutation in refutations[:1]:",
+        (ORACLE_PRUNES,),
+    ),
+    Mutant(
+        "box pool scan stops after its first subject",
+        "oracle.py",
+        "for box in boxes:",
+        "for box in boxes[:1]:",
+        (ORACLE_PRUNES,),
+    ),
+    Mutant(
+        "induced_pattern shape guard removed",
+        "oracle.py",
+        "if (len(outcome.u), len(outcome.v)) != (problem.nx, problem.ny):",
+        "if False:",
+        ("tests/test_oracle.py::test_induced_pattern_refuses_a_wrong_shape",),
     ),
     # the revised Lemke-Howson tableau
     Mutant(

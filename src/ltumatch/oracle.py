@@ -11,6 +11,16 @@ rest. Any point feasible for both halves is a stable outcome, and every
 stable outcome is feasible for the pattern it induces, so sweeping all
 patterns finds a representative of every stability region.
 
+A zero of either half (u_x = 0 for a held worker type, v_y = 0 for a held
+job type, mu_xy = 0 off the chosen cells) only fixes a variable, so each
+half is built over its free variables alone: the split system over the
+earning types' u_x and v_y, the matching system over the chosen cells' mu_xy.
+Its LP ends at the vertex that the LP of the system with the zeros as rows
+reaches, since there each such variable is eliminated into the basis, stays
+at zero and never leaves, and the other rows read as here up to a positive
+scale. A refutation of it is one of that system once each zero's row gets
+minus the combination's coefficient on its variable as its multiplier.
+
 Both halves are monotone, in opposite directions. Binding more cells or
 letting fewer types earn only adds rows to the split system; matching fewer
 cells or letting more types earn only adds rows to the matching system. So a
@@ -23,15 +33,16 @@ and skips a pattern by them (see `enumerate_stable`); a cell set whose
 binding equalities are inconsistent is always skipped by the refutation of a
 smaller one. Nothing is skipped on trust: each refuting Farkas certificate
 is checked once, on the system it refutes, and read in index space, as the
-cells and types whose rows its combination uses, so that each skip is three
-mask tests. A box only reorders the work: a pattern it covers solves its
-matching half first, and gets its split point from its own LP. The split
-rows are scaled to integers once per market (`integer_row`), and every split
-system is assembled from those integer rows, so the LPs and the certificate
-checks of all patterns of a market share one scaling and work in integers.
-The matching systems, whose coefficients are all 0 or 1, are built in
-integers directly. The LP hands back its points and certificates in integers
-too, over one denominator each, and every mask is read from those integers.
+cells and types whose rows its combination uses, zeros included, so that
+each skip is three mask tests. A box only reorders the work: a pattern it
+covers solves its matching half first, and gets its split point from its
+own LP. The split rows are scaled to integers once per market
+(`integer_row`), and every split system is assembled from those integer
+rows, so the LPs and the certificate checks of all patterns of a market
+share one scaling and work in integers. The matching systems, whose
+coefficients are all 0 or 1, are built in integers directly. The LP hands
+back its points and certificates in integers too, over one denominator
+each, and every mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. A market of
@@ -40,6 +51,7 @@ those caps a market has at most 2^15 = 32,768 patterns (3x3 or 1x7).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,7 +85,11 @@ class ComplementarityPattern:
 @dataclass(frozen=True)
 class PatternResult:
     """Either a stable outcome or the Farkas refutation of whichever half
-    failed first (splits before matching)."""
+    failed first (splits before matching), on that half's system over its
+    free variables: a split certificate has one multiplier per cell, on the
+    binding equalities and then the no-blocking inequalities, and a
+    matching certificate one per line, on the earning types' lines and then
+    the others'."""
 
     outcome: Outcome | None
     split_certificate: Certificate | None
@@ -81,6 +97,11 @@ class PatternResult:
 
 
 def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPattern:
+    """The pattern of an outcome: its cells with mu > 0 and its types with a
+    positive split. DimensionMismatch when the outcome's shape is not the
+    problem's."""
+    if (len(outcome.u), len(outcome.v)) != (problem.nx, problem.ny):
+        raise DimensionMismatch(f"{len(outcome.u)}x{len(outcome.v)} outcome, {problem.nx}x{problem.ny} market")
     cells = tuple(
         (x, y)
         for x in range(problem.nx)
@@ -93,14 +114,17 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
 
 
 def _split_rows(problem: LTUProblem):
-    """The integer rows that split systems are assembled from: per cell in
-    row-major order (eq, ineq), its binding equality
-    (lam, 1 - lam) . (u, v) == phi / 2 as an `integer_row` and its
-    no-blocking inequality, the binding row negated; per variable its unit
-    row with rhs 0."""
+    """What split systems are assembled and read from, made once per market:
+    per cell in row-major order (eq, ineq), its binding equality
+    (lam, 1 - lam) . (u, v) == phi / 2 as an `integer_row` over all nx + ny
+    variables and its no-blocking inequality, the binding row negated; and
+    per variable k, the cells x * ny + y of its line with their coefficients
+    on it as (cell, integer) pairs, each line over one scale, the lcm of its
+    rows' scales."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
     cells = {}
+    terms = [[] for _ in range(width)]
     for x in range(nx):
         for y in range(ny):
             row = [ZERO] * width
@@ -108,138 +132,196 @@ def _split_rows(problem: LTUProblem):
             row[x], row[nx + y] = lam, ONE - lam
             nonzeros, rhs, scale = eq = integer_row(tuple(row), problem.phi[x][y] / 2)
             cells[x, y] = (eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale))
-    units = tuple((((k, 1),), 0, 1) for k in range(width))
-    return cells, units
+            for k, c in nonzeros:
+                terms[k].append((x * ny + y, c, scale))
+    lines = []
+    for line in terms:
+        common = math.lcm(*(scale for _, _, scale in line))
+        lines.append(tuple((i, c * (common // scale)) for i, c, scale in line))
+    return cells, tuple(lines)
+
+
+def _split_columns(nx: int, pattern: ComplementarityPattern) -> tuple[int, ...]:
+    """The free variables of pattern's split system, in index order: u_x
+    for each earning worker type x, then v_y (nx + y) for each earning job
+    type y."""
+    return (*sorted(pattern.pos_u), *(nx + y for y in sorted(pattern.pos_v)))
 
 
 def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:
-    nx, ny = problem.nx, problem.ny
-    cells, units = rows or _split_rows(problem)
+    """pattern's split system over its free variables (`_split_columns`):
+    the binding equalities of its cells, then the no-blocking inequalities of
+    the others, each without the terms of the held types, whose zeros are no
+    rows."""
+    cells, _ = rows or _split_rows(problem)
+    columns = _split_columns(problem.nx, pattern)
+    at = dict(zip(columns, range(len(columns))))
     cellset = set(pattern.cells)
     eqs = []
     ineqs = []
     for cell, (eq, ineq) in cells.items():
-        if cell in cellset:
-            eqs.append(eq)
-        else:
-            ineqs.append(ineq)
-    eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
-    eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
-    return LinearSystem._of_valid_rows(nx + ny, (True,) * (nx + ny), (*eqs, *ineqs), len(eqs))
+        binds = cell in cellset
+        nonzeros, rhs, scale = eq if binds else ineq
+        (eqs if binds else ineqs).append((tuple([(at[k], c) for k, c in nonzeros if k in at]), rhs, scale))
+    return LinearSystem._of_valid_rows(len(columns), (True,) * len(columns), (*eqs, *ineqs), len(eqs))
 
 
-def _refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
+def _refutation(pattern: ComplementarityPattern, cert: Certificate, rows, nx: int, ny: int) -> tuple:
     """A checked certificate of pattern's split system in index space:
-    (pattern, cert, positive, umask, vmask), with bit x * ny + y of positive
-    set where cell (x, y)'s multiplier, taken on its binding equality, is
-    positive, and bit x of umask (y of vmask) where worker type x (job type
-    y) is held at zero with a nonzero multiplier. A cell outside the pattern
+    (pattern, cert, positive, umask, vmask).
+
+    Bit x * ny + y of positive is set where cell (x, y)'s multiplier z,
+    taken on its binding equality, is positive; a cell outside the pattern
     has the no-blocking inequality, its binding equality negated, so that
-    row's multiplier z counts as -z."""
+    row's multiplier counts as -z. Bit x of umask (y of vmask) is set where
+    worker type x (job type y) is held at zero and its row u_x = 0 has a
+    nonzero multiplier: that row is none of the certificate's, and it gets
+    minus the combination's coefficient on u_x, as in the LP's certificate
+    of the system with the row, in which u_x stays basic in a row of its own
+    and so has coefficient 0."""
+    _, lines = rows
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
     cellset = set(pattern.cells)
+    z = [next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult) for i in range(nx * ny)]
     positive = 0
-    for i in range(nx * ny):
-        if (next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult)) > 0:
+    for i, zi in enumerate(z):
+        if zi > 0:
             positive |= 1 << i
-    umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult))
-    vmask = sum(1 << y for y in range(ny) if y not in pattern.pos_v and next(eq_mult))
+    # each variable's coefficient in the combination, over its line's scale
+    used = [sum(z[i] * c for i, c in line) for line in lines]
+    umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)
+    vmask = sum(1 << y for y in range(ny) if used[nx + y] and y not in pattern.pos_v)
     return pattern, cert, positive, umask, vmask
 
 
-def _refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
-    """Whether the refutation's combination of rows is one of the split
-    system of pattern (smask, pumask, pvmask), which it then refutes: when
-    every cell with a positive multiplier binds (an inequality's must be
-    nonnegative) and every type with a nonzero multiplier is held at zero.
-    On a pattern that binds every cell and holds every type at zero that the
-    refutation's pattern does, this is `certificate_refutes` of the
-    certificate carried over to the pattern's own system row by row."""
-    _, _, positive, umask, vmask = refutation
-    return not (positive & ~smask or umask & pumask or vmask & pvmask)
+def _split_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
+    """The newest split refutation whose combination of rows is one of the
+    split system of pattern (smask, pumask, pvmask), which it then refutes,
+    or None: one where every cell with a positive multiplier binds (an
+    inequality's must be nonnegative) and every type with a nonzero
+    multiplier is held at zero. On a pattern that binds every cell
+    and holds every type at zero that the refutation's pattern does, this is
+    `certificate_refutes` of the certificate carried over to the pattern's
+    own system row by row."""
+    for refutation in reversed(refutations):
+        _, _, positive, umask, vmask = refutation
+        if not (positive & ~smask or umask & pumask or vmask & pvmask):
+            return refutation
+    return None
 
 
-def _box(split: SolveResult, rows, nx: int, ny: int) -> tuple:
-    """The patterns whose split system a feasible split point (u, v)
-    satisfies, in index space: (point, tight, umask, vmask), with bit
-    x * ny + y of tight set where cell (x, y)'s no-blocking inequality holds
-    with equality, and umask (vmask) the support of u (v). The point
-    satisfies every no-blocking inequality, so it satisfies the split system
-    of each pattern that binds only tight cells and lets every type in the
-    supports earn. Each test reads the point's integers: with coordinates
-    num / den, an integer row is tight where its sum over num is rhs * den."""
+def _box(split: SolveResult, columns: tuple, rows, nx: int, ny: int) -> tuple:
+    """The patterns whose split system a feasible split point (u, v) over
+    the variables `columns` satisfies, in index space: (point, tight, umask,
+    vmask), with point the whole (u, v), bit x * ny + y of tight set where
+    cell (x, y)'s no-blocking inequality holds with equality, and umask
+    (vmask) the support of u (v). The point satisfies every no-blocking
+    inequality, so it satisfies the split system of each pattern that binds
+    only tight cells and lets every type in the supports earn. Each test
+    reads the point's integers: with coordinates num / den, an integer row
+    is tight where its sum over num is rhs * den."""
     cells, _ = rows
-    num, den = split.num, split.den
+    num, den = _spread(split, columns, nx + ny), split.den
     tight = 0
     for i, (_, (nonzeros, rhs, _)) in enumerate(cells.values()):
         if sum(c * num[k] for k, c in nonzeros) == rhs * den:
             tight |= 1 << i
     umask = sum(1 << x for x in range(nx) if num[x])
     vmask = sum(1 << y for y in range(ny) if num[nx + y])
-    return split.point, tight, umask, vmask
+    return tuple(Fraction(n, den) for n in num), tight, umask, vmask
 
 
-def _covers(box: tuple, smask: int, pumask: int, pvmask: int) -> bool:
-    """Whether the box's point satisfies the split system of pattern
-    (smask, pumask, pvmask)."""
-    _, tight, umask, vmask = box
-    return not (smask & ~tight or umask & ~pumask or vmask & ~pvmask)
+def _covering_box(boxes: list, smask: int, pumask: int, pvmask: int):
+    """The first box whose point satisfies the split system of pattern
+    (smask, pumask, pvmask), or None."""
+    for box in boxes:
+        _, tight, umask, vmask = box
+        if not (smask & ~tight or umask & ~pumask or vmask & ~pvmask):
+            return box
+    return None
+
+
+def _matching_columns(ny: int, pattern: ComplementarityPattern) -> tuple[int, ...]:
+    """The free variables of pattern's matching system: mu_xy (x * ny + y)
+    for each of its cells, in row-major order."""
+    return tuple(x * ny + y for x, y in sorted(pattern.cells))
 
 
 def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
-    """mu over the cells, x * ny + y for (x, y), in integer rows: mu is 0
-    off the pattern's cells, and each type's line sums to its mass where the
-    type earns, to at most its mass elsewhere. A line's row is scaled by the
-    mass's denominator."""
+    """mu over the pattern's cells (`_matching_columns`), in integer rows:
+    each type's line sums to its mass where the type earns, to at most its
+    mass elsewhere, over the line's cells that the pattern has. A line's row
+    is scaled by the mass's denominator. An off-pattern cell's mu_xy = 0 is
+    no row."""
     nx, ny = problem.nx, problem.ny
-    width = nx * ny
-    cellset = set(pattern.cells)
-    eqs = [(((i, 1),), 0, 1) for i in range(width) if divmod(i, ny) not in cellset]
+    at = {i: j for j, i in enumerate(_matching_columns(ny, pattern))}
+    eqs = []
     ineqs = []
     lines = [(range(x * ny, x * ny + ny), problem.n[x], x in pattern.pos_u) for x in range(nx)]
-    lines += [(range(y, width, ny), problem.m[y], y in pattern.pos_v) for y in range(ny)]
+    lines += [(range(y, nx * ny, ny), problem.m[y], y in pattern.pos_v) for y in range(ny)]
     for line, mass, earns in lines:
         scale = mass.denominator
-        (eqs if earns else ineqs).append((tuple((i, scale) for i in line), mass.numerator, scale))
-    return LinearSystem._of_valid_rows(width, (True,) * width, (*eqs, *ineqs), len(eqs))
+        (eqs if earns else ineqs).append((tuple((at[i], scale) for i in line if i in at), mass.numerator, scale))
+    return LinearSystem._of_valid_rows(len(at), (True,) * len(at), (*eqs, *ineqs), len(eqs))
 
 
 def _matching_refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
     """A checked certificate of pattern's matching system in index space:
-    (pattern, cert, zmask, negu, negv), with bit x * ny + y of zmask set
-    where the row mu_xy == 0 has a nonzero multiplier, and bit x of negu (y
-    of negv) where worker type x's (job type y's) line has a negative
-    multiplier, which only an equality, an earning type's line, may have."""
+    (pattern, cert, zmask, negu, negv). Bit x of negu (y of negv) is set
+    where worker type x's (job type y's) line has a negative multiplier,
+    which only an equality, an earning type's line, may have. Bit
+    x * ny + y of zmask is set where the off-pattern cell's row mu_xy == 0
+    has a nonzero multiplier: that row is none of the certificate's, and it
+    gets minus the combination's coefficient on mu_xy, the sum of its two
+    lines' multipliers, since each line's row has coefficient 1 on the cell."""
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
-    cellset = set(pattern.cells)
-    zmask = sum(1 << i for i in range(nx * ny) if divmod(i, ny) not in cellset and next(eq_mult))
     earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
-    negative = [(next(eq_mult) if e else next(ineq_mult)) < 0 for e in earns]
-    negu = sum(1 << x for x in range(nx) if negative[x])
-    negv = sum(1 << y for y in range(ny) if negative[nx + y])
+    line = [next(eq_mult) if e else next(ineq_mult) for e in earns]
+    cellset = set(pattern.cells)
+    zmask = sum(
+        1 << x * ny + y
+        for x in range(nx)
+        for y in range(ny)
+        if (x, y) not in cellset and line[x] + line[nx + y]
+    )
+    negu = sum(1 << x for x in range(nx) if line[x] < 0)
+    negv = sum(1 << y for y in range(ny) if line[nx + y] < 0)
     return pattern, cert, zmask, negu, negv
 
 
-def _matching_refutes(refutation: tuple, smask: int, pumask: int, pvmask: int) -> bool:
-    """Whether the refutation's combination of rows is one of the matching
-    system of pattern (smask, pumask, pvmask), which it then refutes: when
-    no cell whose zero row it uses may match and every line with a negative
-    multiplier earns. Fewer cells and more earning types only add rows to a
-    matching system, so on such a pattern this is `certificate_refutes` of
-    the certificate carried over row by row: the zero rows and the lines
-    keep their multipliers, and every other row gets 0."""
-    _, _, zmask, negu, negv = refutation
-    return not (zmask & smask or negu & ~pumask or negv & ~pvmask)
+def _matching_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
+    """The first matching refutation whose combination of rows is one of the
+    matching system of pattern (smask, pumask, pvmask), which it then
+    refutes, or None: one where no cell whose zero row it uses may match and
+    every line with a negative multiplier earns. Fewer cells and more
+    earning types only add rows to a matching system, so on such a pattern
+    this is `certificate_refutes` of the certificate carried over row by
+    row: the zero rows and the lines keep their multipliers, and every
+    other row gets 0."""
+    for refutation in refutations:
+        _, _, zmask, negu, negv = refutation
+        if not (zmask & smask or negu & ~pumask or negv & ~pvmask):
+            return refutation
+    return None
 
 
-def _any(test, subjects, masks: tuple) -> bool:
-    """Whether test(subject, *masks) holds for any of the subjects: any()
-    without a generator, which the enumerator would build for every pattern
-    and every pool."""
-    for subject in subjects:
-        if test(subject, *masks):
-            return True
-    return False
+def _spread(result: SolveResult, columns: tuple, width: int) -> list[int]:
+    """The integer numerators of result's point, over the variables
+    `columns`, spread over all `width` variables with 0 elsewhere."""
+    num = [0] * width
+    for k, n in zip(columns, result.num):
+        num[k] = n
+    return num
+
+
+def _points(problem: LTUProblem, pattern: ComplementarityPattern, split: SolveResult, matching: SolveResult):
+    """The whole split point (u, v) and matching point mu of a pattern's
+    two feasible halves, as Fractions, with the zeros of its held types and
+    off-pattern cells put back."""
+    nx, ny = problem.nx, problem.ny
+    uv = _spread(split, _split_columns(nx, pattern), nx + ny)
+    mu = _spread(matching, _matching_columns(ny, pattern), nx * ny)
+    return tuple(Fraction(n, split.den) for n in uv), tuple(Fraction(n, matching.den) for n in mu)
 
 
 def _solved(system: LinearSystem, half: str):
@@ -260,8 +342,9 @@ def _outcome(problem: LTUProblem, split_point: tuple, matching_point: tuple) -> 
 
 
 def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> PatternResult:
-    """Solve the two halves of a pattern; certify whichever is empty.
-    DimensionMismatch for a repeated index or one outside the market."""
+    """Solve the two halves of a pattern, each over its free variables;
+    certify whichever is empty. DimensionMismatch for a repeated index or
+    one outside the market."""
     nx, ny = problem.nx, problem.ny
     cells = {(x, y) for x in range(nx) for y in range(ny)}
     for field, valid in (("cells", cells), ("pos_u", range(nx)), ("pos_v", range(ny))):
@@ -274,7 +357,7 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
     matching = _solved(_matching_system(problem, pattern), "matching")
     if not matching.feasible:
         return PatternResult(None, None, matching.certificate)
-    return PatternResult(_outcome(problem, split.point, matching.point), None, None)
+    return PatternResult(_outcome(problem, *_points(problem, pattern, split, matching)), None, None)
 
 
 def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
@@ -283,29 +366,31 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     Patterns are pruned before the linear algebra where infeasibility is
     syntactic: a cell with negative output can never bind, an earning type
     needs a matchable cell in its line, a binding cell with positive output
-    needs someone at the table earning. A cell set whose binding equalities
-    are inconsistent needs no test of its own: their refuting combination
-    puts a negative multiplier on some cell c, so it refutes the relaxed
-    system of the cell set without c, which is visited first, and that
-    refutation carries over.
+    needs someone at the table earning. Both output rules read masks made
+    once per market. A cell set whose binding equalities are inconsistent
+    needs no test of its own: their refuting combination puts a negative
+    multiplier on some cell c, so it refutes the relaxed system of the cell
+    set without c, which is visited first, and that refutation carries over.
 
     Every other pattern gets its two halves, split then matching, the same
     systems and LPs as in `linear_feasibility`, unless one of three skips
     applies; each uses that a half is monotone. The split half only gains
     rows when more cells bind or fewer types earn, the matching half when
-    fewer cells may match or more types earn.
+    fewer cells may match or more types earn. Each skip is one scan of its
+    pool, which returns the refutation or box that applies.
 
     - Split-skipped: a split refutation found anywhere in the market carries
-      over to the pattern (`_refutes`). Each cell set first gets its relaxed
-      split system (its cells binding, every type free to earn), unless a
-      refutation or a box settles it; when that is refuted, so is every
-      pattern of the cell set. Inside a cell set the earning sets are
+      over to the pattern (`_split_refuter`). Each cell set first gets its
+      relaxed split system (its cells binding, every type free to earn),
+      unless a refutation or a box settles it; when that is refuted, so is
+      every pattern of the cell set. Inside a cell set the earning sets are
       visited from the largest down.
     - Matching-skipped: a matching refutation carries over to the pattern
-      (`_matching_refutes`).
+      (`_matching_refuter`).
     - Box-covered: a feasible split point solved before satisfies the
-      pattern's split system (`_covers`), so the matching half is solved
-      first, and a refuted one settles the pattern without a split LP.
+      pattern's split system (`_covering_box`), so the matching half is
+      solved first, and a refuted one settles the pattern without a split
+      LP.
 
     Each refuting certificate is checked with `certificate_refutes` once,
     on its own system, and read in index space, so that a skip costs three
@@ -326,6 +411,9 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
 
     cells = [(x, y) for x in range(nx) for y in range(ny)]
     every_u, every_v = (1 << nx) - 1, (1 << ny) - 1
+    # the cells that cannot bind (phi < 0) and those that pay (phi != 0)
+    negative = sum(1 << i for i, (x, y) in enumerate(cells) if problem.phi[x][y] < 0)
+    paying = sum(1 << i for i, (x, y) in enumerate(cells) if problem.phi[x][y] != 0)
     rows = _split_rows(problem)
     found: dict[tuple, Outcome] = {}
     split_refutations: list[tuple] = []
@@ -333,44 +421,44 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     boxes: list[tuple] = []
 
     for smask in range(1 << ncells):
-        scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
-        if any(problem.phi[x][y] < 0 for x, y in scells):
+        if smask & negative:
             continue
+        scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         # The relaxed split system: the cells binding, every type free to
         # earn. A refutation of it has no held type, so it refutes every
         # pattern of the cell set.
-        relaxed_masks = smask, every_u, every_v
-        if _any(_refutes, reversed(split_refutations), relaxed_masks):
+        if _split_refuter(split_refutations, smask, every_u, every_v) is not None:
             continue
-        if not _any(_covers, boxes, relaxed_masks):
+        if _covering_box(boxes, smask, every_u, every_v) is None:
             pattern = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
             relaxed = _solved(_split_system(problem, pattern, rows), "split")
             if not relaxed.feasible:
-                split_refutations.append(_refutation(pattern, relaxed.certificate, nx, ny))
+                split_refutations.append(_refutation(pattern, relaxed.certificate, rows, nx, ny))
                 continue
-            boxes.append(_box(relaxed, rows, nx, ny))
-        srows = 0
+            boxes.append(_box(relaxed, _split_columns(nx, pattern), rows, nx, ny))
+        # per worker type, the job types of its binding cells and of its
+        # paying ones
+        bound = [smask >> x * ny & every_v for x in range(nx)]
+        pays = [(smask & paying) >> x * ny & every_v for x in range(nx)]
+        srows = sum(1 << x for x in range(nx) if bound[x])
         scols = 0
-        for x, y in scells:
-            srows |= 1 << x
-            scols |= 1 << y
-        paying = [(x, y) for x, y in scells if problem.phi[x][y] != 0]
+        for cols in bound:
+            scols |= cols
         for pumask in reversed(range(1 << nx)):
             if pumask & ~srows:
                 continue
             # the job types that must earn: those of paying cells whose
             # worker type does not
             needed = 0
-            for x, y in paying:
+            for x in range(nx):
                 if not pumask >> x & 1:
-                    needed |= 1 << y
+                    needed |= pays[x]
             for pvmask in reversed(range(1 << ny)):
                 if pvmask & ~scols or needed & ~pvmask:
                     continue
-                masks = smask, pumask, pvmask
-                if _any(_refutes, reversed(split_refutations), masks):
+                if _split_refuter(split_refutations, smask, pumask, pvmask) is not None:
                     continue
-                if _any(_matching_refutes, matching_refutations, masks):
+                if _matching_refuter(matching_refutations, smask, pumask, pvmask) is not None:
                     continue
                 pattern = ComplementarityPattern(
                     scells,
@@ -378,12 +466,12 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
                     tuple(y for y in range(ny) if pvmask >> y & 1),
                 )
                 split = None
-                if not _any(_covers, boxes, masks):
+                if _covering_box(boxes, smask, pumask, pvmask) is None:
                     split = _solved(_split_system(problem, pattern, rows), "split")
                     if not split.feasible:
-                        split_refutations.append(_refutation(pattern, split.certificate, nx, ny))
+                        split_refutations.append(_refutation(pattern, split.certificate, rows, nx, ny))
                         continue
-                    boxes.append(_box(split, rows, nx, ny))
+                    boxes.append(_box(split, _split_columns(nx, pattern), rows, nx, ny))
                 matching = _solved(_matching_system(problem, pattern), "matching")
                 if not matching.feasible:
                     matching_refutations.append(_matching_refutation(pattern, matching.certificate, nx, ny))
@@ -392,7 +480,7 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
                     split = _solved(_split_system(problem, pattern, rows), "split")
                     if not split.feasible:
                         raise InternalError("a point's box covers a split-refuted pattern")
-                outcome = _outcome(problem, split.point, matching.point)
+                outcome = _outcome(problem, *_points(problem, pattern, split, matching))
                 found.setdefault((outcome.mu, outcome.u, outcome.v), outcome)
 
     return tuple(found[key] for key in sorted(found))

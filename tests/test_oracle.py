@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference_oracle
 import test_oracle_differential as oracle_corpus
 from ltumatch import (
     CapExceeded,
@@ -20,7 +21,16 @@ from ltumatch import (
     to_game,
     verify_stable,
 )
-from ltumatch.oracle import ComplementarityPattern, _matching_system, _split_rows, _split_system
+from ltumatch._simplex import certificate_refutes
+from ltumatch.model import Outcome
+from ltumatch.oracle import (
+    ComplementarityPattern,
+    _matching_columns,
+    _matching_system,
+    _split_columns,
+    _split_rows,
+    _split_system,
+)
 
 
 def test_uneven2x2_enumeration(uneven2x2, black, white):
@@ -56,17 +66,47 @@ def test_induced_pattern_round_trip(uneven2x2, black):
     assert verify_stable(uneven2x2, result.outcome).ok
 
 
-def test_infeasible_pattern_has_checkable_certificate(uneven2x2):
-    from ltumatch import ComplementarityPattern
-    from ltumatch._simplex import certificate_refutes
-    from ltumatch.oracle import _split_system
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 1)], ids=["short", "wide", "narrow"])
+def test_induced_pattern_refuses_a_wrong_shape(uneven2x2, shape):
+    nx, ny = shape
+    outcome = Outcome(((F(1),) * ny,) * nx, (F(0),) * nx, (F(1),) * ny)
+    with pytest.raises(DimensionMismatch, match=f"{nx}x{ny} outcome, 2x2 market"):
+        induced_pattern(uneven2x2, outcome)
 
+
+def test_infeasible_pattern_has_checkable_certificate(uneven2x2):
     # everyone matched on the diagonal yet nobody may be paid: blocked
     pattern = ComplementarityPattern(cells=((0, 0), (1, 1)), pos_u=(), pos_v=())
     result = linear_feasibility(uneven2x2, pattern)
     assert result.outcome is None
     assert result.split_certificate is not None
     assert certificate_refutes(_split_system(uneven2x2, pattern), result.split_certificate)
+    # every type is held: the system has no variable, one inequality
+    # 0 <= -phi / 2 per unmatched cell, and a certificate with one
+    # multiplier per cell
+    assert _split_system(uneven2x2, pattern).nvars == 0
+    assert len(result.split_certificate.eq_num + result.split_certificate.ineq_num) == 4
+
+
+def test_the_empty_pattern(uneven2x2):
+    """No cell may match and no type earns: both halves have no variable.
+    On uneven2x2, whose outputs are positive, the split half is refuted by
+    any unmatched cell's 0 <= -phi / 2, and the full form's refutation
+    (with u = v = 0 as rows) follows by filling in the unit rows. A market
+    whose only output is negative has the zero outcome there."""
+    empty = ComplementarityPattern((), (), ())
+    result = linear_feasibility(uneven2x2, empty)
+    assert result.outcome is None and result.matching_certificate is None
+    cert = result.split_certificate
+    assert certificate_refutes(_split_system(uneven2x2, empty), cert)
+    full = oracle_corpus.filled_split(uneven2x2, empty, cert)
+    assert certificate_refutes(reference_oracle._split_system(uneven2x2, empty), full)
+    assert _matching_system(uneven2x2, empty).nvars == 0
+
+    negative = LTUProblem(("w",), ("j",), (F(1),), (F(1),), ((F(1, 2),),), ((F(-1),),))
+    result = linear_feasibility(negative, empty)
+    assert result.outcome.mu == ((F(0),),) and result.outcome.u == (F(0),) and result.outcome.v == (F(0),)
+    assert result == reference_oracle.linear_feasibility(negative, empty)
 
 
 @pytest.mark.parametrize(
@@ -147,39 +187,55 @@ def _scaled_correctly(row, form):
 def test_split_rows_hold_each_row_times_its_scale(name):
     problem = oracle_corpus.CORPUS[name]
     nx, ny = problem.nx, problem.ny
-    cells, units = _split_rows(problem)
+    cells, lines = _split_rows(problem)
     assert len(cells) == nx * ny
-    assert len(units) == nx + ny
-    for (x, y), (eq, ineq) in cells.items():
+    assert len(lines) == nx + ny
+    coefficients = [{} for _ in range(nx + ny)]
+    for i, ((x, y), (eq, ineq)) in enumerate(cells.items()):
         lam = problem.lam[x][y]
         coeffs = [F(0)] * (nx + ny)
         coeffs[x], coeffs[nx + y] = lam, 1 - lam
         rhs = problem.phi[x][y] / 2
         _scaled_correctly((tuple(coeffs), rhs), eq)
         _scaled_correctly((tuple(-c for c in coeffs), -rhs), ineq)
-    for k, unit in enumerate(units):
-        _scaled_correctly((tuple(F(int(i == k)) for i in range(nx + ny)), F(0)), unit)
-    # a split system is assembled from the table's integer rows, in order
-    everything = ComplementarityPattern(tuple(cells), (), ())
-    for pattern in (everything, ComplementarityPattern((), (0,), ())):
+        coefficients[x][i], coefficients[nx + y][i] = lam, 1 - lam
+    # each variable's line holds its coefficients over one positive scale
+    for k, line in enumerate(lines):
+        assert [i for i, _ in line] == sorted(coefficients[k])
+        scales = {F(c) / coefficients[k][i] for i, c in line}
+        assert len(scales) == 1 and scales.pop() > 0
+    # a split system is assembled from the table's integer rows, in order,
+    # over the earning types' variables: a held type's terms are left out
+    every = tuple(range(nx)), tuple(range(ny))
+    for pattern in (
+        ComplementarityPattern(tuple(cells), (), ()),
+        ComplementarityPattern((), (0,), ()),
+        ComplementarityPattern(tuple(cells)[1::2], *every),
+        ComplementarityPattern((), (), (ny - 1,)),
+    ):
         system = _split_system(problem, pattern)
-        eqs = [eq for cell, (eq, _) in cells.items() if cell in pattern.cells]
-        eqs += [units[x] for x in range(nx) if x not in pattern.pos_u]
-        eqs += [units[nx + y] for y in range(ny) if y not in pattern.pos_v]
-        ineqs = [ineq for cell, (_, ineq) in cells.items() if cell not in pattern.cells]
-        assert system.rows == (*eqs, *ineqs) and system.neq == len(eqs)
+        columns = _split_columns(nx, pattern)
+        assert system.nvars == len(columns) and system.nonneg == (True,) * len(columns)
+        full = reference_oracle._split_system(problem, pattern)
+        assert system.eqs == tuple((tuple(row[k] for k in columns), rhs) for row, rhs in full.eqs[:system.neq])
+        assert system.ineqs == tuple((tuple(row[k] for k in columns), rhs) for row, rhs in full.ineqs)
+        restricted = [eq for cell, (eq, _) in cells.items() if cell in pattern.cells]
+        restricted += [ineq for cell, (_, ineq) in cells.items() if cell not in pattern.cells]
+        assert system.neq == len(pattern.cells)
+        for row, form in zip(system.rows, restricted, strict=True):
+            assert row[1:] == form[1:]
 
 
 def _matching_rows(problem, pattern):
-    """The matching system's rows as Fraction rows (coeffs, rhs), equalities
-    then inequalities, built cell by cell."""
+    """The matching system's rows as Fraction rows (coeffs, rhs) over the
+    pattern's cells in row-major order, equalities then inequalities, built
+    cell by cell."""
     nx, ny = problem.nx, problem.ny
 
     def row(cells, rhs):
-        return tuple(F(int((x, y) in cells)) for x in range(nx) for y in range(ny)), rhs
+        return tuple(F(int(cell in cells)) for cell in sorted(pattern.cells)), rhs
 
-    every = [(x, y) for x in range(nx) for y in range(ny)]
-    eqs = [row({cell}, F(0)) for cell in every if cell not in pattern.cells]
+    eqs = []
     ineqs = []
     for x in range(nx):
         (eqs if x in pattern.pos_u else ineqs).append(row({(x, y) for y in range(ny)}, problem.n[x]))
@@ -197,8 +253,11 @@ def test_matching_rows_hold_each_row_times_its_scale(name):
         ComplementarityPattern(every, tuple(range(nx)), tuple(range(ny))),
         ComplementarityPattern((), (), ()),
         ComplementarityPattern(every[::2], (0,), (ny - 1,)),
+        ComplementarityPattern(every[::-3], (), tuple(range(ny))),
     ):
         system = _matching_system(problem, pattern)
+        assert system.nvars == len(pattern.cells)
+        assert _matching_columns(ny, pattern) == tuple(x * ny + y for x, y in sorted(pattern.cells))
         eqs, ineqs = _matching_rows(problem, pattern)
         assert (system.eqs, system.ineqs) == (tuple(eqs), tuple(ineqs))
         assert system.neq == len(eqs)

@@ -6,22 +6,29 @@ the pruned enumerator did with it:
 
 - run: it solved the pattern's own split system;
 - split-skipped: a split refutation carries over to the pattern or to its
-  cell set's relaxed split system (`oracle._refutes`);
+  cell set's relaxed split system (`oracle._split_refuter`);
 - matching-skipped: a matching refutation carries over to the pattern
-  (`oracle._matching_refutes`);
+  (`oracle._matching_refuter`);
 - box-covered: a feasible split point solved before satisfies the pattern's
-  split system (`oracle._covers`), so its matching half came first.
+  split system (`oracle._covering_box`), so its matching half came first.
 
-The enumerator decides each of these by mask tests in index space. Here each
-one is checked in full on the target's own systems: a split or matching
-certificate carried over row by row (`_carry`, `_carry_matching`) must
-refute it, and a box's point must satisfy it. Corrupted refutations must
-fail the mask tests, and the prunes must save LPs on the wider markets.
+The enumerator decides each of these by mask tests in index space, in one
+scan per pool. Here each one is checked in full on the target's own systems:
+a split or matching certificate carried over row by row (`_carry`,
+`_carry_matching`) must refute it, and a box's point must satisfy it.
+Corrupted refutations must fail the mask tests, and the prunes must save LPs
+on the wider markets.
+
+The enumerator solves each half over its free variables only. The full form
+of each half, with a row for every zero, is `reference_oracle`'s: each
+refutation the enumerator reads, with those rows' multipliers filled in,
+must refute that system and give the same masks, and each pattern that
+yields an outcome must give that system's points.
 """
 import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -30,7 +37,7 @@ import pytest
 import reference_oracle
 from ltumatch import FuzzConfig, LTUProblem, oracle, random_problem
 from ltumatch.model import validate_problem
-from ltumatch._simplex import Certificate, certificate_refutes, satisfies
+from ltumatch._simplex import Certificate, certificate_refutes, satisfies, solve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 HALF = F(1, 2)
@@ -66,52 +73,114 @@ def _corpus():
 CORPUS = _corpus()
 
 
+def _binding(cert, pattern, nx, ny):
+    """Each cell's multiplier in a certificate of pattern's split system,
+    read as that of its binding equality, so an inequality's z counts as -z."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    cells = set(pattern.cells)
+    return {
+        (x, y): next(eq_mult) if (x, y) in cells else -next(ineq_mult)
+        for x in range(nx)
+        for y in range(ny)
+    }
+
+
 def _carry(cert, source, target, nx, ny):
     """Carry a Farkas certificate of source's split system over to target's,
     where target binds more cells and lets fewer types earn. This is how the
     oracle checked each skipped pattern before it worked in index space.
 
-    Rows are matched on what they constrain. A cell's multiplier is read as
-    that of its binding equality, so an inequality's z counts as -z there; a
-    type held at zero keeps its multiplier, or gets 0 where source let it
-    earn. The combination of the rows is unchanged, so the carried
-    certificate refutes target exactly when the original refutes source."""
-    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
-    source_cells = set(source.cells)
-    binding = {
-        (x, y): next(eq_mult) if (x, y) in source_cells else -next(ineq_mult)
-        for x in range(nx)
-        for y in range(ny)
-    }
-    held = {x: next(eq_mult) for x in range(nx) if x not in source.pos_u}
-    held.update((nx + y, next(eq_mult)) for y in range(ny) if y not in source.pos_v)
+    Rows are matched on what they constrain: each cell keeps its multiplier
+    on its binding equality. A held type has no row in either system, so
+    the combination is unchanged. On a variable that both let earn its
+    coefficient stays nonnegative, and on one that target lets earn and
+    source holds at zero it is the held row's multiplier negated, 0 where
+    the mask tests passed. So the carried certificate refutes target
+    exactly when the original refutes source."""
+    binding = _binding(cert, source, nx, ny)
     target_cells = set(target.cells)
     eqs = [z for cell, z in binding.items() if cell in target_cells]
-    eqs += [held.get(x, F(0)) for x in range(nx) if x not in target.pos_u]
-    eqs += [held.get(nx + y, F(0)) for y in range(ny) if y not in target.pos_v]
     ineqs = [-z for cell, z in binding.items() if cell not in target_cells]
     return Certificate(tuple(eqs), tuple(ineqs))
+
+
+def _lines(cert, pattern, nx, ny):
+    """Each line's multiplier in a certificate of pattern's matching system,
+    worker types then job types."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    lines = [next(eq_mult) if x in pattern.pos_u else next(ineq_mult) for x in range(nx)]
+    return lines + [next(eq_mult) if y in pattern.pos_v else next(ineq_mult) for y in range(ny)]
 
 
 def _carry_matching(cert, source, target, nx, ny):
     """Carry a Farkas certificate of source's matching system over to
     target's, where target may match fewer cells and lets more types earn.
-    Each zero row mu_xy == 0 of source keeps its multiplier where target has
-    that row too, and target's other zero rows get 0; each line keeps its
-    multiplier, among target's equalities where the type earns there and its
-    inequalities elsewhere. Where source's rows all reappear in target, the
-    combination is unchanged, so the carried certificate refutes target
+    Each line keeps its multiplier, among target's equalities where the type
+    earns there and its inequalities elsewhere. A cell off a pattern has no
+    variable in its system, so the combination is unchanged; on a cell of
+    target off source its coefficient is the zero row's multiplier negated,
+    0 where the mask tests passed. So the carried certificate refutes target
     exactly when the original refutes source."""
-    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
-    cells = [(x, y) for x in range(nx) for y in range(ny)]
-    zero = {cell: next(eq_mult) for cell in cells if cell not in source.cells}
-    lines = [next(eq_mult) if x in source.pos_u else next(ineq_mult) for x in range(nx)]
-    lines += [next(eq_mult) if y in source.pos_v else next(ineq_mult) for y in range(ny)]
+    lines = _lines(cert, source, nx, ny)
     earns = [x in target.pos_u for x in range(nx)] + [y in target.pos_v for y in range(ny)]
-    eqs = [zero.get(cell, F(0)) for cell in cells if cell not in target.cells]
+    eqs = [z for z, e in zip(lines, earns) if e]
+    ineqs = [z for z, e in zip(lines, earns) if not e]
+    return Certificate(tuple(eqs), tuple(ineqs))
+
+
+def filled_split(problem, pattern, cert):
+    """A certificate of pattern's split system over its free variables as
+    one of the full-form system of `reference_oracle`: each held type's unit
+    row gets minus the combination's coefficient on its variable, the cells'
+    multipliers times lam (1 - lam) summed over the type's line."""
+    nx, ny = problem.nx, problem.ny
+    binding = _binding(cert, pattern, nx, ny)
+    lam = problem.lam
+    eqs = [z for cell, z in binding.items() if cell in pattern.cells]
+    eqs += [-sum(binding[x, y] * lam[x][y] for y in range(ny)) for x in range(nx) if x not in pattern.pos_u]
+    eqs += [-sum(binding[x, y] * (1 - lam[x][y]) for x in range(nx)) for y in range(ny) if y not in pattern.pos_v]
+    ineqs = [-z for cell, z in binding.items() if cell not in pattern.cells]
+    return Certificate(tuple(eqs), tuple(ineqs))
+
+
+def filled_matching(problem, pattern, cert):
+    """A certificate of pattern's matching system over its cells as one of
+    the full-form system of `reference_oracle`: each off-pattern cell's zero
+    row gets minus the sum of its two lines' multipliers."""
+    nx, ny = problem.nx, problem.ny
+    lines = _lines(cert, pattern, nx, ny)
+    earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
+    eqs = [-(lines[x] + lines[nx + y]) for x in range(nx) for y in range(ny) if (x, y) not in pattern.cells]
     eqs += [z for z, e in zip(lines, earns) if e]
     ineqs = [z for z, e in zip(lines, earns) if not e]
     return Certificate(tuple(eqs), tuple(ineqs))
+
+
+def full_split_masks(pattern, cert, nx, ny):
+    """(positive, umask, vmask) read, as before the free-variable systems,
+    from a certificate of the full-form split system: the cells' multipliers
+    on their binding equalities, then the unit rows of the held types."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    positive = 0
+    for i in range(nx * ny):
+        if (next(eq_mult) if divmod(i, ny) in pattern.cells else -next(ineq_mult)) > 0:
+            positive |= 1 << i
+    umask = sum(1 << x for x in range(nx) if x not in pattern.pos_u and next(eq_mult))
+    vmask = sum(1 << y for y in range(ny) if y not in pattern.pos_v and next(eq_mult))
+    return positive, umask, vmask
+
+
+def full_matching_masks(pattern, cert, nx, ny):
+    """(zmask, negu, negv) read, as before the free-variable systems, from a
+    certificate of the full-form matching system: the zero rows of the
+    off-pattern cells, then the lines."""
+    eq_mult, ineq_mult = iter(cert.eq_mult), iter(cert.ineq_mult)
+    zmask = sum(1 << i for i in range(nx * ny) if divmod(i, ny) not in pattern.cells and next(eq_mult))
+    earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
+    negative = [(next(eq_mult) if e else next(ineq_mult)) < 0 for e in earns]
+    negu = sum(1 << x for x in range(nx) if negative[x])
+    negv = sum(1 << y for y in range(ny) if negative[nx + y])
+    return zmask, negu, negv
 
 
 def masks_of(problem, pattern):
@@ -150,38 +219,26 @@ class Trace:
     checked: list = field(default_factory=list)
     # every box it read from a feasible split point
     boxes: list = field(default_factory=list)
+    # (pattern, split point, matching point) of each outcome it made
+    points: list = field(default_factory=list)
     solves: int = 0
 
 
-MASK_TESTS = {"split": "_refutes", "matching": "_matching_refutes", "box": "_covers"}
+SCANS = {"split": "_split_refuter", "matching": "_matching_refuter", "box": "_covering_box"}
 READERS = {"split": "_refutation", "matching": "_matching_refutation"}
 BUILDERS = {"split": "_split_system", "matching": "_matching_system"}
 
 
-@functools.lru_cache(maxsize=None)
-def run(name):
-    """Both enumerators on one market: (problem, reference tuple, tuple,
-    reference linear_feasibility result by pattern, the pruned enumerator's
-    Trace)."""
-    problem = CORPUS[name]
-    linear_feasibility, reference_results = oracle.linear_feasibility, {}
-
-    def reference_feasibility(problem, pattern):
-        reference_results[pattern] = result = linear_feasibility(problem, pattern)
-        return result
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reference_oracle, "linear_feasibility", reference_feasibility)
-        expected = reference_oracle.enumerate_stable(problem)
-
+def traced(problem):
+    """The pruned enumerator's tuple on one market and its Trace."""
     trace = Trace()
 
-    def passing(passed, test):
-        def wrapper(subject, *masks):
-            verdict = test(subject, *masks)
-            if verdict:
+    def passing(passed, scan):
+        def wrapper(pool, *masks):
+            subject = scan(pool, *masks)
+            if subject is not None:
                 passed.append((subject, masks))
-            return verdict
+            return subject
         return wrapper
 
     def reading(read, reader):
@@ -204,9 +261,13 @@ def run(name):
         trace.solves += 1
         return lp(system)
 
+    def points(problem, pattern, *halves, spread=oracle._points):
+        trace.points.append((pattern, *spread(problem, pattern, *halves)))
+        return trace.points[-1][1:]
+
     with pytest.MonkeyPatch.context() as patch:
-        for kind, test in MASK_TESTS.items():
-            patch.setattr(oracle, test, passing(trace.passed[kind], getattr(oracle, test)))
+        for kind, scan in SCANS.items():
+            patch.setattr(oracle, scan, passing(trace.passed[kind], getattr(oracle, scan)))
         for kind, reader in READERS.items():
             patch.setattr(oracle, reader, reading(trace.read[kind], getattr(oracle, reader)))
         for kind, builder in BUILDERS.items():
@@ -214,7 +275,27 @@ def run(name):
         patch.setattr(oracle, "_box", reading(trace.boxes, oracle._box))
         patch.setattr(oracle, "certificate_refutes", refutes)
         patch.setattr(oracle, "solve", solve)
+        patch.setattr(oracle, "_points", points)
         outcomes = oracle.enumerate_stable(problem)
+    return outcomes, trace
+
+
+@functools.lru_cache(maxsize=None)
+def run(name):
+    """Both enumerators on one market: (problem, reference tuple, tuple,
+    reference linear_feasibility result by pattern, the pruned enumerator's
+    Trace)."""
+    problem = CORPUS[name]
+    linear_feasibility, reference_results = reference_oracle.linear_feasibility, {}
+
+    def reference_feasibility(problem, pattern):
+        reference_results[pattern] = result = linear_feasibility(problem, pattern)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_oracle, "linear_feasibility", reference_feasibility)
+        expected = reference_oracle.enumerate_stable(problem)
+    outcomes, trace = traced(problem)
     return problem, expected, outcomes, reference_results, trace
 
 
@@ -368,7 +449,10 @@ def test_box_points_satisfy_the_patterns_they_cover(name):
     problem, _, _, _, trace = run(name)
     for (point, *_), masks in trace.passed["box"]:
         target = pattern_of(problem, *masks)
-        assert satisfies(oracle._split_system(problem, target), point), (point, target)
+        free = [point[k] for k in oracle._split_columns(problem.nx, target)]
+        assert satisfies(oracle._split_system(problem, target), free), (point, target)
+        # the zeros of the held types included
+        assert satisfies(reference_oracle._split_system(problem, target), point), (point, target)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -387,6 +471,72 @@ def test_boxes_hold_their_points_tight_cells_and_supports(name):
         ), point
         assert umask == sum(1 << x for x in range(nx) if u[x]), point
         assert vmask == sum(1 << y for y in range(ny) if v[y]), point
+
+
+def check_against_the_full_form(problem, trace):
+    """Each refutation the enumerator read, with the dropped rows'
+    multipliers filled in, refutes the full-form system of its pattern and
+    gives the masks that the full form's certificate gives; each pattern
+    that yields an outcome has the full-form systems' points. Returns the
+    number of refutations and of outcome patterns checked."""
+    nx, ny = problem.nx, problem.ny
+    for pattern, cert, *masks in trace.read["split"]:
+        full = filled_split(problem, pattern, cert)
+        assert certificate_refutes(reference_oracle._split_system(problem, pattern), full), pattern
+        assert tuple(masks) == full_split_masks(pattern, full, nx, ny), pattern
+    for pattern, cert, *masks in trace.read["matching"]:
+        full = filled_matching(problem, pattern, cert)
+        assert certificate_refutes(reference_oracle._matching_system(problem, pattern), full), pattern
+        assert tuple(masks) == full_matching_masks(pattern, full, nx, ny), pattern
+    for pattern, split_point, matching_point in trace.points:
+        split = solve(reference_oracle._split_system(problem, pattern))
+        matching = solve(reference_oracle._matching_system(problem, pattern))
+        assert (split_point, matching_point) == (split.point, matching.point), pattern
+    return len(trace.read["split"]) + len(trace.read["matching"]), len(trace.points)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_free_variable_systems_agree_with_the_full_form(name):
+    problem, _, _, reference_results, trace = run(name)
+    refutations, outcomes = check_against_the_full_form(problem, trace)
+    assert refutations and outcomes
+    # linear_feasibility refutes the half that the full form refutes, by a
+    # certificate of the full form once filled in, or finds its outcome
+    for pattern in list(reference_results)[::7]:
+        result, expected = oracle.linear_feasibility(problem, pattern), reference_results[pattern]
+        assert result.outcome == expected.outcome, pattern
+        if expected.split_certificate is not None:
+            full = filled_split(problem, pattern, result.split_certificate)
+            assert certificate_refutes(reference_oracle._split_system(problem, pattern), full), pattern
+        elif expected.matching_certificate is not None:
+            full = filled_matching(problem, pattern, result.matching_certificate)
+            assert certificate_refutes(reference_oracle._matching_system(problem, pattern), full), pattern
+
+
+def _half_lambda_corpus():
+    """Seeded 3x3 markets with lambda = 1/2 everywhere, whose binding
+    equalities u_x + v_y = phi_xy are dependent on every cycle of cells, and
+    every third with its outputs made zero or negative at random."""
+    rng = random.Random(53)
+    cfg = FuzzConfig(max_workers=3, max_jobs=3)
+    markets = []
+    for k in range(6):
+        problem = random_problem(rng, cfg, min_workers=3, min_jobs=3)
+        phi = problem.phi
+        if k % 3 == 2:
+            phi = tuple(tuple(rng.choice((f, f, F(0), -f)) for f in row) for row in phi)
+        markets.append(replace(problem, lam=((HALF,) * 3,) * 3, phi=phi))
+    return markets
+
+
+def test_free_variable_systems_agree_with_the_full_form_at_half_lambda():
+    refutations = outcomes = 0
+    for problem in _half_lambda_corpus():
+        found, trace = traced(problem)
+        assert found
+        r, o = check_against_the_full_form(problem, trace)
+        refutations, outcomes = refutations + r, outcomes + o
+    assert refutations > 300 and outcomes > 50, (refutations, outcomes)
 
 
 WIDER = [name for name in NAMES if name.startswith(("2x3-", "3x2-"))]
@@ -425,48 +575,65 @@ def outside_cell(problem, refutation, smask, pumask, pvmask):
         return None
     ineq_mult = list(cert.ineq_mult)
     ineq_mult[outside.index(cell)] = F(-1)
-    return oracle._refutation(source, Certificate(cert.eq_mult, tuple(ineq_mult)), nx, ny)
+    cert = Certificate(cert.eq_mult, tuple(ineq_mult))
+    return oracle._refutation(source, cert, oracle._split_rows(problem), nx, ny)
 
 
 def earning_type(problem, refutation, smask, pumask, pvmask, jobs):
-    """The refutation with multiplier -1 on the row that holds the first
-    worker (or job) type earning in the pattern at zero: its source pattern
-    holds that type at zero, its certificate gets the multiplier, and
-    `oracle._refutation` reads the pair. None when no such type earns."""
+    """The refutation with the first worker (or job) type that earns in the
+    pattern held at zero in its source pattern, where its row's multiplier,
+    minus the combination's coefficient on its variable, is nonzero: where
+    that coefficient is 0, 1 is added to the multiplier, taken on the binding
+    equality, of a cell of the type's line that binds in the pattern and
+    whose other type the source lets earn or the pattern holds at zero, so
+    that no other mask test fails for it. `oracle._refutation` reads the
+    pair. None when no type earns or no such cell exists."""
     nx, ny = problem.nx, problem.ny
     source, cert = refutation[:2]
     earning = pvmask if jobs else pumask
     if not earning:
         return None
     t = (earning & -earning).bit_length() - 1
-    pos_u, pos_v = list(source.pos_u), list(source.pos_v)
-    pos = pos_v if jobs else pos_u
-    # where the source lets the type earn, its row is added; else its
-    # multiplier, 0 since the mask tests passed, is replaced
-    added = t in pos
-    if added:
-        pos.remove(t)
-    held = [x for x in range(nx) if x not in pos_u] + [nx + y for y in range(ny) if y not in pos_v]
-    eq_mult = list(cert.eq_mult)
-    k = len(source.cells) + held.index(nx * jobs + t)
-    eq_mult[k:k + (not added)] = [F(-1)]
+    pos_u = [x for x in source.pos_u if jobs or x != t]
+    pos_v = [y for y in source.pos_v if not jobs or y != t]
     source = oracle.ComplementarityPattern(source.cells, tuple(pos_u), tuple(pos_v))
-    return oracle._refutation(source, Certificate(tuple(eq_mult), cert.ineq_mult), nx, ny)
+    binding = _binding(cert, refutation[0], nx, ny)
+    line = [(x, t) for x in range(nx)] if jobs else [(t, y) for y in range(ny)]
+    weight = {cell: 1 - problem.lam[cell[0]][cell[1]] if jobs else problem.lam[cell[0]][cell[1]] for cell in line}
+    if not sum(binding[cell] * weight[cell] for cell in line):
+        cell = next((
+            (x, y) for x, y in line
+            if smask >> (x * ny + y) & 1
+            and ((x in pos_u or not pumask >> x & 1) if jobs else (y in pos_v or not pvmask >> y & 1))
+        ), None)
+        if cell is None:
+            return None
+        binding[cell] += 1
+    eqs = tuple(z for cell, z in binding.items() if cell in source.cells)
+    ineqs = tuple(-z for cell, z in binding.items() if cell not in source.cells)
+    return oracle._refutation(source, Certificate(eqs, ineqs), oracle._split_rows(problem), nx, ny)
 
 
 def zero_cell(problem, refutation, smask, pumask, pvmask):
-    """The matching refutation with multiplier 1 on the zero row of the
-    first cell of smask that its pattern holds at zero, read by
-    `oracle._matching_refutation`. None when smask has no such cell."""
+    """The matching refutation that uses the zero row of the first cell of
+    smask that its pattern holds at zero: that row's multiplier is minus the
+    sum of the cell's two lines' multipliers, and where the sum is 0, the
+    cell's job type's line gets 1 more. `oracle._matching_refutation` reads
+    the pair. None when smask has no such cell."""
     nx, ny = problem.nx, problem.ny
     source, cert = refutation[:2]
     zero = [(x, y) for x in range(nx) for y in range(ny) if (x, y) not in source.cells]
     cell = next((c for c in zero if smask >> (c[0] * ny + c[1]) & 1), None)
     if cell is None:
         return None
-    eq_mult = list(cert.eq_mult)
-    eq_mult[zero.index(cell)] = F(1)
-    return oracle._matching_refutation(source, Certificate(tuple(eq_mult), cert.ineq_mult), nx, ny)
+    lines = _lines(cert, source, nx, ny)
+    x, y = cell
+    if not lines[x] + lines[nx + y]:
+        lines[nx + y] += 1
+    earns = [x in source.pos_u for x in range(nx)] + [y in source.pos_v for y in range(ny)]
+    eq_mult = tuple(z for z, e in zip(lines, earns) if e)
+    ineq_mult = tuple(z for z, e in zip(lines, earns) if not e)
+    return oracle._matching_refutation(source, Certificate(eq_mult, ineq_mult), nx, ny)
 
 
 def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
@@ -481,12 +648,10 @@ def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
     t = next((t for t in range(ny if jobs else nx) if not earning >> t & 1), None)
     if t is None:
         return None
-    nzero = nx * ny - len(source.cells)
-    eq_lines, ineq_lines = iter(cert.eq_mult[nzero:]), iter(cert.ineq_mult)
+    lines = _lines(cert, source, nx, ny)
     earns = [x in source.pos_u for x in range(nx)] + [y in source.pos_v for y in range(ny)]
-    lines = [next(eq_lines) if e else next(ineq_lines) for e in earns]
     lines[nx * jobs + t], earns[nx * jobs + t] = F(-1), True
-    eq_mult = cert.eq_mult[:nzero] + tuple(z for z, e in zip(lines, earns) if e)
+    eq_mult = tuple(z for z, e in zip(lines, earns) if e)
     ineq_mult = tuple(z for z, e in zip(lines, earns) if not e)
     source = oracle.ComplementarityPattern(
         source.cells,
@@ -496,14 +661,14 @@ def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
     return oracle._matching_refutation(source, Certificate(eq_mult, ineq_mult), nx, ny)
 
 
-# corruption -> (kind of refutation, corrupt, mask test)
+# corruption -> (kind of refutation, corrupt, pool scan)
 CORRUPTIONS = {
-    "cell": ("split", outside_cell, "_refutes"),
-    "worker": ("split", functools.partial(earning_type, jobs=False), "_refutes"),
-    "job": ("split", functools.partial(earning_type, jobs=True), "_refutes"),
-    "zero cell": ("matching", zero_cell, "_matching_refutes"),
-    "worker line": ("matching", functools.partial(idle_line, jobs=False), "_matching_refutes"),
-    "job line": ("matching", functools.partial(idle_line, jobs=True), "_matching_refutes"),
+    "cell": ("split", outside_cell, "_split_refuter"),
+    "worker": ("split", functools.partial(earning_type, jobs=False), "_split_refuter"),
+    "job": ("split", functools.partial(earning_type, jobs=True), "_split_refuter"),
+    "zero cell": ("matching", zero_cell, "_matching_refuter"),
+    "worker line": ("matching", functools.partial(idle_line, jobs=False), "_matching_refuter"),
+    "job line": ("matching", functools.partial(idle_line, jobs=True), "_matching_refuter"),
 }
 
 
@@ -512,13 +677,14 @@ CORRUPTIONS = {
 def test_the_mask_tests_refuse_a_corrupted_refutation(name, corruption):
     """Each refutation whose mask tests passed, corrupted where the
     corruption applies, fails them: its combination is no longer one of the
-    target's rows."""
+    target's rows. The pool scan finds nothing in a pool of the corrupted
+    refutation alone."""
     problem, _, _, _, trace = run(name)
-    kind, corrupt, test = CORRUPTIONS[corruption]
+    kind, corrupt, scan = CORRUPTIONS[corruption]
     tested = 0
     for refutation, masks in trace.passed[kind]:
         wrong = corrupt(problem, refutation, *masks)
         if wrong is not None:
-            assert getattr(oracle, test)(wrong, *masks) is False, (refutation[0], masks)
+            assert getattr(oracle, scan)([wrong], *masks) is None, (refutation[0], masks)
             tested += 1
     assert tested

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_oracle
 import test_oracle_differential as oracle_corpus
 from ltumatch import DimensionMismatch, FuzzConfig, InternalError, oracle, random_problem
 from ltumatch._simplex import (
@@ -311,7 +312,10 @@ def test_every_solved_split_system_has_consistent_binding_equalities():
     whose binding equalities are inconsistent is always skipped, by the
     refutation of a smaller cell set, before any split system of it is
     built. Here every split system it builds, and so solves, has binding
-    equalities that `equations_consistent` accepts, while the markets do
+    equalities that `equations_consistent` accepts, taken over every u_x and
+    v_y as in `reference_oracle`'s full form (the built system leaves out
+    the held types' terms, which a held type's zero may make inconsistent,
+    and the LP then refutes it), while the markets do
     hold cell sets without a negative output whose equalities it refuses.
     The markets are the seed-31 corpus, then seeded 2x2 and 2x3 markets with
     lambda = 1/2 everywhere, with outputs made zero or negative at random,
@@ -330,9 +334,10 @@ def test_every_solved_split_system_has_consistent_binding_equalities():
     built = []
 
     def split_system(problem, pattern, *rows, original=oracle._split_system):
-        system = original(problem, pattern, *rows)
-        built.append((system.eqs[:len(pattern.cells)], system.nvars))
-        return system
+        # the binding equalities over every u_x and v_y, as the cell set has them
+        full = reference_oracle._split_system(problem, pattern)
+        built.append((full.eqs[:len(pattern.cells)], full.nvars))
+        return original(problem, pattern, *rows)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_split_system", split_system)
