@@ -2,7 +2,8 @@
 
 Each mutant is one exact snippet of one file under src/ltumatch, a
 replacement, and the tests that must catch it. The script copies `src/`,
-`tests/`, `data/` and `pyproject.toml` into a temporary directory once, then
+`tests/`, `data/`, `perfbench/` (whose market draws a test reads) and
+`pyproject.toml` into a temporary directory once, then
 checks that all the named tests pass there unmutated. Then for each mutant
 in turn it puts the replacement in place of the snippet, runs only the
 named tests (one pytest subprocess at a time, stopping at the first
@@ -191,15 +192,15 @@ MUTANTS = (
     Mutant(
         "inequality multiplier read without its sign flip",
         "oracle.py",
-        "z = [next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult) for i in range(nx * ny)]",
-        "z = [next(eq_mult) if divmod(i, ny) in cellset else next(ineq_mult) for i in range(nx * ny)]",
+        "z = [next(eq_mult) if smask >> i & 1 else -next(ineq_mult) for i in range(nx * ny)]",
+        "z = [next(eq_mult) if smask >> i & 1 else next(ineq_mult) for i in range(nx * ny)]",
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
         "held multiplier tested for > 0 instead of != 0",
         "oracle.py",
-        "umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)",
-        "umask = sum(1 << x for x in range(nx) if used[x] < 0 and x not in pattern.pos_u)",
+        "umask = sum(1 << x for x in range(nx) if used[x] and not pumask >> x & 1)",
+        "umask = sum(1 << x for x in range(nx) if used[x] < 0 and not pumask >> x & 1)",
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
@@ -263,22 +264,22 @@ MUTANTS = (
     Mutant(
         "held worker type's multiplier dropped from umask",
         "oracle.py",
-        "umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)",
+        "umask = sum(1 << x for x in range(nx) if used[x] and not pumask >> x & 1)",
         "umask = 0",
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
         "held job type's multiplier dropped from vmask",
         "oracle.py",
-        "vmask = sum(1 << y for y in range(ny) if used[nx + y] and y not in pattern.pos_v)",
+        "vmask = sum(1 << y for y in range(ny) if used[nx + y] and not pvmask >> y & 1)",
         "vmask = 0",
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
         "off-pattern cell's multiplier read from one line only",
         "oracle.py",
-        "if (x, y) not in cellset and line[x] + line[nx + y]",
-        "if (x, y) not in cellset and line[x]",
+        "if not smask >> i & 1 and line[i // ny] + line[nx + i % ny])",
+        "if not smask >> i & 1 and line[i // ny])",
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
@@ -301,6 +302,31 @@ MUTANTS = (
         "for box in boxes:",
         "for box in boxes[:1]:",
         (ORACLE_PRUNES,),
+    ),
+    # the oracle's patterns as masks, and its once-per-outcome check
+    Mutant(
+        "binding cell's row taken from the inequality list",
+        "oracle.py",
+        "binds = smask >> i & 1",
+        "binds = not smask >> i & 1",
+        (ORACLE_FULL_FORM, "tests/test_oracle.py::test_split_rows_hold_each_row_times_its_scale"),
+    ),
+    Mutant(
+        "earning type's line built as an inequality",
+        "oracle.py",
+        "(eqs if earns else ineqs).append(",
+        "ineqs.append(",
+        (ORACLE_FULL_FORM, "tests/test_oracle.py::test_matching_rows_hold_each_row_times_its_scale"),
+    ),
+    Mutant(
+        "new outcome kept without verify_stable",
+        "oracle.py",
+        "found[mu, uv] = _outcome(problem, uv, mu)",
+        "found[mu, uv] = Outcome(tuple(mu[x * ny:x * ny + ny] for x in range(nx)), uv[:nx], uv[nx:])",
+        (
+            "tests/test_oracle_differential.py::test_each_distinct_outcome_is_verified_once",
+            "tests/test_oracle_differential.py::test_the_benchmark_pool_verifies_each_distinct_outcome_once",
+        ),
     ),
     Mutant(
         "induced_pattern shape guard removed",
@@ -521,7 +547,7 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ltumatch-mutants-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "data"):
+        for part in ("src", "tests", "data", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         clean = pytest(work, sorted({test for m in chosen for test in m.tests}))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -507,4 +508,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early ends the command quietly, as it
+    # would any shell tool, instead of a BrokenPipeError and exit status 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

@@ -11,6 +11,10 @@ rest. Any point feasible for both halves is a stable outcome, and every
 stable outcome is feasible for the pattern it induces, so sweeping all
 patterns finds a representative of every stability region.
 
+Inside the module a pattern is three masks: smask, bit x * ny + y for each
+cell (x, y) that may match, and pumask (pvmask), bit x (y) for each earning
+worker (job) type; every system, reading and point is built from the bits.
+
 A zero of either half (u_x = 0 for a held worker type, v_y = 0 for a held
 job type, mu_xy = 0 off the chosen cells) only fixes a variable, so each
 half is built over its free variables alone: the split system over the
@@ -34,15 +38,15 @@ binding equalities are inconsistent is always skipped by the refutation of a
 smaller one. Nothing is skipped on trust: each refuting Farkas certificate
 is checked once, on the system it refutes, and read in index space, as the
 cells and types whose rows its combination uses, zeros included, so that
-each skip is three mask tests. A box only reorders the work: a pattern it
-covers solves its matching half first, and gets its split point from its
-own LP. The split rows are scaled to integers once per market
-(`integer_row`), and every split system is assembled from those integer
-rows, so the LPs and the certificate checks of all patterns of a market
-share one scaling and work in integers. The matching systems, whose
-coefficients are all 0 or 1, are built in integers directly. The LP hands
-back its points and certificates in integers too, over one denominator
-each, and every mask is read from those integers.
+each skip is three mask tests. A box keeps only its three masks, not its
+point, and only reorders the work: a pattern it covers solves its matching
+half first, and gets its split point from its own LP. The split rows are
+scaled to integers once per market (`integer_row`), and every split system
+is assembled from those integer rows, so the LPs and the certificate checks
+of all patterns of a market share one scaling and work in integers. The
+matching systems, whose coefficients are all 0 or 1, are built in integers
+directly. The LP hands back its points and certificates in integers too,
+over one denominator each, and every mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. A market of
@@ -115,15 +119,15 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
 
 def _split_rows(problem: LTUProblem):
     """What split systems are assembled and read from, made once per market:
-    per cell in row-major order (eq, ineq), its binding equality
+    per cell x * ny + y, in that order, (eq, ineq), its binding equality
     (lam, 1 - lam) . (u, v) == phi / 2 as an `integer_row` over all nx + ny
     variables and its no-blocking inequality, the binding row negated; and
-    per variable k, the cells x * ny + y of its line with their coefficients
-    on it as (cell, integer) pairs, each line over one scale, the lcm of its
-    rows' scales."""
+    per variable k, the cells of its line with their coefficients on it as
+    (cell, integer) pairs, each line over one scale, the lcm of its rows'
+    scales."""
     nx, ny = problem.nx, problem.ny
     width = nx + ny
-    cells = {}
+    cells = []
     terms = [[] for _ in range(width)]
     for x in range(nx):
         for y in range(ny):
@@ -131,67 +135,65 @@ def _split_rows(problem: LTUProblem):
             lam = problem.lam[x][y]
             row[x], row[nx + y] = lam, ONE - lam
             nonzeros, rhs, scale = eq = integer_row(tuple(row), problem.phi[x][y] / 2)
-            cells[x, y] = (eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale))
+            cells.append((eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale)))
             for k, c in nonzeros:
                 terms[k].append((x * ny + y, c, scale))
     lines = []
     for line in terms:
         common = math.lcm(*(scale for _, _, scale in line))
         lines.append(tuple((i, c * (common // scale)) for i, c, scale in line))
-    return cells, tuple(lines)
+    return tuple(cells), tuple(lines)
 
 
-def _split_columns(nx: int, pattern: ComplementarityPattern) -> tuple[int, ...]:
-    """The free variables of pattern's split system, in index order: u_x
-    for each earning worker type x, then v_y (nx + y) for each earning job
-    type y."""
-    return (*sorted(pattern.pos_u), *(nx + y for y in sorted(pattern.pos_v)))
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending: of smask, a matching system's free
+    variables; of pumask | pvmask << nx, a split system's (v_y is nx + y)."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _split_system(problem: LTUProblem, pattern: ComplementarityPattern, rows=None) -> LinearSystem:
-    """pattern's split system over its free variables (`_split_columns`):
-    the binding equalities of its cells, then the no-blocking inequalities of
-    the others, each without the terms of the held types, whose zeros are no
-    rows."""
+def _split_system(problem: LTUProblem, smask: int, pumask: int, pvmask: int, rows=None) -> LinearSystem:
+    """The split system of pattern (smask, pumask, pvmask) over its free
+    variables: the binding equalities of its cells, then the no-blocking
+    inequalities of the others, each without the terms of the held types,
+    whose zeros are no rows."""
     cells, _ = rows or _split_rows(problem)
-    columns = _split_columns(problem.nx, pattern)
+    columns = _bits(pumask | pvmask << problem.nx)
     at = dict(zip(columns, range(len(columns))))
-    cellset = set(pattern.cells)
     eqs = []
     ineqs = []
-    for cell, (eq, ineq) in cells.items():
-        binds = cell in cellset
+    for i, (eq, ineq) in enumerate(cells):
+        binds = smask >> i & 1
         nonzeros, rhs, scale = eq if binds else ineq
         (eqs if binds else ineqs).append((tuple([(at[k], c) for k, c in nonzeros if k in at]), rhs, scale))
     return LinearSystem._of_valid_rows(len(columns), (True,) * len(columns), (*eqs, *ineqs), len(eqs))
 
 
-def _refutation(pattern: ComplementarityPattern, cert: Certificate, rows, nx: int, ny: int) -> tuple:
-    """A checked certificate of pattern's split system in index space:
-    (pattern, cert, positive, umask, vmask).
+def _refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, rows, nx: int, ny: int) -> tuple:
+    """A checked certificate of the split system of pattern (smask, pumask,
+    pvmask) in index space: ((smask, pumask, pvmask), cert, positive, umask,
+    vmask).
 
     Bit x * ny + y of positive is set where cell (x, y)'s multiplier z,
-    taken on its binding equality, is positive; a cell outside the pattern
-    has the no-blocking inequality, its binding equality negated, so that
-    row's multiplier counts as -z. Bit x of umask (y of vmask) is set where
-    worker type x (job type y) is held at zero and its row u_x = 0 has a
-    nonzero multiplier: that row is none of the certificate's, and it gets
-    minus the combination's coefficient on u_x, as in the LP's certificate
-    of the system with the row, in which u_x stays basic in a row of its own
-    and so has coefficient 0."""
+    taken on its binding equality, is positive; a cell outside smask has
+    the no-blocking inequality, its binding equality negated, so that row's
+    multiplier counts as -z. Bit x of umask (y of vmask) is set where worker
+    type x (job type y) is held at zero and its row u_x = 0 has a nonzero
+    multiplier: that row is none of the certificate's, and it gets minus the
+    combination's coefficient on u_x, as in the LP's certificate of the
+    system with the row, in which u_x stays basic in a row of its own and so
+    has coefficient 0."""
     _, lines = rows
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
-    cellset = set(pattern.cells)
-    z = [next(eq_mult) if divmod(i, ny) in cellset else -next(ineq_mult) for i in range(nx * ny)]
+    z = [next(eq_mult) if smask >> i & 1 else -next(ineq_mult) for i in range(nx * ny)]
     positive = 0
     for i, zi in enumerate(z):
         if zi > 0:
             positive |= 1 << i
     # each variable's coefficient in the combination, over its line's scale
     used = [sum(z[i] * c for i, c in line) for line in lines]
-    umask = sum(1 << x for x in range(nx) if used[x] and x not in pattern.pos_u)
-    vmask = sum(1 << y for y in range(ny) if used[nx + y] and y not in pattern.pos_v)
-    return pattern, cert, positive, umask, vmask
+    umask = sum(1 << x for x in range(nx) if used[x] and not pumask >> x & 1)
+    vmask = sum(1 << y for y in range(ny) if used[nx + y] and not pvmask >> y & 1)
+    return (smask, pumask, pvmask), cert, positive, umask, vmask
 
 
 def _split_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
@@ -210,83 +212,71 @@ def _split_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
     return None
 
 
-def _box(split: SolveResult, columns: tuple, rows, nx: int, ny: int) -> tuple:
-    """The patterns whose split system a feasible split point (u, v) over
-    the variables `columns` satisfies, in index space: (point, tight, umask,
-    vmask), with point the whole (u, v), bit x * ny + y of tight set where
-    cell (x, y)'s no-blocking inequality holds with equality, and umask
-    (vmask) the support of u (v). The point satisfies every no-blocking
-    inequality, so it satisfies the split system of each pattern that binds
-    only tight cells and lets every type in the supports earn. Each test
-    reads the point's integers: with coordinates num / den, an integer row
-    is tight where its sum over num is rhs * den."""
+def _box(split: SolveResult, pumask: int, pvmask: int, rows, nx: int, ny: int) -> tuple:
+    """The patterns whose split system a feasible split point (u, v) of the
+    system with earning masks pumask and pvmask satisfies, in index space:
+    (tight, umask, vmask), with bit x * ny + y of tight set where cell (x,
+    y)'s no-blocking inequality holds with equality, and umask (vmask) the
+    support of u (v). The point satisfies every no-blocking inequality, so
+    it satisfies the split system of each pattern that binds only tight
+    cells and lets every type in the supports earn. Each test reads the
+    point's integers: with coordinates num / den, an integer row is tight
+    where its sum over num is rhs * den."""
     cells, _ = rows
-    num, den = _spread(split, columns, nx + ny), split.den
+    num, den = _spread(split, _bits(pumask | pvmask << nx), nx + ny), split.den
     tight = 0
-    for i, (_, (nonzeros, rhs, _)) in enumerate(cells.values()):
+    for i, (_, (nonzeros, rhs, _)) in enumerate(cells):
         if sum(c * num[k] for k, c in nonzeros) == rhs * den:
             tight |= 1 << i
     umask = sum(1 << x for x in range(nx) if num[x])
     vmask = sum(1 << y for y in range(ny) if num[nx + y])
-    return tuple(Fraction(n, den) for n in num), tight, umask, vmask
+    return tight, umask, vmask
 
 
 def _covering_box(boxes: list, smask: int, pumask: int, pvmask: int):
     """The first box whose point satisfies the split system of pattern
     (smask, pumask, pvmask), or None."""
     for box in boxes:
-        _, tight, umask, vmask = box
+        tight, umask, vmask = box
         if not (smask & ~tight or umask & ~pumask or vmask & ~pvmask):
             return box
     return None
 
 
-def _matching_columns(ny: int, pattern: ComplementarityPattern) -> tuple[int, ...]:
-    """The free variables of pattern's matching system: mu_xy (x * ny + y)
-    for each of its cells, in row-major order."""
-    return tuple(x * ny + y for x, y in sorted(pattern.cells))
-
-
-def _matching_system(problem: LTUProblem, pattern: ComplementarityPattern) -> LinearSystem:
-    """mu over the pattern's cells (`_matching_columns`), in integer rows:
-    each type's line sums to its mass where the type earns, to at most its
-    mass elsewhere, over the line's cells that the pattern has. A line's row
-    is scaled by the mass's denominator. An off-pattern cell's mu_xy = 0 is
-    no row."""
+def _matching_system(problem: LTUProblem, smask: int, pumask: int, pvmask: int) -> LinearSystem:
+    """mu over the cells of smask, in integer rows: each type's line sums to
+    its mass where the type earns, to at most its mass elsewhere, over the
+    line's cells that smask has. A line's row is scaled by the mass's
+    denominator. A cell's mu_xy = 0 off smask is no row."""
     nx, ny = problem.nx, problem.ny
-    at = {i: j for j, i in enumerate(_matching_columns(ny, pattern))}
+    at = {i: j for j, i in enumerate(_bits(smask))}
     eqs = []
     ineqs = []
-    lines = [(range(x * ny, x * ny + ny), problem.n[x], x in pattern.pos_u) for x in range(nx)]
-    lines += [(range(y, nx * ny, ny), problem.m[y], y in pattern.pos_v) for y in range(ny)]
+    lines = [(range(x * ny, x * ny + ny), problem.n[x], pumask >> x & 1) for x in range(nx)]
+    lines += [(range(y, nx * ny, ny), problem.m[y], pvmask >> y & 1) for y in range(ny)]
     for line, mass, earns in lines:
         scale = mass.denominator
         (eqs if earns else ineqs).append((tuple((at[i], scale) for i in line if i in at), mass.numerator, scale))
     return LinearSystem._of_valid_rows(len(at), (True,) * len(at), (*eqs, *ineqs), len(eqs))
 
 
-def _matching_refutation(pattern: ComplementarityPattern, cert: Certificate, nx: int, ny: int) -> tuple:
-    """A checked certificate of pattern's matching system in index space:
-    (pattern, cert, zmask, negu, negv). Bit x of negu (y of negv) is set
-    where worker type x's (job type y's) line has a negative multiplier,
-    which only an equality, an earning type's line, may have. Bit
-    x * ny + y of zmask is set where the off-pattern cell's row mu_xy == 0
-    has a nonzero multiplier: that row is none of the certificate's, and it
-    gets minus the combination's coefficient on mu_xy, the sum of its two
-    lines' multipliers, since each line's row has coefficient 1 on the cell."""
+def _matching_refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, nx: int, ny: int) -> tuple:
+    """A checked certificate of the matching system of pattern (smask,
+    pumask, pvmask) in index space: ((smask, pumask, pvmask), cert, zmask,
+    negu, negv). Bit x of negu (y of negv) is set where worker type x's (job
+    type y's) line has a negative multiplier, which only an equality, an
+    earning type's line, may have. Bit x * ny + y of zmask is set where the
+    cell off smask has a row mu_xy == 0 with a nonzero multiplier: that row
+    is none of the certificate's, and it gets minus the combination's
+    coefficient on mu_xy, the sum of its two lines' multipliers, since each
+    line's row has coefficient 1 on the cell."""
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
-    earns = [x in pattern.pos_u for x in range(nx)] + [y in pattern.pos_v for y in range(ny)]
-    line = [next(eq_mult) if e else next(ineq_mult) for e in earns]
-    cellset = set(pattern.cells)
-    zmask = sum(
-        1 << x * ny + y
-        for x in range(nx)
-        for y in range(ny)
-        if (x, y) not in cellset and line[x] + line[nx + y]
-    )
+    earns = pumask | pvmask << nx
+    line = [next(eq_mult) if earns >> k & 1 else next(ineq_mult) for k in range(nx + ny)]
+    zmask = sum(1 << i for i in range(nx * ny) if not smask >> i & 1 and line[i // ny] + line[nx + i % ny])
     negu = sum(1 << x for x in range(nx) if line[x] < 0)
     negv = sum(1 << y for y in range(ny) if line[nx + y] < 0)
-    return pattern, cert, zmask, negu, negv
+    return (smask, pumask, pvmask), cert, zmask, negu, negv
 
 
 def _matching_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
@@ -314,13 +304,14 @@ def _spread(result: SolveResult, columns: tuple, width: int) -> list[int]:
     return num
 
 
-def _points(problem: LTUProblem, pattern: ComplementarityPattern, split: SolveResult, matching: SolveResult):
-    """The whole split point (u, v) and matching point mu of a pattern's
-    two feasible halves, as Fractions, with the zeros of its held types and
+def _points(problem: LTUProblem, smask: int, pumask: int, pvmask: int, split: SolveResult, matching: SolveResult):
+    """The whole split point (u, v) and matching point mu, cell x * ny + y
+    at index x * ny + y, of the two feasible halves of pattern (smask,
+    pumask, pvmask), as Fractions, with the zeros of its held types and
     off-pattern cells put back."""
     nx, ny = problem.nx, problem.ny
-    uv = _spread(split, _split_columns(nx, pattern), nx + ny)
-    mu = _spread(matching, _matching_columns(ny, pattern), nx * ny)
+    uv = _spread(split, _bits(pumask | pvmask << nx), nx + ny)
+    mu = _spread(matching, _bits(smask), nx * ny)
     return tuple(Fraction(n, split.den) for n in uv), tuple(Fraction(n, matching.den) for n in mu)
 
 
@@ -351,18 +342,22 @@ def linear_feasibility(problem: LTUProblem, pattern: ComplementarityPattern) -> 
         indices = getattr(pattern, field)
         if len(set(indices)) != len(indices) or not all(i in valid for i in indices):
             raise DimensionMismatch(f"pattern {field} {indices} are not distinct indices of a {nx}x{ny} market")
-    split = _solved(_split_system(problem, pattern), "split")
+    smask = sum(1 << x * ny + y for x, y in pattern.cells)
+    masks = smask, sum(1 << x for x in pattern.pos_u), sum(1 << y for y in pattern.pos_v)
+    split = _solved(_split_system(problem, *masks), "split")
     if not split.feasible:
         return PatternResult(None, split.certificate, None)
-    matching = _solved(_matching_system(problem, pattern), "matching")
+    matching = _solved(_matching_system(problem, *masks), "matching")
     if not matching.feasible:
         return PatternResult(None, None, matching.certificate)
-    return PatternResult(_outcome(problem, *_points(problem, pattern, split, matching)), None, None)
+    return PatternResult(_outcome(problem, *_points(problem, *masks, split, matching)), None, None)
 
 
 def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     """One stable outcome per feasible pattern, deduplicated and sorted.
 
+    Each pattern is visited as its three masks (smask, pumask, pvmask), and
+    every system, refutation, box and point below is built from them.
     Patterns are pruned before the linear algebra where infeasibility is
     syntactic: a cell with negative output can never bind, an earning type
     needs a matchable cell in its line, a binding cell with positive output
@@ -395,10 +390,12 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     Each refuting certificate is checked with `certificate_refutes` once,
     on its own system, and read in index space, so that a skip costs three
     mask tests per refutation or box tried. Points and certificates are read
-    in the LP's integers; Fractions are made only for a box's point, which
-    it keeps, and for the points of an outcome. A pattern whose matching
-    half is feasible gets its split point from the LP of its own split
-    system, as in `linear_feasibility`, so the skips cannot change the
+    in the LP's integers; a box keeps only its masks, and Fractions are made
+    only for the points of a pattern whose halves are both feasible. Its
+    outcome is keyed by those points, and only an outcome not found before
+    is built and checked with `verify_stable`, so each distinct outcome is
+    checked once. Such a pattern gets its split point from the LP of its own
+    split system, as in `linear_feasibility`, so the skips cannot change the
     result.
     """
     nx, ny = problem.nx, problem.ny
@@ -409,12 +406,13 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
             f"caps are {MAX_CELLS} and {MAX_TYPES}"
         )
 
-    cells = [(x, y) for x in range(nx) for y in range(ny)]
     every_u, every_v = (1 << nx) - 1, (1 << ny) - 1
     # the cells that cannot bind (phi < 0) and those that pay (phi != 0)
-    negative = sum(1 << i for i, (x, y) in enumerate(cells) if problem.phi[x][y] < 0)
-    paying = sum(1 << i for i, (x, y) in enumerate(cells) if problem.phi[x][y] != 0)
+    phi = [f for row in problem.phi for f in row]
+    negative = sum(1 << i for i, f in enumerate(phi) if f < 0)
+    paying = sum(1 << i for i, f in enumerate(phi) if f != 0)
     rows = _split_rows(problem)
+    # (mu, uv) of an outcome pattern's points -> their outcome
     found: dict[tuple, Outcome] = {}
     split_refutations: list[tuple] = []
     matching_refutations: list[tuple] = []
@@ -423,19 +421,17 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     for smask in range(1 << ncells):
         if smask & negative:
             continue
-        scells = tuple(cells[i] for i in range(ncells) if smask >> i & 1)
         # The relaxed split system: the cells binding, every type free to
         # earn. A refutation of it has no held type, so it refutes every
         # pattern of the cell set.
         if _split_refuter(split_refutations, smask, every_u, every_v) is not None:
             continue
         if _covering_box(boxes, smask, every_u, every_v) is None:
-            pattern = ComplementarityPattern(scells, tuple(range(nx)), tuple(range(ny)))
-            relaxed = _solved(_split_system(problem, pattern, rows), "split")
+            relaxed = _solved(_split_system(problem, smask, every_u, every_v, rows), "split")
             if not relaxed.feasible:
-                split_refutations.append(_refutation(pattern, relaxed.certificate, rows, nx, ny))
+                split_refutations.append(_refutation(smask, every_u, every_v, relaxed.certificate, rows, nx, ny))
                 continue
-            boxes.append(_box(relaxed, _split_columns(nx, pattern), rows, nx, ny))
+            boxes.append(_box(relaxed, every_u, every_v, rows, nx, ny))
         # per worker type, the job types of its binding cells and of its
         # paying ones
         bound = [smask >> x * ny & every_v for x in range(nx)]
@@ -460,27 +456,25 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
                     continue
                 if _matching_refuter(matching_refutations, smask, pumask, pvmask) is not None:
                     continue
-                pattern = ComplementarityPattern(
-                    scells,
-                    tuple(x for x in range(nx) if pumask >> x & 1),
-                    tuple(y for y in range(ny) if pvmask >> y & 1),
-                )
                 split = None
                 if _covering_box(boxes, smask, pumask, pvmask) is None:
-                    split = _solved(_split_system(problem, pattern, rows), "split")
+                    split = _solved(_split_system(problem, smask, pumask, pvmask, rows), "split")
                     if not split.feasible:
-                        split_refutations.append(_refutation(pattern, split.certificate, rows, nx, ny))
+                        split_refutations.append(_refutation(smask, pumask, pvmask, split.certificate, rows, nx, ny))
                         continue
-                    boxes.append(_box(split, _split_columns(nx, pattern), rows, nx, ny))
-                matching = _solved(_matching_system(problem, pattern), "matching")
+                    boxes.append(_box(split, pumask, pvmask, rows, nx, ny))
+                matching = _solved(_matching_system(problem, smask, pumask, pvmask), "matching")
                 if not matching.feasible:
-                    matching_refutations.append(_matching_refutation(pattern, matching.certificate, nx, ny))
+                    refutation = _matching_refutation(smask, pumask, pvmask, matching.certificate, nx, ny)
+                    matching_refutations.append(refutation)
                     continue
                 if split is None:
-                    split = _solved(_split_system(problem, pattern, rows), "split")
+                    split = _solved(_split_system(problem, smask, pumask, pvmask, rows), "split")
                     if not split.feasible:
                         raise InternalError("a point's box covers a split-refuted pattern")
-                outcome = _outcome(problem, *_points(problem, pattern, split, matching))
-                found.setdefault((outcome.mu, outcome.u, outcome.v), outcome)
+                uv, mu = _points(problem, smask, pumask, pvmask, split, matching)
+                if (mu, uv) not in found:
+                    found[mu, uv] = _outcome(problem, uv, mu)
 
+    # mu and uv have fixed lengths, so (mu, uv) sorts as (mu, u, v) would
     return tuple(found[key] for key in sorted(found))

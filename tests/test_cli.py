@@ -1,9 +1,14 @@
 import json
+import os
+import signal
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ltumatch
 from ltumatch.cli import MAX_DECIMAL_DIGITS, run
 
 FIG = "data/uneven2x2.json"
@@ -553,3 +558,25 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_closes_first_ends_the_command_quietly():
+    """`ltumatch to-game FILE | head -1`, with the reader gone before the
+    command writes: no traceback, and not exit status 1, which means a
+    checkable claim is false."""
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(ltumatch.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ltumatch", "to-game", FIG],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode != 1

@@ -23,14 +23,15 @@ from ltumatch import (
 )
 from ltumatch._simplex import certificate_refutes
 from ltumatch.model import Outcome
-from ltumatch.oracle import (
-    ComplementarityPattern,
-    _matching_columns,
-    _matching_system,
-    _split_columns,
-    _split_rows,
-    _split_system,
-)
+from ltumatch.oracle import ComplementarityPattern, _bits, _matching_system, _split_rows, _split_system
+
+
+def split_system(problem, pattern):
+    return _split_system(problem, *oracle_corpus.masks_of(problem, pattern))
+
+
+def matching_system(problem, pattern):
+    return _matching_system(problem, *oracle_corpus.masks_of(problem, pattern))
 
 
 def test_uneven2x2_enumeration(uneven2x2, black, white):
@@ -80,11 +81,11 @@ def test_infeasible_pattern_has_checkable_certificate(uneven2x2):
     result = linear_feasibility(uneven2x2, pattern)
     assert result.outcome is None
     assert result.split_certificate is not None
-    assert certificate_refutes(_split_system(uneven2x2, pattern), result.split_certificate)
+    assert certificate_refutes(split_system(uneven2x2, pattern), result.split_certificate)
     # every type is held: the system has no variable, one inequality
     # 0 <= -phi / 2 per unmatched cell, and a certificate with one
     # multiplier per cell
-    assert _split_system(uneven2x2, pattern).nvars == 0
+    assert split_system(uneven2x2, pattern).nvars == 0
     assert len(result.split_certificate.eq_num + result.split_certificate.ineq_num) == 4
 
 
@@ -98,10 +99,10 @@ def test_the_empty_pattern(uneven2x2):
     result = linear_feasibility(uneven2x2, empty)
     assert result.outcome is None and result.matching_certificate is None
     cert = result.split_certificate
-    assert certificate_refutes(_split_system(uneven2x2, empty), cert)
+    assert certificate_refutes(split_system(uneven2x2, empty), cert)
     full = oracle_corpus.filled_split(uneven2x2, empty, cert)
     assert certificate_refutes(reference_oracle._split_system(uneven2x2, empty), full)
-    assert _matching_system(uneven2x2, empty).nvars == 0
+    assert matching_system(uneven2x2, empty).nvars == 0
 
     negative = LTUProblem(("w",), ("j",), (F(1),), (F(1),), ((F(1, 2),),), ((F(-1),),))
     result = linear_feasibility(negative, empty)
@@ -191,7 +192,8 @@ def test_split_rows_hold_each_row_times_its_scale(name):
     assert len(cells) == nx * ny
     assert len(lines) == nx + ny
     coefficients = [{} for _ in range(nx + ny)]
-    for i, ((x, y), (eq, ineq)) in enumerate(cells.items()):
+    for i, (eq, ineq) in enumerate(cells):
+        x, y = divmod(i, ny)
         lam = problem.lam[x][y]
         coeffs = [F(0)] * (nx + ny)
         coeffs[x], coeffs[nx + y] = lam, 1 - lam
@@ -207,20 +209,23 @@ def test_split_rows_hold_each_row_times_its_scale(name):
     # a split system is assembled from the table's integer rows, in order,
     # over the earning types' variables: a held type's terms are left out
     every = tuple(range(nx)), tuple(range(ny))
+    keys = tuple(divmod(i, ny) for i in range(nx * ny))
     for pattern in (
-        ComplementarityPattern(tuple(cells), (), ()),
+        ComplementarityPattern(keys, (), ()),
         ComplementarityPattern((), (0,), ()),
-        ComplementarityPattern(tuple(cells)[1::2], *every),
+        ComplementarityPattern(keys[1::2], *every),
         ComplementarityPattern((), (), (ny - 1,)),
     ):
-        system = _split_system(problem, pattern)
-        columns = _split_columns(nx, pattern)
+        smask, pumask, pvmask = oracle_corpus.masks_of(problem, pattern)
+        system = _split_system(problem, smask, pumask, pvmask)
+        columns = _bits(pumask | pvmask << nx)
+        assert columns == (*pattern.pos_u, *(nx + y for y in pattern.pos_v))
         assert system.nvars == len(columns) and system.nonneg == (True,) * len(columns)
         full = reference_oracle._split_system(problem, pattern)
         assert system.eqs == tuple((tuple(row[k] for k in columns), rhs) for row, rhs in full.eqs[:system.neq])
         assert system.ineqs == tuple((tuple(row[k] for k in columns), rhs) for row, rhs in full.ineqs)
-        restricted = [eq for cell, (eq, _) in cells.items() if cell in pattern.cells]
-        restricted += [ineq for cell, (_, ineq) in cells.items() if cell not in pattern.cells]
+        restricted = [eq for cell, (eq, _) in zip(keys, cells) if cell in pattern.cells]
+        restricted += [ineq for cell, (_, ineq) in zip(keys, cells) if cell not in pattern.cells]
         assert system.neq == len(pattern.cells)
         for row, form in zip(system.rows, restricted, strict=True):
             assert row[1:] == form[1:]
@@ -255,9 +260,10 @@ def test_matching_rows_hold_each_row_times_its_scale(name):
         ComplementarityPattern(every[::2], (0,), (ny - 1,)),
         ComplementarityPattern(every[::-3], (), tuple(range(ny))),
     ):
-        system = _matching_system(problem, pattern)
+        smask, _, _ = masks = oracle_corpus.masks_of(problem, pattern)
+        system = _matching_system(problem, *masks)
         assert system.nvars == len(pattern.cells)
-        assert _matching_columns(ny, pattern) == tuple(x * ny + y for x, y in sorted(pattern.cells))
+        assert _bits(smask) == tuple(x * ny + y for x, y in sorted(pattern.cells))
         eqs, ineqs = _matching_rows(problem, pattern)
         assert (system.eqs, system.ineqs) == (tuple(eqs), tuple(ineqs))
         assert system.neq == len(eqs)

@@ -208,7 +208,8 @@ def pattern_of(problem, smask, pumask, pvmask):
 class Trace:
     """What the pruned enumerator did on one market."""
 
-    # patterns whose split (matching) systems it built, each for one LP
+    # masks (smask, pumask, pvmask) of the patterns whose split (matching)
+    # systems it built, each for one LP
     split: list = field(default_factory=list)
     matching: list = field(default_factory=list)
     # kind -> every (refutation or box, masks) whose mask tests passed
@@ -217,10 +218,12 @@ class Trace:
     read: dict = field(default_factory=lambda: {"split": [], "matching": []})
     # (system, certificate) of each certificate_refutes call
     checked: list = field(default_factory=list)
-    # every box it read from a feasible split point
+    # (whole split point, box) of every box it read from a feasible split point
     boxes: list = field(default_factory=list)
-    # (pattern, split point, matching point) of each outcome it made
+    # (masks, split point, matching point) of each pattern that yielded an outcome
     points: list = field(default_factory=list)
+    # the outcomes that it checked with verify_stable
+    verified: list = field(default_factory=list)
     solves: int = 0
 
 
@@ -248,10 +251,18 @@ def traced(problem):
         return wrapper
 
     def building(built, builder):
-        def wrapper(problem, pattern, *rows):
-            built.append(pattern)
-            return builder(problem, pattern, *rows)
+        def wrapper(problem, smask, pumask, pvmask, *rows):
+            built.append((smask, pumask, pvmask))
+            return builder(problem, smask, pumask, pvmask, *rows)
         return wrapper
+
+    def boxing(split, pumask, pvmask, rows, nx, ny, box=oracle._box):
+        # the box keeps no point: read it from the split point it came from
+        point = [F(0)] * (nx + ny)
+        for k, value in zip(oracle._bits(pumask | pvmask << nx), split.point):
+            point[k] = value
+        trace.boxes.append((tuple(point), box(split, pumask, pvmask, rows, nx, ny)))
+        return trace.boxes[-1][1]
 
     def refutes(system, cert):
         trace.checked.append((system, cert))
@@ -261,9 +272,13 @@ def traced(problem):
         trace.solves += 1
         return lp(system)
 
-    def points(problem, pattern, *halves, spread=oracle._points):
-        trace.points.append((pattern, *spread(problem, pattern, *halves)))
+    def points(problem, smask, pumask, pvmask, *halves, spread=oracle._points):
+        trace.points.append(((smask, pumask, pvmask), *spread(problem, smask, pumask, pvmask, *halves)))
         return trace.points[-1][1:]
+
+    def verify(problem, outcome, check=oracle.verify_stable):
+        trace.verified.append(outcome)
+        return check(problem, outcome)
 
     with pytest.MonkeyPatch.context() as patch:
         for kind, scan in SCANS.items():
@@ -272,10 +287,11 @@ def traced(problem):
             patch.setattr(oracle, reader, reading(trace.read[kind], getattr(oracle, reader)))
         for kind, builder in BUILDERS.items():
             patch.setattr(oracle, builder, building(getattr(trace, kind), getattr(oracle, builder)))
-        patch.setattr(oracle, "_box", reading(trace.boxes, oracle._box))
+        patch.setattr(oracle, "_box", boxing)
         patch.setattr(oracle, "certificate_refutes", refutes)
         patch.setattr(oracle, "solve", solve)
         patch.setattr(oracle, "_points", points)
+        patch.setattr(oracle, "verify_stable", verify)
         outcomes = oracle.enumerate_stable(problem)
     return outcomes, trace
 
@@ -326,10 +342,7 @@ def categories(name):
     every_u, every_v = (1 << problem.nx) - 1, (1 << problem.ny) - 1
     passed = {kind: {masks: s for s, masks in pairs} for kind, pairs in trace.passed.items()}
     # a relaxed system's own refutation, by cell mask
-    relaxed = {
-        masks_of(problem, r[0])[0]: r for r in trace.read["split"]
-        if masks_of(problem, r[0])[1:] == (every_u, every_v)
-    }
+    relaxed = {r[0][0]: r for r in trace.read["split"] if r[0][1:] == (every_u, every_v)}
     built = set(trace.split)
     kinds, sources = {}, {}
     for pattern in reference_results:
@@ -338,7 +351,7 @@ def categories(name):
             kinds[pattern] = "matching-skipped"
         elif masks in passed["box"]:
             kinds[pattern] = "box-covered"
-        elif pattern in built:
+        elif masks in built:
             kinds[pattern] = "run"
         else:
             kinds[pattern] = "split-skipped"
@@ -366,26 +379,28 @@ def test_every_pattern_is_run_or_skipped_for_its_reason(name):
     assert len(split) == len(trace.split) and len(matching) == len(trace.matching)
     for pattern, kind in kinds.items():
         result = reference_results[pattern]
+        masks = masks_of(problem, pattern)
         if kind == "split-skipped":
             assert result.split_certificate is not None, pattern
             assert sources[pattern] is not None, pattern
-            assert pattern not in matching, pattern
+            assert masks not in matching, pattern
         elif kind == "matching-skipped":
             assert result.outcome is None, pattern
-            assert pattern not in split and pattern not in matching, pattern
+            assert masks not in split and masks not in matching, pattern
         elif kind == "box-covered":
             assert result.split_certificate is None, pattern
-            assert pattern in matching, pattern
+            assert masks in matching, pattern
             # its own split LP comes only after a feasible matching half
-            assert (pattern in split) is (result.matching_certificate is None), pattern
+            assert (masks in split) is (result.matching_certificate is None), pattern
         else:
             # the split LP, then the matching LP when the splits are feasible
-            assert (pattern in matching) is (result.split_certificate is None), pattern
+            assert (masks in matching) is (result.split_certificate is None), pattern
     # nothing else gets an LP but the relaxed split systems
-    nx, ny = problem.nx, problem.ny
-    for pattern in split - set(reference_results):
-        assert (pattern.pos_u, pattern.pos_v) == (tuple(range(nx)), tuple(range(ny))), pattern
-    assert matching <= set(reference_results)
+    every = (1 << problem.nx) - 1, (1 << problem.ny) - 1
+    reference = {masks_of(problem, pattern) for pattern in reference_results}
+    for masks in split - reference:
+        assert masks[1:] == every, masks
+    assert matching <= reference
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -396,8 +411,8 @@ def test_each_certificate_is_checked_once_on_its_own_system(name):
     builders = {id(r[1]): (oracle._split_system, r[0]) for r in trace.read["split"]}
     builders.update((id(r[1]), (oracle._matching_system, r[0])) for r in trace.read["matching"])
     for system, cert in trace.checked:
-        build, pattern = builders[id(cert)]
-        assert system == build(problem, pattern), pattern
+        build, masks = builders[id(cert)]
+        assert system == build(problem, *masks), masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,7 +426,8 @@ def carried(name):
     skips.update(((r[0], pattern), r) for pattern, r in categories(name)[1].items())
     cases = []
     for (source, target), (_, cert, *_) in skips.items():
-        system = oracle._split_system(problem, target)
+        system = oracle._split_system(problem, *masks_of(problem, target))
+        source = pattern_of(problem, *source)
         cert = _carry(cert, source, target, problem.nx, problem.ny)
         cases.append((system, source, target, cert, list(unflipped(problem, source, target, cert))))
     return cases
@@ -439,30 +455,32 @@ def test_carried_certificates_refute_their_patterns(name):
 def test_carried_matching_certificates_refute_their_patterns(name):
     problem, _, _, _, trace = run(name)
     for (source, cert, *_), masks in trace.passed["matching"]:
-        target = pattern_of(problem, *masks)
+        source, target = pattern_of(problem, *source), pattern_of(problem, *masks)
         carried = _carry_matching(cert, source, target, problem.nx, problem.ny)
-        assert certificate_refutes(oracle._matching_system(problem, target), carried), (source, target)
+        assert certificate_refutes(oracle._matching_system(problem, *masks), carried), (source, target)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_box_points_satisfy_the_patterns_they_cover(name):
     problem, _, _, _, trace = run(name)
-    for (point, *_), masks in trace.passed["box"]:
-        target = pattern_of(problem, *masks)
-        free = [point[k] for k in oracle._split_columns(problem.nx, target)]
-        assert satisfies(oracle._split_system(problem, target), free), (point, target)
+    points = {id(box): point for point, box in trace.boxes}
+    for box, masks in trace.passed["box"]:
+        point, target = points[id(box)], pattern_of(problem, *masks)
+        free = [point[k] for k in oracle._bits(masks[1] | masks[2] << problem.nx)]
+        assert satisfies(oracle._split_system(problem, *masks), free), (point, target)
         # the zeros of the held types included
         assert satisfies(reference_oracle._split_system(problem, target), point), (point, target)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_boxes_hold_their_points_tight_cells_and_supports(name):
-    """Each box's masks, recomputed from its Fraction point: a cell is tight
-    where lam * u + (1 - lam) * v == phi / 2."""
+    """Each box's masks, recomputed from the Fraction point of the split
+    solve it came from: a cell is tight where lam * u + (1 - lam) * v ==
+    phi / 2."""
     problem, _, _, _, trace = run(name)
     nx, ny = problem.nx, problem.ny
     assert trace.boxes
-    for point, tight, umask, vmask in trace.boxes:
+    for point, (tight, umask, vmask) in trace.boxes:
         u, v = point[:nx], point[nx:]
         cells = [(x, y) for x in range(nx) for y in range(ny)]
         assert tight == sum(
@@ -480,15 +498,18 @@ def check_against_the_full_form(problem, trace):
     that yields an outcome has the full-form systems' points. Returns the
     number of refutations and of outcome patterns checked."""
     nx, ny = problem.nx, problem.ny
-    for pattern, cert, *masks in trace.read["split"]:
+    for source, cert, *masks in trace.read["split"]:
+        pattern = pattern_of(problem, *source)
         full = filled_split(problem, pattern, cert)
         assert certificate_refutes(reference_oracle._split_system(problem, pattern), full), pattern
         assert tuple(masks) == full_split_masks(pattern, full, nx, ny), pattern
-    for pattern, cert, *masks in trace.read["matching"]:
+    for source, cert, *masks in trace.read["matching"]:
+        pattern = pattern_of(problem, *source)
         full = filled_matching(problem, pattern, cert)
         assert certificate_refutes(reference_oracle._matching_system(problem, pattern), full), pattern
         assert tuple(masks) == full_matching_masks(pattern, full, nx, ny), pattern
-    for pattern, split_point, matching_point in trace.points:
+    for source, split_point, matching_point in trace.points:
+        pattern = pattern_of(problem, *source)
         split = solve(reference_oracle._split_system(problem, pattern))
         matching = solve(reference_oracle._matching_system(problem, pattern))
         assert (split_point, matching_point) == (split.point, matching.point), pattern
@@ -562,13 +583,57 @@ def test_prunes_are_active():
     assert all(counts.values()), counts
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_each_distinct_outcome_is_verified_once(name):
+    """Every pattern whose halves are both feasible yields an outcome, and
+    only one not found before is checked with verify_stable."""
+    _, _, outcomes, _, trace = run(name)
+    assert len(trace.points) >= len(outcomes)
+    assert len(trace.verified) == len(outcomes) and set(trace.verified) == set(outcomes)
+
+
+def _pool(seed):
+    """The markets of the `oracle` workload of perfbench on one seed."""
+    import workloads
+
+    rng = random.Random(seed)
+    draws = [draw for _ in range(workloads.WORKLOADS["oracle"].pool_rounds) for draw in workloads._oracle_round(rng)]
+    return [LTUProblem(m.workers, m.jobs, m.n, m.m, m.lam, m.phi) for m, _, _ in draws]
+
+
+def test_the_benchmark_pool_verifies_each_distinct_outcome_once(monkeypatch):
+    """On the seed-5 `oracle` pool, 472 patterns yield an outcome but only
+    347 outcomes are distinct, and verify_stable runs once for each of
+    those."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    calls, patterns = [], []
+
+    def verify(problem, outcome, check=oracle.verify_stable):
+        calls.append(outcome)
+        return check(problem, outcome)
+
+    def points(*args, spread=oracle._points):
+        patterns.append(args[1:4])
+        return spread(*args)
+
+    monkeypatch.setattr(oracle, "verify_stable", verify)
+    monkeypatch.setattr(oracle, "_points", points)
+    distinct = 0
+    for problem in _pool(5):
+        start = len(calls)
+        outcomes = oracle.enumerate_stable(problem)
+        assert len(calls) - start == len(outcomes) and set(calls[start:]) == set(outcomes)
+        distinct += len(outcomes)
+    assert (len(patterns), distinct, len(calls)) == (472, 347, 347)
+
+
 def outside_cell(problem, refutation, smask, pumask, pvmask):
     """The refutation with a positive multiplier, taken on the binding
     equality, on the first cell outside smask: set as its certificate's
     inequality multiplier -1 and read by `oracle._refutation`. None when
     smask holds every cell."""
     nx, ny = problem.nx, problem.ny
-    source, cert = refutation[:2]
+    source, cert = pattern_of(problem, *refutation[0]), refutation[1]
     outside = [(x, y) for x in range(nx) for y in range(ny) if (x, y) not in source.cells]
     cell = next((c for c in outside if not smask >> (c[0] * ny + c[1]) & 1), None)
     if cell is None:
@@ -576,7 +641,7 @@ def outside_cell(problem, refutation, smask, pumask, pvmask):
     ineq_mult = list(cert.ineq_mult)
     ineq_mult[outside.index(cell)] = F(-1)
     cert = Certificate(cert.eq_mult, tuple(ineq_mult))
-    return oracle._refutation(source, cert, oracle._split_rows(problem), nx, ny)
+    return oracle._refutation(*refutation[0], cert, oracle._split_rows(problem), nx, ny)
 
 
 def earning_type(problem, refutation, smask, pumask, pvmask, jobs):
@@ -589,15 +654,15 @@ def earning_type(problem, refutation, smask, pumask, pvmask, jobs):
     that no other mask test fails for it. `oracle._refutation` reads the
     pair. None when no type earns or no such cell exists."""
     nx, ny = problem.nx, problem.ny
-    source, cert = refutation[:2]
+    source, cert = pattern_of(problem, *refutation[0]), refutation[1]
     earning = pvmask if jobs else pumask
     if not earning:
         return None
     t = (earning & -earning).bit_length() - 1
     pos_u = [x for x in source.pos_u if jobs or x != t]
     pos_v = [y for y in source.pos_v if not jobs or y != t]
+    binding = _binding(cert, source, nx, ny)
     source = oracle.ComplementarityPattern(source.cells, tuple(pos_u), tuple(pos_v))
-    binding = _binding(cert, refutation[0], nx, ny)
     line = [(x, t) for x in range(nx)] if jobs else [(t, y) for y in range(ny)]
     weight = {cell: 1 - problem.lam[cell[0]][cell[1]] if jobs else problem.lam[cell[0]][cell[1]] for cell in line}
     if not sum(binding[cell] * weight[cell] for cell in line):
@@ -611,7 +676,8 @@ def earning_type(problem, refutation, smask, pumask, pvmask, jobs):
         binding[cell] += 1
     eqs = tuple(z for cell, z in binding.items() if cell in source.cells)
     ineqs = tuple(-z for cell, z in binding.items() if cell not in source.cells)
-    return oracle._refutation(source, Certificate(eqs, ineqs), oracle._split_rows(problem), nx, ny)
+    rows = oracle._split_rows(problem)
+    return oracle._refutation(*masks_of(problem, source), Certificate(eqs, ineqs), rows, nx, ny)
 
 
 def zero_cell(problem, refutation, smask, pumask, pvmask):
@@ -621,7 +687,7 @@ def zero_cell(problem, refutation, smask, pumask, pvmask):
     cell's job type's line gets 1 more. `oracle._matching_refutation` reads
     the pair. None when smask has no such cell."""
     nx, ny = problem.nx, problem.ny
-    source, cert = refutation[:2]
+    source, cert = pattern_of(problem, *refutation[0]), refutation[1]
     zero = [(x, y) for x in range(nx) for y in range(ny) if (x, y) not in source.cells]
     cell = next((c for c in zero if smask >> (c[0] * ny + c[1]) & 1), None)
     if cell is None:
@@ -633,7 +699,7 @@ def zero_cell(problem, refutation, smask, pumask, pvmask):
     earns = [x in source.pos_u for x in range(nx)] + [y in source.pos_v for y in range(ny)]
     eq_mult = tuple(z for z, e in zip(lines, earns) if e)
     ineq_mult = tuple(z for z, e in zip(lines, earns) if not e)
-    return oracle._matching_refutation(source, Certificate(eq_mult, ineq_mult), nx, ny)
+    return oracle._matching_refutation(*refutation[0], Certificate(eq_mult, ineq_mult), nx, ny)
 
 
 def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
@@ -643,7 +709,7 @@ def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
     `oracle._matching_refutation` reads the pair. None when every type
     earns."""
     nx, ny = problem.nx, problem.ny
-    source, cert = refutation[:2]
+    source, cert = pattern_of(problem, *refutation[0]), refutation[1]
     earning = pvmask if jobs else pumask
     t = next((t for t in range(ny if jobs else nx) if not earning >> t & 1), None)
     if t is None:
@@ -658,7 +724,7 @@ def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
         tuple(x for x in range(nx) if earns[x]),
         tuple(y for y in range(ny) if earns[nx + y]),
     )
-    return oracle._matching_refutation(source, Certificate(eq_mult, ineq_mult), nx, ny)
+    return oracle._matching_refutation(*masks_of(problem, source), Certificate(eq_mult, ineq_mult), nx, ny)
 
 
 # corruption -> (kind of refutation, corrupt, pool scan)

@@ -333,11 +333,12 @@ def test_every_solved_split_system_has_consistent_binding_equalities():
         problems.append(replace(problem, lam=lam, phi=phi))
     built = []
 
-    def split_system(problem, pattern, *rows, original=oracle._split_system):
+    def split_system(problem, smask, *masks_and_rows, original=oracle._split_system):
         # the binding equalities over every u_x and v_y, as the cell set has them
-        full = reference_oracle._split_system(problem, pattern)
-        built.append((full.eqs[:len(pattern.cells)], full.nvars))
-        return original(problem, pattern, *rows)
+        cells = tuple(divmod(i, problem.ny) for i in oracle._bits(smask))
+        full = reference_oracle._split_system(problem, oracle.ComplementarityPattern(cells, (), ()))
+        built.append((full.eqs[:len(cells)], full.nvars))
+        return original(problem, smask, *masks_and_rows)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_split_system", split_system)

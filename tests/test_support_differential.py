@@ -117,3 +117,42 @@ def test_prune_is_active():
         assert enumerate_equilibria(game)
     assert 0 < counts["solve"] <= 860, counts
     assert counts["maximize"] <= 5, counts
+
+
+
+SWEEP_CORPORA = {
+    "ac3": lambda: [to_game(problem) for problem in AC3],
+    "dense": lambda: [game for shape in SHAPES for game in dense_games(*shape)],
+    "degenerate": lambda: [game for shape in SHAPES for game in degenerate_games(*shape)],
+}
+
+
+@pytest.mark.parametrize("corpus", list(SWEEP_CORPORA))
+def test_each_sweep_refutes_exactly_the_infeasible_pairs(corpus):
+    """Both `_refuted` sweeps of `enumerate_equilibria`, against every
+    pair's own LP: outside `skip` a pair is refuted exactly when its system
+    is infeasible, and a pair in `skip`, which gets no LP of its own, only
+    when it is. A sweep that skips more pairs by what it has solved must
+    keep this set."""
+    seen = dict.fromkeys(("refuted", "feasible", "skipped"), 0)
+    for game in SWEEP_CORPORA[corpus]():
+        m, n = game.shape
+        seeker, hider = gamesolve._sides(game)
+        seeker_refuted = gamesolve._refuted(seeker, m, n, ())
+        skip = {(b, a) for a, b in seeker_refuted}
+        hider_refuted = gamesolve._refuted(hider, n, m, skip)
+        for side, nown, nother, skipped, refuted in (
+            (seeker, m, n, set(), seeker_refuted),
+            (hider, n, m, skip, hider_refuted),
+        ):
+            owns, others = gamesolve._supports(nown), gamesolve._supports(nother)
+            for a in range(1, 1 << nown):
+                for b in range(1, 1 << nother):
+                    infeasible = not _simplex.solve(side.system(owns[a], others[b])).feasible
+                    if (a, b) in skipped:
+                        assert infeasible or (a, b) not in refuted, (game, a, b)
+                        seen["skipped"] += 1
+                    else:
+                        assert ((a, b) in refuted) is infeasible, (game, a, b)
+                        seen["refuted" if infeasible else "feasible"] += 1
+    assert all(seen.values()), seen
