@@ -328,6 +328,30 @@ MUTANTS = (
             "tests/test_oracle_differential.py::test_the_benchmark_pool_verifies_each_distinct_outcome_once",
         ),
     ),
+    # the sign rule: a cell with positive output needs one of its two types
+    # earning, bound or not; and the split rows read off lam and phi
+    Mutant(
+        "sign rule on phi >= 0, pruning zero-output cells",
+        "oracle.py",
+        "positive = sum(1 << i for i, f in enumerate(phi) if f > 0)",
+        "positive = sum(1 << i for i, f in enumerate(phi) if f >= 0)",
+        ("tests/test_oracle_differential.py::test_identical_tuple",),
+    ),
+    Mutant(
+        "sign rule on binding cells only",
+        "oracle.py",
+        "need = needed[pumask]",
+        "need = sum(1 << y for y in range(ny) if any("
+        "(smask & positive) >> x * ny + y & 1 and not pumask >> x & 1 for x in range(nx)))",
+        (ORACLE_PRUNES,),
+    ),
+    Mutant(
+        "phi / 2 left unreduced in the split rows",
+        "oracle.py",
+        "half = math.gcd(phi.numerator, 2)",
+        "half = 1",
+        ("tests/test_oracle.py::test_split_rows_are_integer_row_of_each_cell",),
+    ),
     Mutant(
         "induced_pattern shape guard removed",
         "oracle.py",
@@ -481,6 +505,21 @@ MUTANTS = (
         "or nx + ny > MAX_TYPES:",
         "or nx + ny >= MAX_TYPES:",
         ("tests/test_oracle.py::test_caps_are_enforced",),
+    ),
+    # each push into the relative interior starts from its sweep's result
+    Mutant(
+        "hider push solves its system again",
+        "gamesolve.py",
+        ", base=hider_solved[b, a])",
+        ")",
+        ("tests/test_support_differential.py::test_pushes_start_from_the_sweeps_results",),
+    ),
+    Mutant(
+        "handed-in base used unchecked",
+        "_simplex.py",
+        "if base is not None and not (base.feasible and satisfies(system, base.point)):",
+        "if False:",
+        ("tests/test_simplex.py::test_relative_interior_point_starts_from_a_handed_in_base",),
     ),
     Mutant(
         "support-pair budget check dropped",

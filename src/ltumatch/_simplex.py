@@ -259,14 +259,17 @@ def certificate_refutes(system: LinearSystem, cert: Certificate) -> bool:
 
 
 def satisfies(system: LinearSystem, point) -> bool:
+    """Whether the point meets every row and sign of the system, read in
+    integers as num / den: a row holds where its sum over num is (<=) rhs * den."""
     point = tuple(map(as_fraction, point))
     if len(point) != system.nvars:
         return False
-    if any(system.nonneg[i] and point[i] < 0 for i in range(system.nvars)):
+    num, den = over_one_denominator(point)
+    if any(system.nonneg[i] and num[i] < 0 for i in range(system.nvars)):
         return False
     for k, (nonzeros, rhs, _) in enumerate(system.rows):
-        lhs = sum(c * point[i] for i, c in nonzeros)
-        if lhs > rhs if k >= system.neq else lhs != rhs:
+        lhs = sum(c * num[i] for i, c in nonzeros)
+        if lhs > rhs * den if k >= system.neq else lhs != rhs * den:
             return False
     return True
 
@@ -525,17 +528,21 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
     return sum(c * v for c, v in zip(objective, point)), point
 
 
-def relative_interior_point(system: LinearSystem, coords) -> tuple[Fraction, ...] | None:
+def relative_interior_point(system: LinearSystem, coords, base=None) -> tuple[Fraction, ...] | None:
     """A feasible point that is strictly positive in every coordinate of
     `coords` that is positive anywhere on the feasible set. Averages the base
     point with one maximizer per improvable coordinate; convexity keeps the
-    average feasible and keeps every attained positivity. DimensionMismatch
-    for a coordinate that is no variable of the system."""
+    average feasible and keeps every attained positivity. The base is
+    `solve(system)`, or `base`, a feasible result of it that a caller hands
+    in, checked to satisfy the system (InternalError if not).
+    DimensionMismatch for a coordinate that is no variable of the system."""
     n = system.nvars
     coords = tuple(coords)
     if not all(0 <= c < n for c in coords):
         raise DimensionMismatch(f"coordinates {coords} are not all in [0, {n})")
-    base = solve(system)
+    if base is not None and not (base.feasible and satisfies(system, base.point)):
+        raise InternalError("the handed-in base point does not satisfy the system")
+    base = solve(system) if base is None else base
     if not base.feasible:
         return None
     points = [base.point]

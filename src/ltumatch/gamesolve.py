@@ -621,8 +621,9 @@ def _sides(game: BimatrixGame) -> tuple[_Side, _Side]:
     return _Side(game.loss_rows, game.loss_scale, -1), _Side(_columns(game), game.payoff_scale, 1)
 
 
-def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
-    """The (own, other) support mask pairs whose `side` system is infeasible.
+def _refuted(side: _Side, nown: int, nother: int, skip) -> tuple[set[tuple[int, int]], dict]:
+    """The (own, other) support mask pairs whose `side` system is infeasible,
+    and the `solve` result of each pair that got an LP of its own.
 
     Putting i into `own` turns its inequality into an equality and taking j
     out of `other` fixes that weight at 0, so a system infeasible at
@@ -634,7 +635,7 @@ def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
     owns, others = _supports(nown), _supports(nother)
     smaller = [[a ^ 1 << i for i in owns[a]] for a in range(1 << nown)]
     larger = [[b | 1 << j for j in range(nother) if not b >> j & 1] for b in range(1 << nother)]
-    refuted = set()
+    refuted, solved = set(), {}
     for a in range(1, 1 << nown):
         for b in reversed(range(1, 1 << nother)):
             # a refuted neighbour one step up refutes (a, b); without one,
@@ -647,10 +648,13 @@ def _refuted(side: _Side, nown: int, nother: int, skip) -> set[tuple[int, int]]:
                     if (a, d) in refuted:
                         break
                 else:
-                    if (a, b) in skip or solve(side.system(owns[a], others[b])).feasible:
+                    if (a, b) in skip:
+                        continue
+                    solved[a, b] = result = solve(side.system(owns[a], others[b]))
+                    if result.feasible:
                         continue
             refuted.add((a, b))
-    return refuted
+    return refuted, solved
 
 
 def enumerate_equilibria(game: BimatrixGame) -> tuple[MixedProfile, ...]:
@@ -673,7 +677,7 @@ def enumerate_equilibria(game: BimatrixGame) -> tuple[MixedProfile, ...]:
     the pairs the first left feasible. Each pair refuted by neither has both
     of its points pushed into the relative interior of their supports, so
     maximal-support solutions are preferred, and is checked as an
-    equilibrium.
+    equilibrium; each push starts from its sweep's result.
 
     A skip only drops pairs that are infeasible anyway, and the pushed pairs
     see the same systems as without the skips, so the profiles do not depend
@@ -685,8 +689,8 @@ def enumerate_equilibria(game: BimatrixGame) -> tuple[MixedProfile, ...]:
         raise BudgetExceeded(f"{total} support pairs exceed the budget of {SUPPORT_PAIR_BUDGET}")
 
     seeker, hider = _sides(game)
-    seeker_refuted = _refuted(seeker, m, n, ())
-    hider_refuted = _refuted(hider, n, m, {(b, a) for a, b in seeker_refuted})
+    seeker_refuted, seeker_solved = _refuted(seeker, m, n, ())
+    hider_refuted, hider_solved = _refuted(hider, n, m, {(b, a) for a, b in seeker_refuted})
     supports1, supports2 = _supports(m), _supports(n)
 
     found: dict[tuple, MixedProfile] = {}
@@ -695,8 +699,8 @@ def enumerate_equilibria(game: BimatrixGame) -> tuple[MixedProfile, ...]:
             if (a, b) in seeker_refuted or (b, a) in hider_refuted:
                 continue
             s1, s2 = supports1[a], supports2[b]
-            qpt = relative_interior_point(seeker.system(s1, s2), range(len(s2)))
-            ppt = relative_interior_point(hider.system(s2, s1), range(len(s1)))
+            qpt = relative_interior_point(seeker.system(s1, s2), range(len(s2)), base=seeker_solved[a, b])
+            ppt = relative_interior_point(hider.system(s2, s1), range(len(s1)), base=hider_solved[b, a])
             p, q = dict(zip(s1, ppt)), dict(zip(s2, qpt))  # the levels fall off the end
             profile = MixedProfile(
                 tuple(p.get(i, ZERO) for i in range(m)), tuple(q.get(j, ZERO) for j in range(n))

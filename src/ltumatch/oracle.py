@@ -25,6 +25,10 @@ at zero and never leaves, and the other rows read as here up to a positive
 scale. A refutation of it is one of that system once each zero's row gets
 minus the combination's coefficient on its variable as its multiplier.
 
+Some patterns need no LP: a stable outcome leaves no blocking pair, so a
+cell with positive output needs one of its two types earning, bound or not,
+and a pattern that holds both at zero is pruned.
+
 Both halves are monotone, in opposite directions. Binding more cells or
 letting fewer types earn only adds rows to the split system; matching fewer
 cells or letting more types earn only adds rows to the matching system. So a
@@ -41,8 +45,8 @@ cells and types whose rows its combination uses, zeros included, so that
 each skip is three mask tests. A box keeps only its three masks, not its
 point, and only reorders the work: a pattern it covers solves its matching
 half first, and gets its split point from its own LP. The split rows are
-scaled to integers once per market (`integer_row`), and every split system
-is assembled from those integer rows, so the LPs and the certificate checks
+read in integers off lam and phi once per market, and every split system is
+assembled from those integer rows, so the LPs and the certificate checks
 of all patterns of a market share one scaling and work in integers. The
 matching systems, whose coefficients are all 0 or 1, are built in integers
 directly. The LP hands back its points and certificates in integers too,
@@ -59,20 +63,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._simplex import (
-    Certificate,
-    LinearSystem,
-    SolveResult,
-    certificate_refutes,
-    integer_row,
-    solve,
-)
+from ._simplex import Certificate, LinearSystem, SolveResult, certificate_refutes, solve
 from .errors import CapExceeded, DimensionMismatch, InternalError
 from .model import LTUProblem, Outcome
 from .stability import verify_stable
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 MAX_CELLS = 9
 MAX_TYPES = 8
 
@@ -106,12 +101,7 @@ def induced_pattern(problem: LTUProblem, outcome: Outcome) -> ComplementarityPat
     problem's."""
     if (len(outcome.u), len(outcome.v)) != (problem.nx, problem.ny):
         raise DimensionMismatch(f"{len(outcome.u)}x{len(outcome.v)} outcome, {problem.nx}x{problem.ny} market")
-    cells = tuple(
-        (x, y)
-        for x in range(problem.nx)
-        for y in range(problem.ny)
-        if outcome.mu[x][y] > 0
-    )
+    cells = tuple((x, y) for x in range(problem.nx) for y in range(problem.ny) if outcome.mu[x][y] > 0)
     pos_u = tuple(x for x in range(problem.nx) if outcome.u[x] > 0)
     pos_v = tuple(y for y in range(problem.ny) if outcome.v[y] > 0)
     return ComplementarityPattern(cells, pos_u, pos_v)
@@ -124,18 +114,21 @@ def _split_rows(problem: LTUProblem):
     variables and its no-blocking inequality, the binding row negated; and
     per variable k, the cells of its line with their coefficients on it as
     (cell, integer) pairs, each line over one scale, the lcm of its rows'
-    scales."""
+    scales. With lam = a / b and phi / 2 = p / q in lowest terms, a row is
+    (a, b - a) . (u_x, v_y) == p, each side times lcm(b, q) over its own b or q."""
     nx, ny = problem.nx, problem.ny
-    width = nx + ny
     cells = []
-    terms = [[] for _ in range(width)]
+    terms = [[] for _ in range(nx + ny)]
     for x in range(nx):
         for y in range(ny):
-            row = [ZERO] * width
-            lam = problem.lam[x][y]
-            row[x], row[nx + y] = lam, ONE - lam
-            nonzeros, rhs, scale = eq = integer_row(tuple(row), problem.phi[x][y] / 2)
-            cells.append((eq, (tuple((i, -c) for i, c in nonzeros), -rhs, scale)))
+            lam, phi = problem.lam[x][y], problem.phi[x][y]
+            a, b = lam.numerator, lam.denominator
+            half = math.gcd(phi.numerator, 2)
+            p, q = phi.numerator // half, phi.denominator * 2 // half
+            scale = math.lcm(b, q)
+            nonzeros = tuple((k, c * (scale // b)) for k, c in ((x, a), (nx + y, b - a)) if c)
+            rhs = p * (scale // q)
+            cells.append(((nonzeros, rhs, scale), (tuple((k, -c) for k, c in nonzeros), -rhs, scale)))
             for k, c in nonzeros:
                 terms[k].append((x * ny + y, c, scale))
     lines = []
@@ -360,12 +353,13 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     every system, refutation, box and point below is built from them.
     Patterns are pruned before the linear algebra where infeasibility is
     syntactic: a cell with negative output can never bind, an earning type
-    needs a matchable cell in its line, a binding cell with positive output
-    needs someone at the table earning. Both output rules read masks made
-    once per market. A cell set whose binding equalities are inconsistent
-    needs no test of its own: their refuting combination puts a negative
-    multiplier on some cell c, so it refutes the relaxed system of the cell
-    set without c, which is visited first, and that refutation carries over.
+    needs a matchable cell in its line, and a cell with positive output
+    needs one of its two types earning, bound or not. Both output rules read
+    masks made once per market, not per cell set. A cell set whose binding
+    equalities are inconsistent needs no test of its own: their refuting
+    combination puts a negative multiplier on some cell c, so it refutes the
+    relaxed system of the cell set without c, which is visited first, and
+    that refutation carries over.
 
     Every other pattern gets its two halves, split then matching, the same
     systems and LPs as in `linear_feasibility`, unless one of three skips
@@ -390,27 +384,28 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     Each refuting certificate is checked with `certificate_refutes` once,
     on its own system, and read in index space, so that a skip costs three
     mask tests per refutation or box tried. Points and certificates are read
-    in the LP's integers; a box keeps only its masks, and Fractions are made
-    only for the points of a pattern whose halves are both feasible. Its
-    outcome is keyed by those points, and only an outcome not found before
-    is built and checked with `verify_stable`, so each distinct outcome is
-    checked once. Such a pattern gets its split point from the LP of its own
-    split system, as in `linear_feasibility`, so the skips cannot change the
-    result.
+    in the LP's integers, and Fractions are made only for the points of a
+    pattern whose halves are both feasible; each distinct outcome of those
+    points is built and checked with `verify_stable` once. Such a pattern
+    gets its split point from the LP of its own split system, as in
+    `linear_feasibility`, so the skips cannot change the result.
     """
     nx, ny = problem.nx, problem.ny
     ncells = nx * ny
     if ncells > MAX_CELLS or nx + ny > MAX_TYPES:
-        raise CapExceeded(
-            f"{nx}x{ny} needs {ncells} cells and {nx + ny} types; "
-            f"caps are {MAX_CELLS} and {MAX_TYPES}"
-        )
+        raise CapExceeded(f"{nx}x{ny} needs {ncells} cells and {nx + ny} types; caps are {MAX_CELLS} and {MAX_TYPES}")
 
     every_u, every_v = (1 << nx) - 1, (1 << ny) - 1
-    # the cells that cannot bind (phi < 0) and those that pay (phi != 0)
+    # the cells that cannot bind (phi < 0) and those that need one of their
+    # two types earning (phi > 0)
     phi = [f for row in problem.phi for f in row]
     negative = sum(1 << i for i, f in enumerate(phi) if f < 0)
-    paying = sum(1 << i for i, f in enumerate(phi) if f != 0)
+    positive = sum(1 << i for i, f in enumerate(phi) if f > 0)
+    # per pumask, the job types that must earn: those of the positive cells
+    # whose worker type does not; worker type x doubles the list, held first
+    needed = [0]
+    for x in range(nx):
+        needed = [n | positive >> x * ny & every_v for n in needed] + needed
     rows = _split_rows(problem)
     # (mu, uv) of an outcome pattern's points -> their outcome
     found: dict[tuple, Outcome] = {}
@@ -432,25 +427,19 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
                 split_refutations.append(_refutation(smask, every_u, every_v, relaxed.certificate, rows, nx, ny))
                 continue
             boxes.append(_box(relaxed, every_u, every_v, rows, nx, ny))
-        # per worker type, the job types of its binding cells and of its
-        # paying ones
-        bound = [smask >> x * ny & every_v for x in range(nx)]
-        pays = [(smask & paying) >> x * ny & every_v for x in range(nx)]
-        srows = sum(1 << x for x in range(nx) if bound[x])
-        scols = 0
-        for cols in bound:
-            scols |= cols
+        # the worker types and the job types of the binding cells
+        srows = scols = 0
+        for x in range(nx):
+            cols = smask >> x * ny & every_v
+            if cols:
+                srows |= 1 << x
+                scols |= cols
         for pumask in reversed(range(1 << nx)):
-            if pumask & ~srows:
+            need = needed[pumask]
+            if pumask & ~srows or need & ~scols:
                 continue
-            # the job types that must earn: those of paying cells whose
-            # worker type does not
-            needed = 0
-            for x in range(nx):
-                if not pumask >> x & 1:
-                    needed |= pays[x]
             for pvmask in reversed(range(1 << ny)):
-                if pvmask & ~scols or needed & ~pvmask:
+                if pvmask & ~scols or need & ~pvmask:
                     continue
                 if _split_refuter(split_refutations, smask, pumask, pvmask) is not None:
                     continue

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from ltumatch import (
     to_game,
     verify_stable,
 )
-from ltumatch._simplex import certificate_refutes
+from ltumatch._simplex import certificate_refutes, integer_row
 from ltumatch.model import Outcome
 from ltumatch.oracle import ComplementarityPattern, _bits, _matching_system, _split_rows, _split_system
 
@@ -229,6 +230,31 @@ def test_split_rows_hold_each_row_times_its_scale(name):
         assert system.neq == len(pattern.cells)
         for row, form in zip(system.rows, restricted, strict=True):
             assert row[1:] == form[1:]
+
+
+SPLIT_ROW_CORPORA = {
+    "differential": lambda: list(oracle_corpus.CORPUS.values()),
+    "half-lambda": oracle_corpus._half_lambda_corpus,
+    "seed-5 pool": lambda: oracle_corpus._pool(5),
+}
+
+
+@pytest.mark.parametrize("corpus", list(SPLIT_ROW_CORPORA))
+def test_split_rows_are_integer_row_of_each_cell(corpus, monkeypatch):
+    """The split rows, read off lam's and phi's numerators and denominators,
+    are the (nonzeros, rhs, scale) triples of `integer_row` on each cell's
+    zero-filled Fraction row, scale included."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    for problem in SPLIT_ROW_CORPORA[corpus]():
+        nx, ny = problem.nx, problem.ny
+        cells, _ = _split_rows(problem)
+        for i, (eq, ineq) in enumerate(cells):
+            x, y = divmod(i, ny)
+            row = [F(0)] * (nx + ny)
+            row[x], row[nx + y] = problem.lam[x][y], 1 - problem.lam[x][y]
+            rhs = problem.phi[x][y] / 2
+            assert eq == integer_row(tuple(row), rhs), (problem, i)
+            assert ineq == integer_row(tuple(-c for c in row), -rhs), (problem, i)
 
 
 def _matching_rows(problem, pattern):

@@ -1,9 +1,13 @@
 """The pruned pattern oracle against the unpruned one in `reference_oracle`.
 
 `enumerate_stable` must return the reference's tuple on every market. Each
-pattern that the reference runs falls into one of four categories, by what
+pattern that the reference runs falls into one of five categories, by what
 the pruned enumerator did with it:
 
+- sign-pruned: it never got to the pattern's pool scans, since a cell with
+  positive output has both of its types held at zero there; the reference,
+  which applies that rule to binding cells only, runs it and refutes its
+  split half;
 - run: it solved the pattern's own split system;
 - split-skipped: a split refutation carries over to the pattern or to its
   cell set's relaxed split system (`oracle._split_refuter`);
@@ -67,6 +71,28 @@ def _corpus():
         ((HALF,) * 3, (HALF,) * 3),
         ((F(2), F(3), F(1)), (F(1), F(2), F(4))),
     )
+    markets.update(_mixed_sign_corpus())
+    return markets
+
+
+def _mixed_sign_corpus():
+    """Markets whose outputs mix signs, where the sign rule must prune by phi
+    > 0 alone: `data/uneven2x2.json` with c = 0 and c = -1 in its (w1, j1)
+    constraint, and seeded markets whose first cell's output is made zero,
+    whose second cell's is kept, whose last cell's is negated, and whose
+    other cells' are kept, zeroed or negated at random."""
+    markets = {}
+    raw = json.loads((DATA / "uneven2x2.json").read_text())
+    for c in ("0", "-1"):
+        raw["linear_constraints"][0]["c"] = c
+        markets[f"uneven2x2-c{c}"] = validate_problem(raw)
+    rng = random.Random(61)
+    for k, (nx, ny) in enumerate(((2, 2), (2, 2), (2, 3), (3, 2), (1, 3), (3, 1))):
+        problem = random_problem(rng, FuzzConfig(max_workers=nx, max_jobs=ny), min_workers=nx, min_jobs=ny)
+        phi = [f for row in problem.phi for f in row]
+        phi = [F(0), phi[1], *(rng.choice((f, F(0), -f)) for f in phi[2:-1]), -phi[-1]]
+        phi = tuple(tuple(phi[x * ny:x * ny + ny]) for x in range(nx))
+        markets[f"mixed-{nx}x{ny}-{k}"] = replace(problem, phi=phi)
     return markets
 
 
@@ -212,6 +238,8 @@ class Trace:
     # systems it built, each for one LP
     split: list = field(default_factory=list)
     matching: list = field(default_factory=list)
+    # masks of every split pool scan
+    scanned: set = field(default_factory=set)
     # kind -> every (refutation or box, masks) whose mask tests passed
     passed: dict = field(default_factory=lambda: {"split": [], "matching": [], "box": []})
     # kind -> every refutation it read from a checked certificate
@@ -238,6 +266,8 @@ def traced(problem):
 
     def passing(passed, scan):
         def wrapper(pool, *masks):
+            if scan is oracle._split_refuter:
+                trace.scanned.add(masks)
             subject = scan(pool, *masks)
             if subject is not None:
                 passed.append((subject, masks))
@@ -329,7 +359,17 @@ def unflipped(problem, source, target, carried):
 
 
 NAMES = list(CORPUS)
-EVERY = "split-skipped", "matching-skipped", "box-covered", "run"
+EVERY = "sign-pruned", "split-skipped", "matching-skipped", "box-covered", "run"
+
+
+def sign_refuted(problem, pattern):
+    """Whether some cell with positive output has both of its types held at
+    zero in pattern, bound or not."""
+    return any(
+        problem.phi[x][y] > 0 and x not in pattern.pos_u and y not in pattern.pos_v
+        for x in range(problem.nx)
+        for y in range(problem.ny)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,7 +377,9 @@ def categories(name):
     """The category of each pattern that the reference runs, and, for each
     split-skipped one, the split refutation that carries over to it: that of
     the pattern's own mask tests, or of its cell set's relaxed system, which
-    lets every type earn and so carries to every pattern of the cell set."""
+    lets every type earn and so carries to every pattern of the cell set. A
+    pattern that the enumerator neither built nor skipped by a refutation,
+    box or relaxed system is sign-pruned."""
     problem, _, _, reference_results, trace = run(name)
     every_u, every_v = (1 << problem.nx) - 1, (1 << problem.ny) - 1
     passed = {kind: {masks: s for s, masks in pairs} for kind, pairs in trace.passed.items()}
@@ -354,12 +396,15 @@ def categories(name):
         elif masks in built:
             kinds[pattern] = "run"
         else:
-            kinds[pattern] = "split-skipped"
-            sources[pattern] = (
+            source = (
                 passed["split"].get(masks)
                 or passed["split"].get((masks[0], every_u, every_v))
                 or relaxed.get(masks[0])
             )
+            if source is None:
+                kinds[pattern] = "sign-pruned"
+            else:
+                kinds[pattern], sources[pattern] = "split-skipped", source
     return kinds, sources
 
 
@@ -380,9 +425,13 @@ def test_every_pattern_is_run_or_skipped_for_its_reason(name):
     for pattern, kind in kinds.items():
         result = reference_results[pattern]
         masks = masks_of(problem, pattern)
-        if kind == "split-skipped":
+        if kind == "sign-pruned":
+            # no pool scan, no LP, and the reference's split half is refuted
+            assert sign_refuted(problem, pattern), pattern
             assert result.split_certificate is not None, pattern
-            assert sources[pattern] is not None, pattern
+            assert masks not in trace.scanned and masks not in matching, pattern
+        elif kind == "split-skipped":
+            assert result.split_certificate is not None, pattern
             assert masks not in matching, pattern
         elif kind == "matching-skipped":
             assert result.outcome is None, pattern
@@ -520,10 +569,15 @@ def check_against_the_full_form(problem, trace):
 def test_free_variable_systems_agree_with_the_full_form(name):
     problem, _, _, reference_results, trace = run(name)
     refutations, outcomes = check_against_the_full_form(problem, trace)
-    assert refutations and outcomes
+    assert outcomes
     # linear_feasibility refutes the half that the full form refutes, by a
-    # certificate of the full form once filled in, or finds its outcome
-    for pattern in list(reference_results)[::7]:
+    # certificate of the full form once filled in, or finds its outcome: on
+    # every seventh pattern and on every sign-pruned one, which the
+    # enumerator never builds, so that each market has a refutation checked
+    kinds = categories(name)[0]
+    sign_pruned = [pattern for pattern, kind in kinds.items() if kind == "sign-pruned"]
+    assert refutations or sign_pruned
+    for pattern in list(reference_results)[::7] + sign_pruned:
         result, expected = oracle.linear_feasibility(problem, pattern), reference_results[pattern]
         assert result.outcome == expected.outcome, pattern
         if expected.split_certificate is not None:
@@ -535,13 +589,13 @@ def test_free_variable_systems_agree_with_the_full_form(name):
 
 
 def _half_lambda_corpus():
-    """Seeded 3x3 markets with lambda = 1/2 everywhere, whose binding
+    """Twelve seeded 3x3 markets with lambda = 1/2 everywhere, whose binding
     equalities u_x + v_y = phi_xy are dependent on every cycle of cells, and
     every third with its outputs made zero or negative at random."""
     rng = random.Random(53)
     cfg = FuzzConfig(max_workers=3, max_jobs=3)
     markets = []
-    for k in range(6):
+    for k in range(12):
         problem = random_problem(rng, cfg, min_workers=3, min_jobs=3)
         phi = problem.phi
         if k % 3 == 2:
@@ -566,10 +620,10 @@ WIDER = [name for name in NAMES if name.startswith(("2x3-", "3x2-"))]
 def test_prunes_are_active():
     """On the six wider markets the reference takes 3620 LPs, one split LP
     per pattern and one matching LP per split-feasible one, and the pruned
-    enumerator takes 217. Each skip kind saves LPs of its own: without boxes
-    it takes 435, without matching skips 355, and with split refutations
-    kept only inside their cell set (relaxed ones still carried to larger
-    cell sets) 358."""
+    enumerator takes 152 (217 with the sign rule on binding cells only).
+    Each skip kind saves LPs of its own: without boxes it takes 370, without
+    matching skips 291, and with split refutations kept only inside their
+    cell set (relaxed ones still carried to larger cell sets) 208."""
     counts = dict.fromkeys(EVERY, 0)
     reference = pruned = 0
     for name in WIDER:
@@ -579,7 +633,7 @@ def test_prunes_are_active():
         for kind in categories(name)[0].values():
             counts[kind] += 1
     assert reference == 3620, reference
-    assert 0 < pruned <= 250, (pruned, counts)
+    assert pruned == 152, (pruned, counts)
     assert all(counts.values()), counts
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_oracle
 import test_oracle_differential as oracle_corpus
-from ltumatch import DimensionMismatch, FuzzConfig, InternalError, oracle, random_problem
+from ltumatch import DimensionMismatch, FuzzConfig, InternalError, _simplex, oracle, random_problem
 from ltumatch._simplex import (
     Certificate,
     LinearSystem,
@@ -404,6 +404,20 @@ def test_relative_interior_lifts_zero_coords():
     assert point is not None
     assert satisfies(system, point)
     assert point[0] > 0 and point[1] > 0
+
+
+def test_relative_interior_point_starts_from_a_handed_in_base(monkeypatch):
+    """A feasible result of the system handed in as the base gives the point
+    found by solving, without a solve; a base that is infeasible or does not
+    satisfy the system is refused."""
+    system = _sys(2, (True, True), ineqs=[((F(1), F(1)), F(1))])
+    base = solve(system)
+    expected = relative_interior_point(system, (0, 1))
+    monkeypatch.setattr(_simplex, "solve", None)
+    assert relative_interior_point(system, (0, 1), base=base) == expected
+    for wrong in (SolveResult((F(1), F(1)), None), solve(_sys(1, (True,), ineqs=[((F(1),), F(-1))]))):
+        with pytest.raises(InternalError, match="base point"):
+            relative_interior_point(system, (0, 1), base=wrong)
 
 
 def test_relative_interior_respects_forced_zero():

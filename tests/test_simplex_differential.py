@@ -34,22 +34,25 @@ from test_simplex import _sys, coeff, row3
 ENTRY_POINTS = ("solve", "maximize", "relative_interior_point", "equations_consistent")
 
 
-def _outcome(fn, args):
+def _outcome(fn, args, kwargs=None):
     try:
-        return repr(fn(*args))
+        return repr(fn(*args, **kwargs or {}))
     except InternalError as exc:
         return f"InternalError: {exc}"
 
 
-def assert_same(name, *args):
-    ours = _outcome(getattr(_simplex, name), args)
+def assert_same(name, *args, **kwargs):
+    """Our entry point against the reference's on the same arguments. The
+    keyword arguments go to ours alone: a base that a caller hands to
+    relative_interior_point must give what the reference finds by solving."""
+    ours = _outcome(getattr(_simplex, name), args, kwargs)
     assert ours == _outcome(getattr(reference_simplex, name), args), f"{name}{args}"
 
 
 def captured_calls(run):
     """Every distinct call into the LP that run() makes, wherever the caller
     binds the entry point (relative_interior_point's own solve and maximize
-    calls included)."""
+    calls included), as (name, args, kwargs)."""
     calls = {}
     with pytest.MonkeyPatch.context() as patch:
         for module in (_simplex, oracle, gamesolve, tu):
@@ -57,9 +60,9 @@ def captured_calls(run):
                 if hasattr(module, name):
                     original = getattr(_simplex, name)
 
-                    def recording(*args, _name=name, _original=original):
-                        calls.setdefault(repr((_name, args)), (_name, args))
-                        return _original(*args)
+                    def recording(*args, _name=name, _original=original, **kwargs):
+                        calls.setdefault(repr((_name, args, kwargs)), (_name, args, kwargs))
+                        return _original(*args, **kwargs)
 
                     patch.setattr(module, name, recording)
         run()
@@ -68,9 +71,9 @@ def captured_calls(run):
 
 def assert_same_on_calls(run, expected_names):
     calls = captured_calls(run)
-    assert {name for name, _ in calls} >= set(expected_names)
-    for name, args in calls:
-        assert_same(name, *args)
+    assert {name for name, _, _ in calls} >= set(expected_names)
+    for name, args, kwargs in calls:
+        assert_same(name, *args, **kwargs)
 
 
 ORACLE_CALLS = ("solve",)

@@ -120,6 +120,31 @@ def test_prune_is_active():
 
 
 
+def test_pushes_start_from_the_sweeps_results(monkeypatch):
+    """Each pair's two pushes into the relative interior start from the
+    feasible results of the sweeps, so `relative_interior_point` solves no
+    system of its own (its base `solve` is the one bound in `_simplex`,
+    the sweeps' the one bound in `gamesolve`), and the equilibria are the
+    reference's."""
+    pushes, solves = [], []
+    push = gamesolve.relative_interior_point
+
+    def counting_push(*args, **kwargs):
+        pushes.append(args)
+        return push(*args, **kwargs)
+
+    def counting_solve(system, lp=_simplex.solve):
+        solves.append(system)
+        return lp(system)
+
+    games = [to_game(problem) for problem in AC3[:12]]
+    expected = [reference_support.enumerate_equilibria(game) for game in games]
+    monkeypatch.setattr(gamesolve, "relative_interior_point", counting_push)
+    monkeypatch.setattr(_simplex, "solve", counting_solve)
+    assert [enumerate_equilibria(game) for game in games] == expected
+    assert pushes and not solves, (len(pushes), len(solves))
+
+
 SWEEP_CORPORA = {
     "ac3": lambda: [to_game(problem) for problem in AC3],
     "dense": lambda: [game for shape in SHAPES for game in dense_games(*shape)],
@@ -138,9 +163,9 @@ def test_each_sweep_refutes_exactly_the_infeasible_pairs(corpus):
     for game in SWEEP_CORPORA[corpus]():
         m, n = game.shape
         seeker, hider = gamesolve._sides(game)
-        seeker_refuted = gamesolve._refuted(seeker, m, n, ())
+        seeker_refuted, _ = gamesolve._refuted(seeker, m, n, ())
         skip = {(b, a) for a, b in seeker_refuted}
-        hider_refuted = gamesolve._refuted(hider, n, m, skip)
+        hider_refuted, _ = gamesolve._refuted(hider, n, m, skip)
         for side, nown, nother, skipped, refuted in (
             (seeker, m, n, set(), seeker_refuted),
             (hider, n, m, skip, hider_refuted),
