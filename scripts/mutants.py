@@ -521,6 +521,28 @@ MUTANTS = (
         "if False:",
         ("tests/test_simplex.py::test_relative_interior_point_starts_from_a_handed_in_base",),
     ),
+    # the LP's early return at the basic point of its equalities
+    Mutant(
+        "early return without the inequality check",
+        "_simplex.py",
+        "sum(c * point[i] for i, c in nonzeros) <= rhs * den",
+        "True",
+        ("tests/test_lp_integers.py::test_solve_is_the_full_pivot_path_in_every_integer",),
+    ),
+    Mutant(
+        "early return without the sign check",
+        "_simplex.py",
+        "all(point[x] >= 0 for x in d.basis[:rank] if nonneg[x])",
+        "True",
+        ("tests/test_lp_integers.py::test_solve_is_the_full_pivot_path_in_every_integer",),
+    ),
+    Mutant(
+        "first elimination step not replayed on the inequality rows",
+        "_simplex.py",
+        "for col, base, prev in self.steps:",
+        "for col, base, prev in self.steps[1:]:",
+        ("tests/test_simplex_differential.py::test_support_enumeration_bos",),
+    ),
     Mutant(
         "support-pair budget check dropped",
         "gamesolve.py",

@@ -11,9 +11,12 @@ One integer pivot, `_pivot`, does the work here and in
 `gamesolve.lemke_howson`: a fraction-free pivot on a tableau in dictionary
 form (von Stengel 2002) that divides exactly by the previous pivot element
 (Bareiss 1968). A system stores each constraint row in integers, times a
-positive scale of its own; the LP pivots the variables into the equality
-rows in index order, splits sign-free variables, and runs a phase-1/phase-2
-simplex with Bland's rule. There are no tolerances anywhere. Code that
+positive scale of its own. The LP pivots the variables into the equality
+rows alone, in index order. Without an objective, it returns their basic
+point if that point keeps every nonnegative variable >= 0 and meets every
+inequality. Otherwise the inequality rows catch up on the same pivots, and
+the LP splits sign-free variables and runs a phase-1/phase-2 simplex with
+Bland's rule. There are no tolerances anywhere. Code that
 builds its rows in integers (the support enumeration's side systems, the
 oracle's, the lifted systems of `relative_interior_point`) hands them over as
 they are. `solve` answers in integers too: a `SolveResult` holds its point,
@@ -322,48 +325,72 @@ def _pivot(t, prev, row, col):
 # provenance for certificates.
 
 
+def _spread(row, nvars):
+    """An integer row spread into its coefficients, then its rhs."""
+    nonzeros, rhs, _ = row
+    out = [0] * nvars + [rhs]
+    for i, c in nonzeros:
+        out[i] = c
+    return out
+
+
 class _Dictionary:
     def __init__(self, nvars, neq, rows):
-        # integer rows, equalities first, each spread into coefficients then rhs
-        self.t = []
-        for nonzeros, rhs, _ in rows:
-            row = [0] * nvars + [rhs]
-            for i, c in nonzeros:
-                row[i] = c
-            self.t.append(row)
+        # only the equality rows are spread; the inequality rows join below
+        # them in `spread_inequalities`
+        self.rows = rows
+        self.t = [_spread(row, nvars) for row in rows[:neq]]
         self.neq, self.slacks = neq, range(nvars, nvars + len(rows))
         self.prev = 1
         self.ncols = nvars
         self.basis = list(range(nvars, nvars + len(rows)))
         self.where = [*range(nvars), *(~i for i in range(len(rows)))]
         self.scale = [1] * nvars + [scale for _, _, scale in rows]
+        self.steps = []
 
-    def pivot(self, row, entering):
+    def pivot(self, row, entering, steps=None):
+        """Pivot `entering` into `row`; appends the step to `steps`, when
+        given, as (column, pivot row as it stood, prev)."""
         # a negative pivot element would make prev negative: negate the row,
         # and with it its basic variable, first
         if self.t[row][self.where[entering]] < 0:
             self.t[row] = [-v for v in self.t[row]]
             self.scale[self.basis[row]] *= -1
         col, leaving = self.where[entering], self.basis[row]
+        if steps is not None:
+            steps.append((col, self.t[row][:], self.prev))
         self.prev = _pivot(self.t, self.prev, row, col)
         self.basis[row] = entering
         self.where[entering], self.where[leaving] = ~row, col
 
     def eliminate(self):
-        """Gauss-Jordan on the equality rows: x_0, x_1, ... in turn enter at
-        the first row from the rank down where they are nonzero, swapped up
-        to the rank. Returns the rank."""
+        """Gauss-Jordan on the equality rows alone: x_0, x_1, ... in turn
+        enter at the first row from the rank down where they are nonzero,
+        swapped up to the rank. Each step is recorded in `steps`. Returns
+        the rank."""
         rank = 0
         for x in range(self.ncols):
-            i = next((i for i in range(rank, self.neq) if self.t[i][x]), None)
-            if i is None:
+            for i in range(rank, self.neq):
+                if self.t[i][x]:
+                    break
+            else:
                 continue
             self.t[rank], self.t[i] = self.t[i], self.t[rank]
             self.basis[rank], self.basis[i] = self.basis[i], self.basis[rank]
             self.where[self.basis[rank]], self.where[self.basis[i]] = ~rank, ~i
-            self.pivot(rank, x)
+            self.pivot(rank, x, self.steps)
             rank += 1
         return rank
+
+    def spread_inequalities(self):
+        """Spread the inequality rows below the equality rows and replay
+        every step of `eliminate` on them, each through `_pivot` with its
+        pivot row as it stood: they read as if pivoted all along."""
+        t = [None, *(_spread(row, self.ncols) for row in self.rows[self.neq:])]
+        for col, base, prev in self.steps:
+            t[0] = base
+            _pivot(t, prev, 0, col)
+        self.t += t[1:]
 
     def add_variable(self, place):
         """A new label at `place`: a column or ~row."""
@@ -435,7 +462,14 @@ class _Dictionary:
 
 def _lp(system: LinearSystem, objective=None) -> SolveResult:
     """A point of a feasible system, maximizing the objective when one is
-    given, or a certificate; both in integers."""
+    given, or a certificate; both in integers.
+
+    The equality rows are eliminated first, alone. Without an objective, a
+    basic point of theirs that keeps every nonnegative coordinate >= 0 and
+    meets every inequality row (read in integers, sum(c * num) <= rhs * den)
+    is the answer: it is the point the simplex below returns when no row
+    starts with a negative rhs. Otherwise the inequality rows catch up on
+    the elimination's steps and the simplex runs."""
     n, neq, nonneg = system.nvars, system.neq, system.nonneg
     d = _Dictionary(n, neq, system.rows)
     rank = d.eliminate()
@@ -444,6 +478,16 @@ def _lp(system: LinearSystem, objective=None) -> SolveResult:
             # 0 == nonzero: the row's combination, signed to make the rhs negative
             den = d.prev * d.scale[d.basis[i]]
             return SolveResult(None, d.certificate(i, -den if d.t[i][-1] * den > 0 else den))
+    if objective is None:
+        # the basic point, prev times over: each eliminated x_i at its rhs, the rest 0
+        point, den = [0] * n, d.prev
+        for x, row in zip(d.basis[:rank], d.t):
+            point[x] = row[-1]
+        if all(point[x] >= 0 for x in d.basis[:rank] if nonneg[x]) and all(
+            sum(c * point[i] for i, c in nonzeros) <= rhs * den for nonzeros, rhs, _ in system.rows[neq:]
+        ):
+            return SolveResult._of_integer_point(tuple(point), den)
+    d.spread_inequalities()
 
     # Simplex rows first: the inequalities, then x_p >= 0 for each nonnegative
     # x_p that the elimination made basic; then the other eliminated rows.

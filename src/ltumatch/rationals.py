@@ -22,6 +22,9 @@ def parse_rational(value) -> Fraction:
         return value
     if isinstance(value, str):
         text = value.strip()
+        # int() also reads digit-group underscores and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            raise FormatError(f"not a rational: {value!r}")
         try:
             if "/" in text:
                 num, _, den = text.partition("/")

@@ -19,7 +19,7 @@ def test_parse_accepts_ints_and_strings():
 
 
 @pytest.mark.parametrize(
-    "bad", [True, False, 1.5, "1.5", "", "3/0", None, "a/b", "1/2/3", [1]]
+    "bad", [True, False, 1.5, "1.5", "", "3/0", None, "a/b", "1/2/3", [1], "1_0", "\u0661/\u0662"]
 )
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(FormatError):

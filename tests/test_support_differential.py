@@ -91,15 +91,21 @@ def test_degenerate_games(shape):
         assert_same(game)
 
 
+def prune_game():
+    """The reduction game of a seeded 2x3 market."""
+    return to_game(random_problem(
+        random.Random(0), FuzzConfig(max_workers=2, max_jobs=3), min_workers=2, min_jobs=3
+    ))
+
+
 def test_prune_is_active():
     """A 2x3 reduction game has 63 x 31 = 1953 support pairs. Without the
     seeker-side skip its first pass alone runs 1953 solves; without the
     hider-side skip the second runs one per seeker-feasible pair, 777 here.
-    With both, this game takes 831 solves and one maximize; losing any one
-    of the four neighbour checks alone takes it to 882..920 solves."""
-    game = to_game(random_problem(
-        random.Random(0), FuzzConfig(max_workers=2, max_jobs=3), min_workers=2, min_jobs=3
-    ))
+    With both, this game takes 825 solves and one maximize; losing any one
+    of the four neighbour checks alone took it to 882..920 solves, measured
+    when it took 831."""
+    game = prune_game()
     counts = {"solve": 0, "maximize": 0}
 
     def counting(name, original):
