@@ -525,23 +525,38 @@ MUTANTS = (
     Mutant(
         "early return without the inequality check",
         "_simplex.py",
-        "sum(c * point[i] for i, c in nonzeros) <= rhs * den",
-        "True",
+        "if lhs > rhs * prev:",
+        "if False:",
         ("tests/test_lp_integers.py::test_solve_is_the_full_pivot_path_in_every_integer",),
     ),
     Mutant(
         "early return without the sign check",
         "_simplex.py",
-        "all(point[x] >= 0 for x in d.basis[:rank] if nonneg[x])",
-        "True",
+        "if v < 0 and nonneg[x]:",
+        "if False:",
         ("tests/test_lp_integers.py::test_solve_is_the_full_pivot_path_in_every_integer",),
     ),
     Mutant(
         "first elimination step not replayed on the inequality rows",
         "_simplex.py",
-        "for col, base, prev in self.steps:",
-        "for col, base, prev in self.steps[1:]:",
+        "for col, base, prev in steps:",
+        "for col, base, prev in steps[1:]:",
         ("tests/test_simplex_differential.py::test_support_enumeration_bos",),
+    ),
+    # phase 1 of the LP
+    Mutant(
+        "artificial's cost not divided by its slack's scale",
+        "_simplex.py",
+        "cost[basis[i]] = big // scale[slack]",
+        "cost[basis[i]] = big",
+        ("tests/test_simplex.py::test_integer_rows_at_any_scale_give_the_same_system",),
+    ),
+    Mutant(
+        "Bland's tie key reversed",
+        "_simplex.py",
+        "lhs == rhs and key[basis[i]] < key[basis[row]]",
+        "lhs == rhs and key[basis[i]] > key[basis[row]]",
+        ("tests/test_lp_integers.py::test_lp_integers_are_pinned",),
     ),
     Mutant(
         "support-pair budget check dropped",

@@ -11,12 +11,14 @@ One integer pivot, `_pivot`, does the work here and in
 `gamesolve.lemke_howson`: a fraction-free pivot on a tableau in dictionary
 form (von Stengel 2002) that divides exactly by the previous pivot element
 (Bareiss 1968). A system stores each constraint row in integers, times a
-positive scale of its own. The LP pivots the variables into the equality
-rows alone, in index order. Without an objective, it returns their basic
-point if that point keeps every nonnegative variable >= 0 and meets every
-inequality. Otherwise the inequality rows catch up on the same pivots, and
-the LP splits sign-free variables and runs a phase-1/phase-2 simplex with
-Bland's rule. There are no tolerances anywhere. Code that
+positive scale of its own. The LP, `_lp`, is one routine over plain integer
+lists: its dictionary is the rows, the basis and each label's column. It
+pivots the variables into the equality rows alone, in index order. Without
+an objective, it returns their basic point if that point keeps every
+nonnegative variable >= 0 and meets every inequality. Otherwise the
+inequality rows catch up on the same pivots (`_replay`), and the LP splits
+sign-free variables and runs a phase-1/phase-2 simplex with Bland's rule.
+There are no tolerances anywhere. Code that
 builds its rows in integers (the support enumeration's side systems, the
 oracle's, the lifted systems of `relative_interior_point`) hands them over as
 they are. `solve` answers in integers too: a `SolveResult` holds its point,
@@ -311,248 +313,245 @@ def _pivot(t, prev, row, col):
 
 
 # ---------------------------------------------------------------------------
-# The LP on one dictionary.
+# The LP, on one dictionary in plain lists.
 #
 # Variables go by label: x_j is j, the slack of equality k (held at zero) is
-# e_k = nvars + k, the slack of inequality k is nvars + len(eqs) + k, and the
-# negative parts of split variables and the phase-1 artificials come after.
-# Each constraint row starts as its own slack's row, the system's integer row
-# spread out, so that slack stands for `scale` times the original one; the
-# scale changes sign where a row is negated to keep the common scale
-# positive.
-# A slack's column in a row is that row's multiplier of the slack's
-# constraint, which is how every row and every reduced cost carries its own
-# provenance for certificates.
+# nvars + k, the slack of inequality k is nvars + neq + k, and the negative
+# parts of split variables and the phase-1 artificials come after. `where`
+# maps a label to its column, or to ~row where it is basic; `basis` maps a
+# row to its label. Each constraint row starts as its own slack's row, the
+# system's integer row spread out, so that slack stands for `scale` times the
+# original one; the scale changes sign where a row is negated to keep the
+# common scale positive. A slack's column in a row is that row's multiplier
+# of the slack's constraint: every row and every reduced cost carries its
+# own provenance for certificates.
 
 
-def _spread(row, nvars):
-    """An integer row spread into its coefficients, then its rhs."""
-    nonzeros, rhs, _ = row
-    out = [0] * nvars + [rhs]
-    for i, c in nonzeros:
-        out[i] = c
+def _spread(rows, nvars):
+    """Integer rows, each spread into its coefficients, then its rhs."""
+    out = []
+    for nonzeros, rhs, _ in rows:
+        r = [0] * nvars + [rhs]
+        for i, c in nonzeros:
+            r[i] = c
+        out.append(r)
     return out
 
 
-class _Dictionary:
-    def __init__(self, nvars, neq, rows):
-        # only the equality rows are spread; the inequality rows join below
-        # them in `spread_inequalities`
-        self.rows = rows
-        self.t = [_spread(row, nvars) for row in rows[:neq]]
-        self.neq, self.slacks = neq, range(nvars, nvars + len(rows))
-        self.prev = 1
-        self.ncols = nvars
-        self.basis = list(range(nvars, nvars + len(rows)))
-        self.where = [*range(nvars), *(~i for i in range(len(rows)))]
-        self.scale = [1] * nvars + [scale for _, _, scale in rows]
-        self.steps = []
+def _replay(steps, rows, nvars):
+    """The integer rows spread, with every recorded elimination step replayed
+    on them, each through `_pivot` with its pivot row as it stood: they read
+    as if pivoted all along."""
+    t = [None] + _spread(rows, nvars)
+    for col, base, prev in steps:
+        t[0] = base
+        _pivot(t, prev, 0, col)
+    return t[1:]
 
-    def pivot(self, row, entering, steps=None):
-        """Pivot `entering` into `row`; appends the step to `steps`, when
-        given, as (column, pivot row as it stood, prev)."""
-        # a negative pivot element would make prev negative: negate the row,
-        # and with it its basic variable, first
-        if self.t[row][self.where[entering]] < 0:
-            self.t[row] = [-v for v in self.t[row]]
-            self.scale[self.basis[row]] *= -1
-        col, leaving = self.where[entering], self.basis[row]
-        if steps is not None:
-            steps.append((col, self.t[row][:], self.prev))
-        self.prev = _pivot(self.t, self.prev, row, col)
-        self.basis[row] = entering
-        self.where[entering], self.where[leaving] = ~row, col
 
-    def eliminate(self):
-        """Gauss-Jordan on the equality rows alone: x_0, x_1, ... in turn
-        enter at the first row from the rank down where they are nonzero,
-        swapped up to the rank. Each step is recorded in `steps`. Returns
-        the rank."""
-        rank = 0
-        for x in range(self.ncols):
-            for i in range(rank, self.neq):
-                if self.t[i][x]:
-                    break
-            else:
-                continue
-            self.t[rank], self.t[i] = self.t[i], self.t[rank]
-            self.basis[rank], self.basis[i] = self.basis[i], self.basis[rank]
-            self.where[self.basis[rank]], self.where[self.basis[i]] = ~rank, ~i
-            self.pivot(rank, x, self.steps)
-            rank += 1
-        return rank
+def _certificate(r, basic, prev, where, scale, n, neq, den):
+    """The multipliers of row r, whose basic label is `basic` (None for the
+    objective row), in units of the original constraints, over den."""
+    mult = []
+    for v in range(n, len(scale)):
+        c = where[v]
+        mult.append(scale[v] * (r[c] if c >= 0 else prev if v == basic else 0))
+    return Certificate._of_integers(tuple(mult[:neq]), tuple(mult[neq:]), den)
 
-    def spread_inequalities(self):
-        """Spread the inequality rows below the equality rows and replay
-        every step of `eliminate` on them, each through `_pivot` with its
-        pivot row as it stood: they read as if pivoted all along."""
-        t = [None, *(_spread(row, self.ncols) for row in self.rows[self.neq:])]
-        for col, base, prev in self.steps:
-            t[0] = base
-            _pivot(t, prev, 0, col)
-        self.t += t[1:]
 
-    def add_variable(self, place):
-        """A new label at `place`: a column or ~row."""
-        self.where.append(place)
-        self.scale.append(1)
-        return len(self.where) - 1
-
-    def add_column(self, entries):
-        for row, v in zip(self.t, entries):
-            row.insert(-1, v)
-        self.ncols += 1
-        return self.ncols - 1
-
-    def coeff(self, i, v):
-        """prev times the coefficient of variable v in row i."""
-        c = self.where[v]
-        if c >= 0:
-            return self.t[i][c]
-        return self.prev if i < len(self.basis) and self.basis[i] == v else 0
-
-    def value(self, v):
-        """prev times the value of variable v."""
-        c = self.where[v]
-        return self.t[~c][-1] if c < 0 else 0
-
-    def certificate(self, i, den):
-        """The multipliers of row i (or of the reduced costs, when i is the
-        objective row), in units of the original constraints, over den."""
-        mult = [self.scale[v] * self.coeff(i, v) for v in self.slacks]
-        return Certificate._of_integers(tuple(mult[:self.neq]), tuple(mult[self.neq:]), den)
-
-    def price(self, cost):
-        """Append the objective row: prev times the reduced costs of `cost`,
-        a dict of integer costs by label."""
-        obj = [0] * (self.ncols + 1)
-        for v, c in cost.items():
-            if self.where[v] >= 0:
-                obj[self.where[v]] += c * self.prev
-        for v, r in zip(self.basis, self.t):
-            if cost.get(v):
-                obj = [a - cost[v] * b for a, b in zip(obj, r)]
-        self.t.append(obj)
-
-    def simplex(self, m, order, key):
-        """Minimize the objective row (the last) over the first m rows with
-        Bland's rule: the first label of `order` whose reduced cost is
-        negative enters, and equal ratios leave at the lowest key. Returns
-        False when unbounded."""
-        while True:
-            obj, where = self.t[-1], self.where
-            entering = next((v for v in order if where[v] >= 0 and obj[where[v]] < 0), None)
-            if entering is None:
-                return True
-            col, row = where[entering], None
-            for i in range(m):
-                r = self.t[i]
-                if r[col] > 0:
-                    if row is None:
-                        row = i
+def _bland(t, ncols, prev, m, cost, order, key, basis, where):
+    """Append the objective row, prev times the reduced costs of `cost` (a
+    dict of integer costs by label), and minimize it over the first m rows
+    with Bland's rule: the first label of `order` whose reduced cost is
+    negative enters, and equal ratios leave at the lowest key. Returns the
+    last pivot element, or 0 when the objective is unbounded."""
+    obj = [0] * (ncols + 1)
+    for v, c in cost.items():
+        if where[v] >= 0:
+            obj[where[v]] += c * prev
+    for v, r in zip(basis, t):
+        c = cost.get(v)
+        if c:
+            obj = [a - c * b for a, b in zip(obj, r)]
+    t.append(obj)
+    while True:
+        obj = t[-1]
+        for v in order:
+            col = where[v]
+            if col >= 0 and obj[col] < 0:
+                break
+        else:
+            return prev
+        row = -1
+        for i in range(m):
+            r = t[i]
+            a = r[col]
+            if a > 0:
+                if row >= 0:
+                    lhs, rhs = r[-1] * best_a, best_rhs * a
+                    if not (lhs < rhs or lhs == rhs and key[basis[i]] < key[basis[row]]):
                         continue
-                    best = self.t[row]
-                    lhs, rhs = r[-1] * best[col], best[-1] * r[col]
-                    if lhs < rhs or (lhs == rhs and key[self.basis[i]] < key[self.basis[row]]):
-                        row = i
-            if row is None:
-                return False
-            self.pivot(row, entering)
+                row, best_rhs, best_a = i, r[-1], a
+        if row < 0:
+            return 0
+        where[basis[row]] = col
+        prev = _pivot(t, prev, row, col)
+        basis[row], where[v] = v, ~row
 
 
 def _lp(system: LinearSystem, objective=None) -> SolveResult:
     """A point of a feasible system, maximizing the objective when one is
     given, or a certificate; both in integers.
 
-    The equality rows are eliminated first, alone. Without an objective, a
-    basic point of theirs that keeps every nonnegative coordinate >= 0 and
-    meets every inequality row (read in integers, sum(c * num) <= rhs * den)
-    is the answer: it is the point the simplex below returns when no row
-    starts with a negative rhs. Otherwise the inequality rows catch up on
-    the elimination's steps and the simplex runs."""
-    n, neq, nonneg = system.nvars, system.neq, system.nonneg
-    d = _Dictionary(n, neq, system.rows)
-    rank = d.eliminate()
+    The equality rows are eliminated first, alone: x_0, x_1, ... in turn
+    enter at the first row from the rank down where they are nonzero,
+    swapped up to the rank and negated first where the pivot element is
+    negative. Each step is recorded. Without an objective, a basic point of
+    the equalities that keeps every nonnegative coordinate >= 0 and meets
+    every inequality row (read in integers, sum(c * num) <= rhs * den) is
+    the answer: it is the point the simplex below returns when no row starts
+    with a negative rhs. Otherwise the inequality rows catch up on the
+    recorded steps (`_replay`), and the simplex runs."""
+    n, neq, nonneg, rows = system.nvars, system.neq, system.nonneg, system.rows
+    t = _spread(rows[:neq], n)
+    owner = list(range(neq))  # the equality whose slack each row started as
+    basic, negated, steps = [], [], []
+    prev, rank = 1, 0
+    for x in range(n):
+        for i in range(rank, neq):
+            if t[i][x]:
+                break
+        else:
+            continue
+        r = t[i]
+        t[i], owner[i], owner[rank] = t[rank], owner[rank], owner[i]
+        if r[x] < 0:
+            r = [-v for v in r]
+            negated.append(owner[rank])
+        t[rank] = r
+        steps.append((x, r[:], prev))
+        prev = _pivot(t, prev, rank, x)
+        basic.append(x)
+        rank += 1
+    refuting = -1  # the first row left reading 0 == nonzero
     for i in range(rank, neq):
-        if d.t[i][-1]:
-            # 0 == nonzero: the row's combination, signed to make the rhs negative
-            den = d.prev * d.scale[d.basis[i]]
-            return SolveResult(None, d.certificate(i, -den if d.t[i][-1] * den > 0 else den))
-    if objective is None:
-        # the basic point, prev times over: each eliminated x_i at its rhs, the rest 0
-        point, den = [0] * n, d.prev
-        for x, row in zip(d.basis[:rank], d.t):
-            point[x] = row[-1]
-        if all(point[x] >= 0 for x in d.basis[:rank] if nonneg[x]) and all(
-            sum(c * point[i] for i, c in nonzeros) <= rhs * den for nonzeros, rhs, _ in system.rows[neq:]
-        ):
-            return SolveResult._of_integer_point(tuple(point), den)
-    d.spread_inequalities()
+        if t[i][-1]:
+            refuting = i
+            break
+    if refuting < 0 and objective is None:
+        # the basic point, prev times over: each eliminated x at its rhs, the rest 0
+        point = [0] * n
+        for x, r in zip(basic, t):
+            v = point[x] = r[-1]
+            if v < 0 and nonneg[x]:
+                break
+        else:
+            for nonzeros, rhs, _ in rows[neq:]:
+                lhs = 0
+                for j, c in nonzeros:
+                    lhs += c * point[j]
+                if lhs > rhs * prev:
+                    break
+            else:
+                return SolveResult._of_integer_point(tuple(point), prev)
 
-    # Simplex rows first: the inequalities, then x_p >= 0 for each nonnegative
-    # x_p that the elimination made basic; then the other eliminated rows.
-    bounds = [i for i in range(rank) if nonneg[d.basis[i]]]
-    keep = [*range(neq, len(d.t)), *bounds, *(i for i in range(rank) if not nonneg[d.basis[i]])]
-    m = len(d.t) - neq + len(bounds)
-    d.t, d.basis = [d.t[i] for i in keep], [d.basis[i] for i in keep]
-    for i, v in enumerate(d.basis):
-        d.where[v] = ~i
+    scale = [1] * n + [s for _, _, s in rows]
+    for k in negated:
+        scale[n + k] = -scale[n + k]
+    # a slack is basic (-1) until placed; those of zero rows dropped below stay so
+    where = list(range(n)) + [-1] * len(rows)
+    for x, k in zip(basic, owner):
+        where[n + k] = x
+    if refuting >= 0:
+        # the row's combination, signed to make the rhs negative
+        r, slack = t[refuting], n + owner[refuting]
+        den = prev * scale[slack]
+        return SolveResult(None, _certificate(r, slack, prev, where, scale, n, neq, -den if r[-1] * den > 0 else den))
 
-    params = [x for x in range(n) if d.where[x] >= 0]
+    # Simplex rows first: the inequalities, then x >= 0 for each nonnegative
+    # x that the elimination made basic; then the other eliminated rows.
+    keep = sorted(range(rank), key=lambda j: not nonneg[basic[j]])
+    basis = [*range(n + neq, len(scale)), *(basic[j] for j in keep)]
+    m = len(rows) - neq + sum(nonneg[x] for x in basic)
+    t = _replay(steps, rows[neq:], n) + [t[j] for j in keep]
+    for i, v in enumerate(basis):
+        where[v] = ~i
+
+    params = [x for x in range(n) if where[x] >= 0]
     if not params:
         for i in range(m):
-            if d.t[i][-1] < 0:
-                return SolveResult(None, d.certificate(i, d.prev * d.scale[d.basis[i]]))
+            if t[i][-1] < 0:
+                cert = _certificate(t[i], basis[i], prev, where, scale, n, neq, prev * scale[basis[i]])
+                return SolveResult(None, cert)
     # Bland's order: each parameter then its negative part, then the slacks
-    negative, order = {}, []
+    negative, order, ncols = {}, [], n
     for x in params:
         order.append(x)
         if not nonneg[x]:
-            negative[x] = d.add_variable(d.add_column([-row[d.where[x]] for row in d.t]))
+            c = where[x]
+            for r in t:
+                r.insert(-1, -r[c])
+            negative[x] = len(where)
+            where.append(ncols)
+            ncols += 1
             order.append(negative[x])
-    order += d.basis[:m]
+    order += basis[:m]
 
     # A row with negative rhs is negated, and an artificial replaces its slack.
-    arts, cost, big = [], {}, math.lcm(*(d.scale[d.basis[i]] for i in range(m) if d.t[i][-1] < 0))
-    for i in range(m):
-        if d.t[i][-1] < 0:
-            d.t[i] = [-v for v in d.t[i]]
-            slack = d.basis[i]
-            d.where[slack] = d.add_column([-d.prev if k == i else 0 for k in range(len(d.t))])
-            d.basis[i] = d.add_variable(~i)
-            arts.append(d.basis[i])
-            cost[d.basis[i]] = big // d.scale[slack]
+    low = [i for i in range(m) if t[i][-1] < 0]
+    arts, cost, big = [], {}, math.lcm(*[scale[basis[i]] for i in low])
+    for i in low:
+        t[i] = [-v for v in t[i]]
+        for r in t:
+            r.insert(-1, 0)
+        t[i][-2] = -prev
+        slack = basis[i]
+        where[slack] = ncols
+        ncols += 1
+        basis[i] = len(where)
+        where.append(~i)
+        arts.append(basis[i])
+        cost[basis[i]] = big // scale[slack]
     key = {v: k for k, v in enumerate(order + arts)}
     if arts:
-        d.price(cost)
-        if not d.simplex(m, order, key):
+        prev = _bland(t, ncols, prev, m, cost, order, key, basis, where)
+        if not prev:
             raise InternalError("phase-1 objective cannot be unbounded")
-        if d.t[-1][-1] < 0:  # the artificials cannot all reach zero
-            return SolveResult(None, d.certificate(len(d.t) - 1, d.prev * big))
-        d.t.pop()
+        if t[-1][-1] < 0:  # the artificials cannot all reach zero
+            return SolveResult(None, _certificate(t[-1], None, prev, where, scale, n, neq, prev * big))
+        t.pop()
         for i in range(m):
-            if d.basis[i] in arts:
-                v = next((v for v in order if d.where[v] >= 0 and d.t[i][d.where[v]]), None)
-                if v is not None:
-                    d.pivot(i, v)
+            if basis[i] >= arts[0]:  # an artificial left basic at zero
+                r = t[i]
+                for v in order:
+                    c = where[v]
+                    if c >= 0 and r[c]:
+                        break
+                else:
+                    continue
+                if r[c] < 0:
+                    t[i] = [-a for a in r]
+                where[basis[i]] = c
+                prev = _pivot(t, prev, i, c)
+                basis[i], where[v] = v, ~i
     if objective is not None:
-        scale = math.lcm(*(c.denominator for c in objective))
-        cost = {x: -c.numerator * (scale // c.denominator) for x, c in enumerate(objective) if c}
+        lcm = math.lcm(*[c.denominator for c in objective])
+        cost = {x: -c.numerator * (lcm // c.denominator) for x, c in enumerate(objective) if c}
         cost.update((negative[x], -cost[x]) for x in negative if x in cost)
-        d.price(cost)
-        if not d.simplex(m, order, key):
+        prev = _bland(t, ncols, prev, m, cost, order, key, basis, where)
+        if not prev:
             raise InternalError("objective is unbounded on this system")
-    point = [d.value(x) for x in range(n)]
+    point = [t[~where[x]][-1] if where[x] < 0 else 0 for x in range(n)]
     for x, neg in negative.items():
-        point[x] -= d.value(neg)
-    return SolveResult._of_integer_point(tuple(point), d.prev)
+        if where[neg] < 0:
+            point[x] -= t[~where[neg]][-1]
+    return SolveResult._of_integer_point(tuple(point), prev)
 
 
 def equations_consistent(eqs, nvars: int) -> bool:
-    """Whether the equalities alone admit any solution (signs ignored)."""
-    d = _Dictionary(nvars, len(eqs), list(starmap(integer_row, eqs)))
-    rank = d.eliminate()
-    return not any(row[-1] for row in d.t[rank:])
+    """Whether the equalities alone admit any solution (signs ignored): the
+    LP's elimination, on them with every variable free, finds no 0 == nonzero."""
+    return _lp(LinearSystem(nvars, (False,) * nvars, eqs, ())).feasible
 
 
 def solve(system: LinearSystem) -> SolveResult:

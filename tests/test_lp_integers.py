@@ -1,5 +1,6 @@
 """The exact LP in integers: `_lp`'s early return against its full pivot
-path, and every division of the Bareiss kernel `_pivot` exact.
+path, its integers pinned by digest, and every division of the Bareiss
+kernel `_pivot` exact, with every entry within Hadamard's bound.
 
 Without an objective, `_lp` eliminates the equality rows alone and returns
 their basic point when it keeps every nonnegative coordinate >= 0 and meets
@@ -12,6 +13,8 @@ two must agree in every integer of the point and of the certificate: equal
 Fraction views are not enough.
 """
 import functools
+import hashlib
+import math
 import random
 
 import pytest
@@ -47,25 +50,31 @@ def _run(corpus):
         run(item)
 
 
+def integers(result):
+    cert = result.certificate
+    return result.num, result.den, cert and (cert.eq_num, cert.ineq_num, cert.den)
+
+
 @functools.lru_cache(maxsize=None)
-def solved_systems(corpus):
-    """Every system that `solve` sees on the corpus, in call order."""
-    systems = []
+def lp_calls(corpus):
+    """Every call of `_lp` on the corpus, `maximize`'s included, in call
+    order: (system, objective, the integers of the result)."""
+    calls = []
 
     def recording(system, objective=None, lp=_lp):
-        if objective is None:
-            systems.append(system)
-        return lp(system, objective)
+        result = lp(system, objective)
+        calls.append((system, objective, integers(result)))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_simplex, "_lp", recording)
         _run(corpus)
-    return tuple(systems)
+    return tuple(calls)
 
 
-def integers(result):
-    cert = result.certificate
-    return result.num, result.den, cert and (cert.eq_num, cert.ineq_num, cert.den)
+def solved_systems(corpus):
+    """Every system that `solve` sees on the corpus, in call order."""
+    return tuple(system for system, objective, _ in lp_calls(corpus) if objective is None)
 
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
@@ -76,16 +85,42 @@ def test_solve_is_the_full_pivot_path_in_every_integer(corpus):
         assert integers(solve(system)) == integers(_lp(system, (ZERO,) * system.nvars)), system
 
 
-def counting_replays(patch):
-    """Count the calls of `_Dictionary.spread_inequalities`."""
+# sha256 over the repr of `integers` of every `_lp` result, in call order
+DIGESTS = {
+    "support-ac3": "94e6582471812c4358182a686bbf9e93309d3431f4c388fd6fe777b409e7f5c2",
+    "support-dense": "54b09ea78ddfdf6aa95340602fc97308e11a38a300183fb5a87875a85888c0ef",
+    "support-degenerate": "47b4dafe690396b85a1d6741b05bee4807786aaeb4d75f5978791115f7a46216",
+    "support-2x3": "764b14b4ae98a2f23882112fdaea9444c0487d0421e02968c96b9729472f1bbd",
+    "oracle": "fcb9dd3740e690ac13a309410bf75eb7d8fa7527768f8ec1d95aa71803a85734",
+    "oracle-half-lambda": "985423b1cd1f9e666891722ecd3bf0874364b286b3f050e90f34d09c4782dcc4",
+}
+
+
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_lp_integers_are_pinned(corpus):
+    """Every integer that `_lp` returns on the corpus, the points, the
+    certificates and `maximize`'s lifts alike, hashed: unlike the test
+    above, this notices a change that moves both paths together."""
+    digest = hashlib.sha256()
+    for _, _, result in lp_calls(corpus):
+        digest.update(repr(result).encode())
+    assert digest.hexdigest() == DIGESTS[corpus]
+
+
+def counting_replays(patch, after=None):
+    """Count the calls of `_replay`, the elimination's steps replayed on the
+    inequality rows; `after()`, when given, runs as each returns."""
     calls = [0]
-    spread = _simplex._Dictionary.spread_inequalities
+    replay = _simplex._replay
 
-    def counting(d):
+    def counting(*args):
         calls[0] += 1
-        spread(d)
+        rows = replay(*args)
+        if after:
+            after()
+        return rows
 
-    patch.setattr(_simplex._Dictionary, "spread_inequalities", counting)
+    patch.setattr(_simplex, "_replay", counting)
     return calls
 
 
@@ -113,9 +148,12 @@ def test_most_sweep_lps_of_the_2x3_game_return_at_the_basic_point(monkeypatch):
 # The exactness audit of `_pivot`.
 
 
-def auditing(calls, pivot=_simplex._pivot):
+def auditing(calls, pivot=_simplex._pivot, hadamard=None):
     """`_pivot`, asserting first that every entry it is about to divide by
-    prev, (v * piv - f * w) or v * piv, is a multiple of prev."""
+    prev, (v * piv - f * w) or v * piv, is a multiple of prev. While
+    `hadamard["square"]` is nonzero, it asserts after the pivot that the new
+    prev and every entry the pivot leaves square to at most that, and counts
+    the pivot in `hadamard["checked"]`."""
 
     def audited(t, prev, row, col):
         base = t[row]
@@ -125,9 +163,21 @@ def auditing(calls, pivot=_simplex._pivot):
                 f = r[col]
                 assert all((v * piv - f * w) % prev == 0 for v, w in zip(r, base)), (t, prev, row, col)
         calls.append(len(t))
-        return pivot(t, prev, row, col)
+        new = pivot(t, prev, row, col)
+        if hadamard and hadamard["square"]:
+            square = hadamard["square"]
+            assert all(v * v <= square for v in (new, *(v for r in t for v in r))), (t, new, square)
+            hadamard["checked"] += 1
+        return new
 
     return audited
+
+
+def hadamard_square(system):
+    """The square of Hadamard's bound on every minor of the system's start
+    rows, each row read as its integer coefficients, its rhs and the unit
+    entry of its slack: the product of the rows' squared norms."""
+    return math.prod(sum(c * c for _, c in nonzeros) + rhs * rhs + 1 for nonzeros, rhs, _ in system.rows)
 
 
 def test_every_lemke_howson_division_is_exact(monkeypatch):
@@ -152,11 +202,16 @@ def test_every_lemke_howson_division_is_exact(monkeypatch):
 
 def test_every_lp_division_is_exact(monkeypatch):
     """`solve` on every system of the support and oracle corpora, with the
-    replays of the elimination on the inequality rows among its pivots."""
-    calls = []
-    replays = counting_replays(monkeypatch)
-    monkeypatch.setattr(_simplex, "_pivot", auditing(calls))
+    replays of the elimination on the inequality rows among its pivots.
+    Bareiss's identity makes every entry of the elimination and of its
+    replay a minor of the start rows, so each is also held to Hadamard's
+    bound. The simplex pivots after the replay are not checked: the columns
+    of split variables and artificials extend the start rows."""
+    calls, hadamard = [], {"square": 0, "checked": 0}
+    replays = counting_replays(monkeypatch, after=lambda: hadamard.update(square=0))
+    monkeypatch.setattr(_simplex, "_pivot", auditing(calls, hadamard=hadamard))
     for corpus in CORPORA:
         for system in solved_systems(corpus):
+            hadamard["square"] = hadamard_square(system)
             solve(system)
-    assert calls and replays[0], (len(calls), replays[0])
+    assert calls and replays[0] and hadamard["checked"], (len(calls), replays[0], hadamard)
