@@ -204,46 +204,53 @@ MUTANTS = (
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
-        "cell mask test dropped",
+        "cell bits dropped from the split refutation's word",
         "oracle.py",
-        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
-        "if not (umask & pumask or vmask & pvmask):",
+        "return _word(nx, ny, (0, umask, vmask), (positive, 0, 0))",
+        "return _word(nx, ny, (0, umask, vmask), (0, 0, 0))",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     Mutant(
-        "worker mask test dropped",
+        "worker bits dropped from the split refutation's word",
         "oracle.py",
-        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
-        "if not (positive & ~smask or vmask & pvmask):",
+        "return _word(nx, ny, (0, umask, vmask), (positive, 0, 0))",
+        "return _word(nx, ny, (0, 0, vmask), (positive, 0, 0))",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     Mutant(
-        "job mask test dropped",
+        "job bits dropped from the split refutation's word",
         "oracle.py",
-        "if not (positive & ~smask or umask & pumask or vmask & pvmask):",
-        "if not (positive & ~smask or umask & pumask):",
+        "return _word(nx, ny, (0, umask, vmask), (positive, 0, 0))",
+        "return _word(nx, ny, (0, umask, 0), (positive, 0, 0))",
         (ORACLE_MASKS, ORACLE_CARRIED),
     ),
     # the oracle's point boxes and matching refutations
     Mutant(
-        "tight test with <= for ==",
+        "loose test with > for !=",
         "oracle.py",
-        "if sum(c * num[k] for k, c in nonzeros) == rhs * den:",
-        "if sum(c * num[k] for k, c in nonzeros) <= rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) != rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) > rhs * den:",
         (ORACLE_BOXES,),
     ),
     Mutant(
-        "tight test against rhs for rhs * den",
+        "loose test against rhs for rhs * den",
         "oracle.py",
-        "if sum(c * num[k] for k, c in nonzeros) == rhs * den:",
-        "if sum(c * num[k] for k, c in nonzeros) == rhs:",
+        "if sum(c * num[k] for k, c in nonzeros) != rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) != rhs:",
         (ORACLE_BOX_MASKS,),
     ),
     Mutant(
-        "supp u left out of the box test",
+        "box word with its tight cells for its loose ones",
         "oracle.py",
-        "if not (smask & ~tight or umask & ~pumask or vmask & ~pvmask):",
-        "if not (smask & ~tight or vmask & ~pvmask):",
+        "if sum(c * num[k] for k, c in nonzeros) != rhs * den:",
+        "if sum(c * num[k] for k, c in nonzeros) == rhs * den:",
+        (ORACLE_BOX_MASKS, ORACLE_BOXES),
+    ),
+    Mutant(
+        "supp u left out of the box's word",
+        "oracle.py",
+        "return _word(nx, ny, (loose, 0, 0), (0, umask, vmask))",
+        "return _word(nx, ny, (loose, 0, 0), (0, 0, vmask))",
         (ORACLE_BOXES,),
     ),
     Mutant(
@@ -254,10 +261,10 @@ MUTANTS = (
         (ORACLE_MASKS, ORACLE_MATCHING),
     ),
     Mutant(
-        "zero-row cell mask test dropped",
+        "zero-row cells dropped from the matching refutation's word",
         "oracle.py",
-        "if not (zmask & smask or negu & ~pumask or negv & ~pvmask):",
-        "if not (negu & ~pumask or negv & ~pvmask):",
+        "return _word(nx, ny, (zmask, 0, 0), (0, negu, negv))",
+        "return _word(nx, ny, (0, 0, 0), (0, negu, negv))",
         (ORACLE_MASKS, ORACLE_MATCHING),
     ),
     # the oracle's halves over their free variables, and its pool scans
@@ -283,25 +290,18 @@ MUTANTS = (
         (ORACLE_MASKS, ORACLE_FULL_FORM),
     ),
     Mutant(
-        "split pool scan stops after its first subject",
+        "pool scan stops after its first entry",
         "oracle.py",
-        "for refutation in reversed(refutations):",
-        "for refutation in reversed(refutations[-1:]):",
+        "for entry in pool:",
+        "for entry in pool[:1]:",
         (ORACLE_PRUNES,),
     ),
     Mutant(
-        "matching pool scan stops after its first subject",
+        "job types' complement dropped from the pattern's word",
         "oracle.py",
-        "for refutation in refutations:",
-        "for refutation in refutations[:1]:",
-        (ORACLE_PRUNES,),
-    ),
-    Mutant(
-        "box pool scan stops after its first subject",
-        "oracle.py",
-        "for box in boxes:",
-        "for box in boxes[:1]:",
-        (ORACLE_PRUNES,),
+        "tuple(_word(nx, ny, (0, 0, v), (0, 0, every_v ^ v)) for v in range(every_v + 1))",
+        "tuple(_word(nx, ny, (0, 0, v), (0, 0, 0)) for v in range(every_v + 1))",
+        ("tests/test_oracle.py::test_the_word_rule_is_the_three_mask_tests", ORACLE_PRUNES),
     ),
     # the oracle's patterns as masks, and its once-per-outcome check
     Mutant(

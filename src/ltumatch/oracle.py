@@ -41,16 +41,18 @@ and skips a pattern by them (see `enumerate_stable`); a cell set whose
 binding equalities are inconsistent is always skipped by the refutation of a
 smaller one. Nothing is skipped on trust: each refuting Farkas certificate
 is checked once, on the system it refutes, and read in index space, as the
-cells and types whose rows its combination uses, zeros included, so that
-each skip is three mask tests. A box keeps only its three masks, not its
-point, and only reorders the work: a pattern it covers solves its matching
-half first, and gets its split point from its own LP. The split rows are
-read in integers off lam and phi once per market, and every split system is
-assembled from those integer rows, so the LPs and the certificate checks
-of all patterns of a market share one scaling and work in integers. The
-matching systems, whose coefficients are all 0 or 1, are built in integers
-directly. The LP hands back its points and certificates in integers too,
-over one denominator each, and every mask is read from those integers.
+cells and types whose rows its combination uses, zeros included. Patterns,
+refutations and boxes are each one word of bits (`_word`), and a refutation
+or box applies to a pattern iff the two words share no bit. A box keeps
+only its word, not its point, and only reorders the work: a pattern it
+covers solves its matching half first and gets its split point from its
+own LP. The split rows are read in integers off lam and phi once per
+market, and every split system is assembled from those integer rows, so
+the LPs and the certificate checks of all patterns of a market share one
+scaling and work in integers. The matching systems, whose coefficients are
+all 0 or 1, are built in integers directly. The LP hands back its points
+and certificates in integers too, over one denominator each, and every
+mask is read from those integers.
 
 This is exponential in the number of cells and exists to cross-check the
 game-theoretic pipeline on small instances, not to be fast. A market of
@@ -59,6 +61,7 @@ those caps a market has at most 2^15 = 32,768 patterns (3x3 or 1x7).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,79 +164,72 @@ def _split_system(problem: LTUProblem, smask: int, pumask: int, pvmask: int, row
     return LinearSystem._of_valid_rows(len(columns), (True,) * len(columns), (*eqs, *ineqs), len(eqs))
 
 
-def _refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, rows, nx: int, ny: int) -> tuple:
-    """A checked certificate of the split system of pattern (smask, pumask,
-    pvmask) in index space: ((smask, pumask, pvmask), cert, positive, umask,
-    vmask).
+def _word(nx: int, ny: int, has: tuple, lacks: tuple) -> int:
+    """Six masks side by side: the cell masks of has and lacks, then their
+    worker masks, then their job masks. A pattern has its masks (smask,
+    pumask, pvmask) and lacks their complements; a refutation or box has
+    the bits whose presence in a pattern rules it out and lacks those whose
+    absence does, so it applies to a pattern iff the two words share no bit."""
+    c, (s, u, v), (ns, nu, nv) = nx * ny, has, lacks
+    return s | ns << c | (u | nu << nx) << 2 * c | (v | nv << ny) << 2 * (c + nx)
 
-    Bit x * ny + y of positive is set where cell (x, y)'s multiplier z,
-    taken on its binding equality, is positive; a cell outside smask has
-    the no-blocking inequality, its binding equality negated, so that row's
-    multiplier counts as -z. Bit x of umask (y of vmask) is set where worker
-    type x (job type y) is held at zero and its row u_x = 0 has a nonzero
-    multiplier: that row is none of the certificate's, and it gets minus the
-    combination's coefficient on u_x, as in the LP's certificate of the
-    system with the row, in which u_x stays basic in a row of its own and so
-    has coefficient 0."""
+
+@functools.lru_cache(maxsize=None)
+def _pattern_words(nx: int, ny: int) -> tuple[tuple, tuple, tuple]:
+    """The parts of a pattern's word by cell, worker and job mask, made once
+    per shape: a pattern's word is the or of its masks' parts."""
+    every_cell, every_u, every_v = (1 << nx * ny) - 1, (1 << nx) - 1, (1 << ny) - 1
+    return (
+        tuple(_word(nx, ny, (s, 0, 0), (every_cell ^ s, 0, 0)) for s in range(every_cell + 1)),
+        tuple(_word(nx, ny, (0, u, 0), (0, every_u ^ u, 0)) for u in range(every_u + 1)),
+        tuple(_word(nx, ny, (0, 0, v), (0, 0, every_v ^ v)) for v in range(every_v + 1)),
+    )
+
+
+def _applies(pool: list, word: int) -> bool:
+    """Whether some entry of the pool applies to the pattern with this word."""
+    for entry in pool:
+        if not entry & word:
+            return True
+    return False
+
+
+def _refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, rows, nx: int, ny: int) -> int:
+    """The word of a checked certificate of the split system of pattern
+    (smask, pumask, pvmask). It carries over, row by row, to the split
+    system of every pattern that binds each cell with a positive multiplier
+    (an inequality's must be nonnegative) and holds each type with a nonzero
+    multiplier at zero. A cell's multiplier z is taken on its binding
+    equality, so an inequality's counts as -z. A held type's row u_x = 0 is
+    none of the certificate's; it gets minus the combination's coefficient
+    on u_x, as in the LP's certificate of the system with the row, where u_x
+    stays basic in a row of its own and so has coefficient 0."""
     _, lines = rows
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
     z = [next(eq_mult) if smask >> i & 1 else -next(ineq_mult) for i in range(nx * ny)]
-    positive = 0
-    for i, zi in enumerate(z):
-        if zi > 0:
-            positive |= 1 << i
+    positive = sum(1 << i for i, zi in enumerate(z) if zi > 0)
     # each variable's coefficient in the combination, over its line's scale
     used = [sum(z[i] * c for i, c in line) for line in lines]
     umask = sum(1 << x for x in range(nx) if used[x] and not pumask >> x & 1)
     vmask = sum(1 << y for y in range(ny) if used[nx + y] and not pvmask >> y & 1)
-    return (smask, pumask, pvmask), cert, positive, umask, vmask
+    return _word(nx, ny, (0, umask, vmask), (positive, 0, 0))
 
 
-def _split_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
-    """The newest split refutation whose combination of rows is one of the
-    split system of pattern (smask, pumask, pvmask), which it then refutes,
-    or None: one where every cell with a positive multiplier binds (an
-    inequality's must be nonnegative) and every type with a nonzero
-    multiplier is held at zero. On a pattern that binds every cell
-    and holds every type at zero that the refutation's pattern does, this is
-    `certificate_refutes` of the certificate carried over to the pattern's
-    own system row by row."""
-    for refutation in reversed(refutations):
-        _, _, positive, umask, vmask = refutation
-        if not (positive & ~smask or umask & pumask or vmask & pvmask):
-            return refutation
-    return None
-
-
-def _box(split: SolveResult, pumask: int, pvmask: int, rows, nx: int, ny: int) -> tuple:
-    """The patterns whose split system a feasible split point (u, v) of the
-    system with earning masks pumask and pvmask satisfies, in index space:
-    (tight, umask, vmask), with bit x * ny + y of tight set where cell (x,
-    y)'s no-blocking inequality holds with equality, and umask (vmask) the
-    support of u (v). The point satisfies every no-blocking inequality, so
-    it satisfies the split system of each pattern that binds only tight
-    cells and lets every type in the supports earn. Each test reads the
-    point's integers: with coordinates num / den, an integer row is tight
-    where its sum over num is rhs * den."""
+def _box(split: SolveResult, pumask: int, pvmask: int, rows, nx: int, ny: int) -> int:
+    """The word of a feasible split point (u, v) of the system with earning
+    masks pumask and pvmask: it satisfies the split system of each pattern
+    that binds no cell whose no-blocking inequality is loose and lets every
+    type in supp u and supp v earn. With coordinates num / den, an integer
+    row is tight where its sum over num is rhs * den."""
     cells, _ = rows
     num, den = _spread(split, _bits(pumask | pvmask << nx), nx + ny), split.den
-    tight = 0
+    loose = 0
     for i, (_, (nonzeros, rhs, _)) in enumerate(cells):
-        if sum(c * num[k] for k, c in nonzeros) == rhs * den:
-            tight |= 1 << i
+        if sum(c * num[k] for k, c in nonzeros) != rhs * den:
+            loose |= 1 << i
     umask = sum(1 << x for x in range(nx) if num[x])
     vmask = sum(1 << y for y in range(ny) if num[nx + y])
-    return tight, umask, vmask
-
-
-def _covering_box(boxes: list, smask: int, pumask: int, pvmask: int):
-    """The first box whose point satisfies the split system of pattern
-    (smask, pumask, pvmask), or None."""
-    for box in boxes:
-        tight, umask, vmask = box
-        if not (smask & ~tight or umask & ~pumask or vmask & ~pvmask):
-            return box
-    return None
+    return _word(nx, ny, (loose, 0, 0), (0, umask, vmask))
 
 
 def _matching_system(problem: LTUProblem, smask: int, pumask: int, pvmask: int) -> LinearSystem:
@@ -253,39 +249,22 @@ def _matching_system(problem: LTUProblem, smask: int, pumask: int, pvmask: int) 
     return LinearSystem._of_valid_rows(len(at), (True,) * len(at), (*eqs, *ineqs), len(eqs))
 
 
-def _matching_refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, nx: int, ny: int) -> tuple:
-    """A checked certificate of the matching system of pattern (smask,
-    pumask, pvmask) in index space: ((smask, pumask, pvmask), cert, zmask,
-    negu, negv). Bit x of negu (y of negv) is set where worker type x's (job
-    type y's) line has a negative multiplier, which only an equality, an
-    earning type's line, may have. Bit x * ny + y of zmask is set where the
-    cell off smask has a row mu_xy == 0 with a nonzero multiplier: that row
-    is none of the certificate's, and it gets minus the combination's
-    coefficient on mu_xy, the sum of its two lines' multipliers, since each
-    line's row has coefficient 1 on the cell."""
+def _matching_refutation(smask: int, pumask: int, pvmask: int, cert: Certificate, nx: int, ny: int) -> int:
+    """The word of a checked certificate of the matching system of pattern
+    (smask, pumask, pvmask). Fewer cells and more earning types only add
+    rows to a matching system, so it carries over, row by row, to that of
+    every pattern where no cell whose zero row it uses may match and every
+    line with a negative multiplier, which only an earning type's equality
+    may have, earns. A cell's row mu_xy == 0 off smask is none of the
+    certificate's; it gets minus the combination's coefficient on mu_xy,
+    the sum of its two lines' multipliers."""
     eq_mult, ineq_mult = iter(cert.eq_num), iter(cert.ineq_num)
     earns = pumask | pvmask << nx
     line = [next(eq_mult) if earns >> k & 1 else next(ineq_mult) for k in range(nx + ny)]
     zmask = sum(1 << i for i in range(nx * ny) if not smask >> i & 1 and line[i // ny] + line[nx + i % ny])
     negu = sum(1 << x for x in range(nx) if line[x] < 0)
     negv = sum(1 << y for y in range(ny) if line[nx + y] < 0)
-    return (smask, pumask, pvmask), cert, zmask, negu, negv
-
-
-def _matching_refuter(refutations: list, smask: int, pumask: int, pvmask: int):
-    """The first matching refutation whose combination of rows is one of the
-    matching system of pattern (smask, pumask, pvmask), which it then
-    refutes, or None: one where no cell whose zero row it uses may match and
-    every line with a negative multiplier earns. Fewer cells and more
-    earning types only add rows to a matching system, so on such a pattern
-    this is `certificate_refutes` of the certificate carried over row by
-    row: the zero rows and the lines keep their multipliers, and every
-    other row gets 0."""
-    for refutation in refutations:
-        _, _, zmask, negu, negv = refutation
-        if not (zmask & smask or negu & ~pumask or negv & ~pvmask):
-            return refutation
-    return None
+    return _word(nx, ny, (zmask, 0, 0), (0, negu, negv))
 
 
 def _spread(result: SolveResult, columns: tuple, width: int) -> list[int]:
@@ -366,25 +345,24 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     applies; each uses that a half is monotone. The split half only gains
     rows when more cells bind or fewer types earn, the matching half when
     fewer cells may match or more types earn. Each skip is one scan of its
-    pool, which returns the refutation or box that applies.
+    pool by one rule, `_applies`: an entry applies iff its word and the
+    pattern's share no bit. The pattern's word is the or of its masks' parts.
 
     - Split-skipped: a split refutation found anywhere in the market carries
-      over to the pattern (`_split_refuter`). Each cell set first gets its
-      relaxed split system (its cells binding, every type free to earn),
-      unless a refutation or a box settles it; when that is refuted, so is
-      every pattern of the cell set. Inside a cell set the earning sets are
-      visited from the largest down.
-    - Matching-skipped: a matching refutation carries over to the pattern
-      (`_matching_refuter`).
+      over to the pattern. Each cell set first gets its relaxed split system
+      (its cells binding, every type free to earn), unless a refutation or a
+      box settles it; when that is refuted, so is every pattern of the cell
+      set. Inside a cell set the earning sets are visited from the largest
+      down.
+    - Matching-skipped: a matching refutation carries over to the pattern.
     - Box-covered: a feasible split point solved before satisfies the
-      pattern's split system (`_covering_box`), so the matching half is
-      solved first, and a refuted one settles the pattern without a split
-      LP.
+      pattern's split system, so the matching half is solved first, and a
+      refuted one settles the pattern without a split LP.
 
     Each refuting certificate is checked with `certificate_refutes` once,
-    on its own system, and read in index space, so that a skip costs three
-    mask tests per refutation or box tried. Points and certificates are read
-    in the LP's integers, and Fractions are made only for the points of a
+    on its own system, and read in index space, so that a skip costs one
+    AND per refutation or box tried. Points and certificates are read in
+    the LP's integers, and Fractions are made only for the points of a
     pattern whose halves are both feasible; each distinct outcome of those
     points is built and checked with `verify_stable` once. Such a pattern
     gets its split point from the LP of its own split system, as in
@@ -407,24 +385,27 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
     for x in range(nx):
         needed = [n | positive >> x * ny & every_v for n in needed] + needed
     rows = _split_rows(problem)
+    swords, uwords, vwords = _pattern_words(nx, ny)
     # (mu, uv) of an outcome pattern's points -> their outcome
     found: dict[tuple, Outcome] = {}
-    split_refutations: list[tuple] = []
-    matching_refutations: list[tuple] = []
-    boxes: list[tuple] = []
+    # the words of the refutations and boxes
+    split_pool: list[int] = []
+    matching_pool: list[int] = []
+    boxes: list[int] = []
 
     for smask in range(1 << ncells):
         if smask & negative:
             continue
-        # The relaxed split system: the cells binding, every type free to
-        # earn. A refutation of it has no held type, so it refutes every
-        # pattern of the cell set.
-        if _split_refuter(split_refutations, smask, every_u, every_v) is not None:
+        # the relaxed split system, the cells binding and every type earning:
+        # a refutation of it holds no type at zero, so refutes the cell set
+        sword = swords[smask]
+        word = sword | uwords[every_u] | vwords[every_v]
+        if _applies(split_pool, word):
             continue
-        if _covering_box(boxes, smask, every_u, every_v) is None:
+        if not _applies(boxes, word):
             relaxed = _solved(_split_system(problem, smask, every_u, every_v, rows), "split")
             if not relaxed.feasible:
-                split_refutations.append(_refutation(smask, every_u, every_v, relaxed.certificate, rows, nx, ny))
+                split_pool.append(_refutation(smask, every_u, every_v, relaxed.certificate, rows, nx, ny))
                 continue
             boxes.append(_box(relaxed, every_u, every_v, rows, nx, ny))
         # the worker types and the job types of the binding cells
@@ -438,24 +419,23 @@ def enumerate_stable(problem: LTUProblem) -> tuple[Outcome, ...]:
             need = needed[pumask]
             if pumask & ~srows or need & ~scols:
                 continue
+            suword = sword | uwords[pumask]
             for pvmask in reversed(range(1 << ny)):
                 if pvmask & ~scols or need & ~pvmask:
                     continue
-                if _split_refuter(split_refutations, smask, pumask, pvmask) is not None:
-                    continue
-                if _matching_refuter(matching_refutations, smask, pumask, pvmask) is not None:
+                word = suword | vwords[pvmask]
+                if _applies(split_pool, word) or _applies(matching_pool, word):
                     continue
                 split = None
-                if _covering_box(boxes, smask, pumask, pvmask) is None:
+                if not _applies(boxes, word):
                     split = _solved(_split_system(problem, smask, pumask, pvmask, rows), "split")
                     if not split.feasible:
-                        split_refutations.append(_refutation(smask, pumask, pvmask, split.certificate, rows, nx, ny))
+                        split_pool.append(_refutation(smask, pumask, pvmask, split.certificate, rows, nx, ny))
                         continue
                     boxes.append(_box(split, pumask, pvmask, rows, nx, ny))
                 matching = _solved(_matching_system(problem, smask, pumask, pvmask), "matching")
                 if not matching.feasible:
-                    refutation = _matching_refutation(smask, pumask, pvmask, matching.certificate, nx, ny)
-                    matching_refutations.append(refutation)
+                    matching_pool.append(_matching_refutation(smask, pumask, pvmask, matching.certificate, nx, ny))
                     continue
                 if split is None:
                     split = _solved(_split_system(problem, smask, pumask, pvmask, rows), "split")

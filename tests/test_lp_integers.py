@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+import reference_game
 import test_oracle_differential as oracle_tests
 import test_support_differential as support_tests
 from ltumatch import (
@@ -180,24 +181,68 @@ def hadamard_square(system):
     return math.prod(sum(c * c for _, c in nonzeros) + rhs * rhs + 1 for nonzeros, rhs, _ in system.rows)
 
 
+def start_row_squares(game):
+    """The squared norms of the start rows of both Lemke-Howson tableaux of
+    the game, read off `reference_game.tableau_start`, each row with its
+    integer coefficients, its rhs and the unit entry of its slack: the
+    hider's, one per seeker strategy j, with c_i - L_ji on x_i and rhs 1,
+    and the seeker's, one per hider strategy i, with d_i (c - L_i) on y and
+    rhs d_i, then `crow`, t c on y and rhs t."""
+    (_, lcols, c, _), (seeker_rows, crow) = reference_game.tableau_start(game)
+    hider = [list(c) for _ in crow[1:]]
+    for i, col in enumerate(lcols):
+        for j, e in col:
+            hider[j][i] -= e
+    seeker = []
+    for k, row in [*seeker_rows, (1, ())]:
+        coefficients = [k * a for a in crow]
+        for j, e in row:
+            coefficients[j] -= e
+        seeker.append(coefficients)
+    return {
+        "_SlackBlockTableau": [sum(a * a for a in row) + 2 for row in hider],
+        "_RevisedTableau": [sum(a * a for a in row) + 1 for row in seeker],
+    }
+
+
+def stored_entries(tableau):
+    """prev and every integer that the tableau stores."""
+    rows = tableau.rows.values() if isinstance(tableau.rows, dict) else tableau.rows
+    extra = [tableau.crow] if isinstance(tableau, gamesolve._RevisedTableau) else []
+    return [tableau.prev, *(v for row in [*rows, *extra] for v in row)]
+
+
 def test_every_lemke_howson_division_is_exact(monkeypatch):
     """Both tableaux, from a few labels of one seeded market per size from
-    5x5 to 9x9."""
+    5x5 to 9x9. Bareiss's identity makes prev and every stored entry after
+    a tableau's k-th pivot a minor of order at most k + 1 of its start
+    rows, so each is held to Hadamard's bound: it squares to at most the
+    product of the k + 1 largest squared start-row norms."""
     calls, sides = [], {}
+    # each tableau -> its squared start-row norms, largest first, and its pivots
+    pivots, squares = {}, {}
     monkeypatch.setattr(gamesolve, "_pivot", auditing(calls))
     for tableau in (gamesolve._RevisedTableau, gamesolve._SlackBlockTableau):
         def counting(self, entering, _pivot=tableau.pivot, _name=tableau.__name__):
             sides[_name] = sides.get(_name, 0) + 1
-            return _pivot(self, entering)
+            leaving = _pivot(self, entering)
+            if leaving is not None:
+                norms, k = pivots.get(self) or (sorted(squares[_name], reverse=True), 0)
+                pivots[self] = norms, k + 1
+                bound = math.prod(norms[:k + 2])
+                assert all(v * v <= bound for v in stored_entries(self)), (_name, k + 1)
+            return leaving
 
         monkeypatch.setattr(tableau, "pivot", counting)
     rng = random.Random(59)
     for size in range(5, 10):
         cfg = FuzzConfig(max_workers=size, max_jobs=size)
         game = to_game(random_problem(rng, cfg, min_workers=size, min_jobs=size))
+        squares.update(start_row_squares(game))
         for label in rng.sample(range(sum(game.shape)), 3):
             gamesolve.lemke_howson(game, label=label)
     assert len(calls) == sum(sides.values()) and min(sides.values()) > 0 and len(sides) == 2, sides
+    assert sum(k for _, k in pivots.values()) == len(calls), pivots
 
 
 def test_every_lp_division_is_exact(monkeypatch):

@@ -16,6 +16,7 @@ from ltumatch import (
     induced_pattern,
     is_equilibrium,
     linear_feasibility,
+    oracle,
     outcome_to_equilibrium,
     random_problem,
     solve_stable,
@@ -152,6 +153,48 @@ def test_caps_are_enforced():
     for nx, ny in ((2, 5), (1, 8), (8, 1), (5, 4)):
         with pytest.raises(CapExceeded, match="caps are 9 and 8"):
             enumerate_stable(market(nx, ny))
+
+
+# The three-mask tests that the word rule replaces: whether a split
+# refutation, a matching refutation or a box, given by its three masks,
+# applies to pattern (smask, pumask, pvmask).
+MASK_TESTS = {
+    "split": lambda positive, umask, vmask, smask, pumask, pvmask: not (
+        positive & ~smask or umask & pumask or vmask & pvmask
+    ),
+    "matching": lambda zmask, negu, negv, smask, pumask, pvmask: not (
+        zmask & smask or negu & ~pumask or negv & ~pvmask
+    ),
+    "box": lambda tight, umask, vmask, smask, pumask, pvmask: not (
+        smask & ~tight or umask & ~pumask or vmask & ~pvmask
+    ),
+}
+WORDS = {"split": oracle_corpus.split_word, "matching": oracle_corpus.matching_word, "box": oracle_corpus.box_word}
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (2, 3)])
+def test_the_word_rule_is_the_three_mask_tests(nx, ny):
+    """On every pattern of the shape, a pool of one refutation or box
+    applies by the word rule exactly where its three mask tests pass, for
+    random masks of each kind, each mask as likely sparse as dense."""
+    rng = random.Random(10 * nx + ny)
+    swords, uwords, vwords = oracle._pattern_words(nx, ny)
+    patterns = [(s, u, v) for s in range(1 << nx * ny) for u in range(1 << nx) for v in range(1 << ny)]
+
+    def draw(width):
+        return rng.getrandbits(width) & rng.getrandbits(width) if rng.random() < 0.5 else rng.getrandbits(width)
+
+    for kind, test in MASK_TESTS.items():
+        verdicts = set()
+        for _ in range(12):
+            masks = draw(nx * ny), draw(nx), draw(ny)
+            entry = WORDS[kind](nx, ny, *masks)
+            for smask, pumask, pvmask in patterns:
+                word = swords[smask] | uwords[pumask] | vwords[pvmask]
+                expected = test(*masks, smask, pumask, pvmask)
+                assert oracle._applies([entry], word) is expected, (kind, masks, smask, pumask, pvmask)
+                verdicts.add(expected)
+        assert verdicts == {True, False}, kind
 
 
 def test_oracle_agrees_with_pipeline_on_random_instances():

@@ -10,18 +10,19 @@ the pruned enumerator did with it:
   split half;
 - run: it solved the pattern's own split system;
 - split-skipped: a split refutation carries over to the pattern or to its
-  cell set's relaxed split system (`oracle._split_refuter`);
-- matching-skipped: a matching refutation carries over to the pattern
-  (`oracle._matching_refuter`);
+  cell set's relaxed split system;
+- matching-skipped: a matching refutation carries over to the pattern;
 - box-covered: a feasible split point solved before satisfies the pattern's
-  split system (`oracle._covering_box`), so its matching half came first.
+  split system, so its matching half came first.
 
-The enumerator decides each of these by mask tests in index space, in one
-scan per pool. Here each one is checked in full on the target's own systems:
-a split or matching certificate carried over row by row (`_carry`,
-`_carry_matching`) must refute it, and a box's point must satisfy it.
-Corrupted refutations must fail the mask tests, and the prunes must save LPs
-on the wider markets.
+The enumerator decides each of these in index space, by one rule: a
+refutation or box applies to a pattern iff their words share no bit
+(`oracle._applies`, one scan per pool). Here each one is checked in full on
+the target's own systems: a split or matching certificate carried over row
+by row (`_carry`, `_carry_matching`) must refute it, and a box's point must
+satisfy it. Each word must be the one that the three masks it replaces
+place (`split_word`, `matching_word`, `box_word`), corrupted refutations
+must not apply, and the prunes must save LPs on the wider markets.
 
 The enumerator solves each half over its free variables only. The full form
 of each half, with a row for every zero, is `reference_oracle`'s: each
@@ -121,7 +122,7 @@ def _carry(cert, source, target, nx, ny):
     the combination is unchanged. On a variable that both let earn its
     coefficient stays nonnegative, and on one that target lets earn and
     source holds at zero it is the held row's multiplier negated, 0 where
-    the mask tests passed. So the carried certificate refutes target
+    the refutation applied. So the carried certificate refutes target
     exactly when the original refutes source."""
     binding = _binding(cert, source, nx, ny)
     target_cells = set(target.cells)
@@ -145,7 +146,7 @@ def _carry_matching(cert, source, target, nx, ny):
     earns there and its inequalities elsewhere. A cell off a pattern has no
     variable in its system, so the combination is unchanged; on a cell of
     target off source its coefficient is the zero row's multiplier negated,
-    0 where the mask tests passed. So the carried certificate refutes target
+    0 where the refutation applied. So the carried certificate refutes target
     exactly when the original refutes source."""
     lines = _lines(cert, source, nx, ny)
     earns = [x in target.pos_u for x in range(nx)] + [y in target.pos_v for y in range(ny)]
@@ -209,6 +210,33 @@ def full_matching_masks(pattern, cert, nx, ny):
     return zmask, negu, negv
 
 
+def split_word(nx, ny, positive, umask, vmask):
+    """The word of a split refutation from its three masks: the cells with a
+    positive multiplier rule it out where they do not bind, and the held
+    types with a nonzero multiplier where they earn."""
+    return oracle._word(nx, ny, (0, umask, vmask), (positive, 0, 0))
+
+
+def matching_word(nx, ny, zmask, negu, negv):
+    """The word of a matching refutation from its three masks: the cells
+    whose zero rows it uses rule it out where they may match, and the lines
+    with a negative multiplier where their types do not earn."""
+    return oracle._word(nx, ny, (zmask, 0, 0), (0, negu, negv))
+
+
+def box_word(nx, ny, tight, umask, vmask):
+    """The word of a box from its three masks: the cells that are not tight
+    rule it out where they bind, and the supports of u and v where their
+    types do not earn."""
+    return oracle._word(nx, ny, (((1 << nx * ny) - 1) ^ tight, 0, 0), (0, umask, vmask))
+
+
+def pattern_word(nx, ny, smask, pumask, pvmask):
+    """The word of pattern (smask, pumask, pvmask)."""
+    swords, uwords, vwords = oracle._pattern_words(nx, ny)
+    return swords[smask] | uwords[pumask] | vwords[pvmask]
+
+
 def masks_of(problem, pattern):
     """(smask, pumask, pvmask) of a pattern, the inverse of `pattern_of`."""
     ny = problem.ny
@@ -240,13 +268,15 @@ class Trace:
     matching: list = field(default_factory=list)
     # masks of every split pool scan
     scanned: set = field(default_factory=set)
-    # kind -> every (refutation or box, masks) whose mask tests passed
+    # kind -> every (refutation or box, masks) that applied to a pattern: a
+    # refutation as it was read, a box as its word
     passed: dict = field(default_factory=lambda: {"split": [], "matching": [], "box": []})
-    # kind -> every refutation it read from a checked certificate
+    # kind -> (masks of its pattern, certificate, word) of every refutation
+    # it read from a checked certificate
     read: dict = field(default_factory=lambda: {"split": [], "matching": []})
     # (system, certificate) of each certificate_refutes call
     checked: list = field(default_factory=list)
-    # (whole split point, box) of every box it read from a feasible split point
+    # (whole split point, word) of every box it read from a feasible split point
     boxes: list = field(default_factory=list)
     # (masks, split point, matching point) of each pattern that yielded an outcome
     points: list = field(default_factory=list)
@@ -255,29 +285,49 @@ class Trace:
     solves: int = 0
 
 
-SCANS = {"split": "_split_refuter", "matching": "_matching_refuter", "box": "_covering_box"}
 READERS = {"split": "_refutation", "matching": "_matching_refutation"}
 BUILDERS = {"split": "_split_system", "matching": "_matching_system"}
+# the pools in the order that enumerate_stable first scans them: the split
+# pool for the relaxed system of the empty cell set, then, that pool being
+# empty, the boxes; the matching pool comes later
+POOLS = ("split", "box", "matching")
 
 
 def traced(problem):
     """The pruned enumerator's tuple on one market and its Trace."""
     trace = Trace()
+    # the bits of each part of a pattern's word, and the mask of each part
+    parts = oracle._pattern_words(problem.nx, problem.ny)
+    fields = [(words[0] | words[-1], {w: m for m, w in enumerate(words)}) for words in parts]
+    # id of each pool -> its kind, by the order of POOLS
+    pools = {}
+    # kind -> word -> the refutation read last with that word
+    origins = {"split": {}, "matching": {}}
 
-    def passing(passed, scan):
-        def wrapper(pool, *masks):
-            if scan is oracle._split_refuter:
-                trace.scanned.add(masks)
-            subject = scan(pool, *masks)
-            if subject is not None:
-                passed.append((subject, masks))
-            return subject
-        return wrapper
+    def masks_of_word(word):
+        assert word == sum(word & bits for bits, _ in fields), word
+        return tuple(mask[word & bits] for bits, mask in fields)
 
-    def reading(read, reader):
-        def wrapper(*args):
-            read.append(reader(*args))
-            return read[-1]
+    def scanning(pool, word, scan=oracle._applies):
+        if id(pool) not in pools:
+            pools[id(pool)] = POOLS[len(pools)]
+        kind = pools[id(pool)]
+        masks = masks_of_word(word)
+        if kind == "split":
+            trace.scanned.add(masks)
+        applies = scan(pool, word)
+        if applies:
+            # the first entry that applies alone
+            entry = next(entry for entry in pool if scan([entry], word))
+            trace.passed[kind].append((entry if kind == "box" else origins[kind][entry], masks))
+        return applies
+
+    def reading(kind, reader):
+        def wrapper(smask, pumask, pvmask, cert, *args):
+            word = reader(smask, pumask, pvmask, cert, *args)
+            trace.read[kind].append(((smask, pumask, pvmask), cert, word))
+            origins[kind][word] = trace.read[kind][-1]
+            return word
         return wrapper
 
     def building(built, builder):
@@ -311,10 +361,9 @@ def traced(problem):
         return check(problem, outcome)
 
     with pytest.MonkeyPatch.context() as patch:
-        for kind, scan in SCANS.items():
-            patch.setattr(oracle, scan, passing(trace.passed[kind], getattr(oracle, scan)))
+        patch.setattr(oracle, "_applies", scanning)
         for kind, reader in READERS.items():
-            patch.setattr(oracle, reader, reading(trace.read[kind], getattr(oracle, reader)))
+            patch.setattr(oracle, reader, reading(kind, getattr(oracle, reader)))
         for kind, builder in BUILDERS.items():
             patch.setattr(oracle, builder, building(getattr(trace, kind), getattr(oracle, builder)))
         patch.setattr(oracle, "_box", boxing)
@@ -376,7 +425,7 @@ def sign_refuted(problem, pattern):
 def categories(name):
     """The category of each pattern that the reference runs, and, for each
     split-skipped one, the split refutation that carries over to it: that of
-    the pattern's own mask tests, or of its cell set's relaxed system, which
+    the pattern's own scan, or of its cell set's relaxed system, which
     lets every type earn and so carries to every pattern of the cell set. A
     pattern that the enumerator neither built nor skipped by a refutation,
     box or relaxed system is sign-pruned."""
@@ -467,7 +516,7 @@ def test_each_certificate_is_checked_once_on_its_own_system(name):
 @functools.lru_cache(maxsize=None)
 def carried(name):
     """Each split skip of the pruned enumerator on one market, every pattern
-    whose mask tests passed and every split-skipped pattern, with the
+    that a refutation applied to and every split-skipped pattern, with the
     target's split system and the unflipped variants: (system, source,
     target, carried, [(certificate, z, phi), ...])."""
     problem, _, _, _, trace = run(name)
@@ -490,7 +539,7 @@ def combined_rhs(system, cert):
 @pytest.mark.parametrize("name", NAMES)
 def test_carried_certificates_refute_their_patterns(name):
     for system, source, target, cert, wrongs in carried(name):
-        # the mask tests passed, and so does the full check on the pattern's own system
+        # the refutation applied, and so does the full check on the pattern's own system
         assert certificate_refutes(system, cert), (source, target)
         for wrong, z, phi in wrongs:
             # Leaving -z at +z adds 2z times the cell's binding row, which has
@@ -512,51 +561,56 @@ def test_carried_matching_certificates_refute_their_patterns(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_box_points_satisfy_the_patterns_they_cover(name):
     problem, _, _, _, trace = run(name)
-    points = {id(box): point for point, box in trace.boxes}
+    # a box keeps only its word, so each point with the box's word must do
+    points = {}
+    for point, box in trace.boxes:
+        points.setdefault(box, []).append(point)
     for box, masks in trace.passed["box"]:
-        point, target = points[id(box)], pattern_of(problem, *masks)
-        free = [point[k] for k in oracle._bits(masks[1] | masks[2] << problem.nx)]
-        assert satisfies(oracle._split_system(problem, *masks), free), (point, target)
-        # the zeros of the held types included
-        assert satisfies(reference_oracle._split_system(problem, target), point), (point, target)
+        target = pattern_of(problem, *masks)
+        for point in points[box]:
+            free = [point[k] for k in oracle._bits(masks[1] | masks[2] << problem.nx)]
+            assert satisfies(oracle._split_system(problem, *masks), free), (point, target)
+            # the zeros of the held types included
+            assert satisfies(reference_oracle._split_system(problem, target), point), (point, target)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_boxes_hold_their_points_tight_cells_and_supports(name):
-    """Each box's masks, recomputed from the Fraction point of the split
+    """Each box's word, recomputed from the Fraction point of the split
     solve it came from: a cell is tight where lam * u + (1 - lam) * v ==
     phi / 2."""
     problem, _, _, _, trace = run(name)
     nx, ny = problem.nx, problem.ny
     assert trace.boxes
-    for point, (tight, umask, vmask) in trace.boxes:
+    for point, box in trace.boxes:
         u, v = point[:nx], point[nx:]
         cells = [(x, y) for x in range(nx) for y in range(ny)]
-        assert tight == sum(
+        tight = sum(
             1 << i for i, (x, y) in enumerate(cells)
             if problem.lam[x][y] * u[x] + (1 - problem.lam[x][y]) * v[y] == problem.phi[x][y] / 2
-        ), point
-        assert umask == sum(1 << x for x in range(nx) if u[x]), point
-        assert vmask == sum(1 << y for y in range(ny) if v[y]), point
+        )
+        umask = sum(1 << x for x in range(nx) if u[x])
+        vmask = sum(1 << y for y in range(ny) if v[y])
+        assert box == box_word(nx, ny, tight, umask, vmask), point
 
 
 def check_against_the_full_form(problem, trace):
     """Each refutation the enumerator read, with the dropped rows'
     multipliers filled in, refutes the full-form system of its pattern and
-    gives the masks that the full form's certificate gives; each pattern
+    gives the word that the full form's certificate's masks give; each pattern
     that yields an outcome has the full-form systems' points. Returns the
     number of refutations and of outcome patterns checked."""
     nx, ny = problem.nx, problem.ny
-    for source, cert, *masks in trace.read["split"]:
+    for source, cert, word in trace.read["split"]:
         pattern = pattern_of(problem, *source)
         full = filled_split(problem, pattern, cert)
         assert certificate_refutes(reference_oracle._split_system(problem, pattern), full), pattern
-        assert tuple(masks) == full_split_masks(pattern, full, nx, ny), pattern
-    for source, cert, *masks in trace.read["matching"]:
+        assert word == split_word(nx, ny, *full_split_masks(pattern, full, nx, ny)), pattern
+    for source, cert, word in trace.read["matching"]:
         pattern = pattern_of(problem, *source)
         full = filled_matching(problem, pattern, cert)
         assert certificate_refutes(reference_oracle._matching_system(problem, pattern), full), pattern
-        assert tuple(masks) == full_matching_masks(pattern, full, nx, ny), pattern
+        assert word == matching_word(nx, ny, *full_matching_masks(pattern, full, nx, ny)), pattern
     for source, split_point, matching_point in trace.points:
         pattern = pattern_of(problem, *source)
         split = solve(reference_oracle._split_system(problem, pattern))
@@ -705,7 +759,7 @@ def earning_type(problem, refutation, smask, pumask, pvmask, jobs):
     that coefficient is 0, 1 is added to the multiplier, taken on the binding
     equality, of a cell of the type's line that binds in the pattern and
     whose other type the source lets earn or the pattern holds at zero, so
-    that no other mask test fails for it. `oracle._refutation` reads the
+    that nothing else rules it out. `oracle._refutation` reads the
     pair. None when no type earns or no such cell exists."""
     nx, ny = problem.nx, problem.ny
     source, cert = pattern_of(problem, *refutation[0]), refutation[1]
@@ -781,30 +835,30 @@ def idle_line(problem, refutation, smask, pumask, pvmask, jobs):
     return oracle._matching_refutation(*masks_of(problem, source), Certificate(eq_mult, ineq_mult), nx, ny)
 
 
-# corruption -> (kind of refutation, corrupt, pool scan)
+# corruption -> (kind of refutation, corrupt)
 CORRUPTIONS = {
-    "cell": ("split", outside_cell, "_split_refuter"),
-    "worker": ("split", functools.partial(earning_type, jobs=False), "_split_refuter"),
-    "job": ("split", functools.partial(earning_type, jobs=True), "_split_refuter"),
-    "zero cell": ("matching", zero_cell, "_matching_refuter"),
-    "worker line": ("matching", functools.partial(idle_line, jobs=False), "_matching_refuter"),
-    "job line": ("matching", functools.partial(idle_line, jobs=True), "_matching_refuter"),
+    "cell": ("split", outside_cell),
+    "worker": ("split", functools.partial(earning_type, jobs=False)),
+    "job": ("split", functools.partial(earning_type, jobs=True)),
+    "zero cell": ("matching", zero_cell),
+    "worker line": ("matching", functools.partial(idle_line, jobs=False)),
+    "job line": ("matching", functools.partial(idle_line, jobs=True)),
 }
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 @pytest.mark.parametrize("name", ["2x3-0", "3x2-0", "phi-signs", "lambda-half"])
 def test_the_mask_tests_refuse_a_corrupted_refutation(name, corruption):
-    """Each refutation whose mask tests passed, corrupted where the
-    corruption applies, fails them: its combination is no longer one of the
-    target's rows. The pool scan finds nothing in a pool of the corrupted
-    refutation alone."""
+    """Each refutation that applied to a pattern, corrupted where the
+    corruption can be made, no longer does: its combination is no longer one
+    of the target's rows. The pool scan finds nothing in a pool of the
+    corrupted refutation alone."""
     problem, _, _, _, trace = run(name)
-    kind, corrupt, scan = CORRUPTIONS[corruption]
+    kind, corrupt = CORRUPTIONS[corruption]
     tested = 0
     for refutation, masks in trace.passed[kind]:
         wrong = corrupt(problem, refutation, *masks)
         if wrong is not None:
-            assert getattr(oracle, scan)([wrong], *masks) is None, (refutation[0], masks)
+            assert not oracle._applies([wrong], pattern_word(problem.nx, problem.ny, *masks)), (refutation[0], masks)
             tested += 1
     assert tested
