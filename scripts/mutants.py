@@ -573,6 +573,49 @@ MUTANTS = (
         "if False:",
         ("tests/test_stability.py::test_blocking_pairs_refuses_a_wrong_shape",),
     ),
+    # an equilibrium's two values, summed once by is_equilibrium
+    Mutant(
+        "closing values read in swapped order",
+        "gamesolve.py",
+        'return vars(profile)["_values"]',
+        'return vars(profile)["_values"][::-1]',
+        (
+            "tests/test_cli.py::test_solve_json",
+            "tests/test_cli.py::test_solve_values_are_the_game_values",
+        ),
+    ),
+    Mutant(
+        "expected_values returning its two values swapped",
+        "gamesolve.py",
+        "return report.hider_loss, report.seeker_payoff",
+        "return report.seeker_payoff, report.hider_loss",
+        ("tests/test_gamesolve.py::test_expected_values_on_uneven2x2_game",),
+    ),
+    # type ids at the JSON edge, and the solve flags
+    Mutant(
+        "a JSON id of any type accepted",
+        "model.py",
+        "if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):",
+        "if True:",
+        (
+            "tests/test_model.py::test_json_ids_are_strings_or_integers",
+            "tests/test_cli.py::test_solve_refuses_ids_that_are_not_strings_or_integers",
+        ),
+    ),
+    Mutant(
+        "duplicate ids accepted at the JSON edge",
+        "model.py",
+        "if tid in ids:",
+        "if False:",
+        ("tests/test_model.py::test_json_ids_that_print_alike_are_duplicates",),
+    ),
+    Mutant(
+        "--label accepted with --all-labels",
+        "cli.py",
+        "labels = p.add_mutually_exclusive_group()",
+        "labels = p",
+        ("tests/test_cli.py::test_solve_label_and_all_labels_exclude_each_other",),
+    ),
 )
 
 

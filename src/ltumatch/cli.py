@@ -23,14 +23,13 @@ import json
 import signal
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
 from .errors import FormatError, LTUError
 from .fuzz import FuzzConfig, run_campaign
 from .games import game_to_dict, profile_from_dict, profile_to_dict
-from .gamesolve import _equilibrium, is_equilibrium
+from .gamesolve import _closing_values, _equilibrium, is_equilibrium
 from .model import (
     LTUProblem,
     m2o_outcome_from_dict,
@@ -42,7 +41,7 @@ from .model import (
     validate_problem,
 )
 from .oracle import enumerate_stable
-from .rationals import decimal_str, over_one_denominator
+from .rationals import decimal_str
 from .reduction import (
     _map_back,
     _require_stable,
@@ -91,14 +90,6 @@ def _violation_dicts(violations) -> list:
 
 def _violation_lines(violations, indent: str = "") -> list:
     return [indent + v.describe() for v in violations]
-
-
-def _game_value(a, b) -> Fraction:
-    """1 / (2 sum_k a_k b_k), with the sum taken in integers over one
-    denominator: a game value by the identities of the backward map (AC4)."""
-    an, ad = over_one_denominator(a)
-    bn, bd = over_one_denominator(b)
-    return Fraction(ad * bd, 2 * sum(x * y for x, y in zip(an, bn)))
 
 
 def _outcome_lines(problem: LTUProblem, outcome, fmt, indent: str = "") -> list:
@@ -152,10 +143,7 @@ def cmd_solve(args):
         return 0, payload, lines
 
     outcome, profile = solve_stable(problem, label=args.label)
-    hider_loss = _game_value(problem.n + problem.m, outcome.u + outcome.v)
-    seeker_payoff = _game_value(
-        (f for row in problem.phi for f in row), (w for row in outcome.mu for w in row)
-    )
+    hider_loss, seeker_payoff = _closing_values(profile)
     payload = {
         "label": args.label,
         "outcome": outcome_to_dict(outcome),
@@ -427,8 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve", cmd_solve, "compute a stable outcome through the game")
     p.add_argument("problem", help="problem JSON file")
-    p.add_argument("--label", type=int, default=0, help="label to drop in the pivoting solver")
-    p.add_argument("--all-labels", action="store_true", help="solve once per label, deduplicated")
+    labels = p.add_mutually_exclusive_group()
+    # a string default is converted only when the flag is absent, so that a
+    # given --label, 0 too, counts as present against --all-labels
+    labels.add_argument("--label", type=int, default="0", help="label to drop in the pivoting solver")
+    labels.add_argument("--all-labels", action="store_true", help="solve once per label, deduplicated")
 
     p = command("verify", cmd_verify, "check an outcome for stability")
     p.add_argument("problem")

@@ -20,12 +20,14 @@ its own once per game, and every indifference system is assembled from
 those integer rows. Only the pairs that neither sweep refutes are pushed
 into the relative interior of their supports.
 
-Both return mixed profiles over the game's own row/column order; callers that
-need utilities ask `expected_values`, or `_equilibrium` for a pivoted
-profile together with the utilities its closing check found.
-`expected_values` and `is_equilibrium`, the check on every profile either
-solver returns, sum the game's integer rows against each side of the
-profile over one denominator.
+Both return mixed profiles over the game's own row/column order.
+`is_equilibrium`, the check on every profile either solver returns, is the
+one place that sums the game's integer rows against each side of a profile,
+over one denominator; `expected_values` reports its two values. The
+closing check of `lemke_howson` leaves them on the profile it returns, and
+`_closing_values` is the one reader of that side channel, so that callers
+of a pivoted profile (`_equilibrium`, the CLI's `solve`) never sum the game
+again.
 """
 from __future__ import annotations
 
@@ -68,14 +70,6 @@ class EquilibriumReport:
     deviation: Deviation | None
 
 
-def _check_shape(game: BimatrixGame, profile: MixedProfile) -> None:
-    m, n = game.shape
-    if len(profile.p) != m or len(profile.q) != n:
-        raise DimensionMismatch(
-            f"profile is {len(profile.p)}x{len(profile.q)}, game is {m}x{n}"
-        )
-
-
 def _against(game: BimatrixGame, profile: MixedProfile):
     """Each hider row's loss against q and each seeker column's payoff
     against p, as integer numerators over one denominator per side:
@@ -96,20 +90,11 @@ def _against(game: BimatrixGame, profile: MixedProfile):
     return row_loss, qd * lcommon, col_payoff, pd * pcommon
 
 
-def expected_values(game: BimatrixGame, profile: MixedProfile) -> tuple[Fraction, Fraction]:
-    """(expected hider loss, expected seeker payoff) under the profile."""
-    _check_shape(game, profile)
-    (pn, pd), (qn, qd) = profile.integers
-    row_loss, lden, col_payoff, pden = _against(game, profile)
-    return (
-        Fraction(sum(w * l for w, l in zip(pn, row_loss)), pd * lden),
-        Fraction(sum(w * c for w, c in zip(qn, col_payoff)), qd * pden),
-    )
-
-
 def is_equilibrium(game: BimatrixGame, profile: MixedProfile) -> EquilibriumReport:
     """Check both players' pure deviations; report the first profitable one."""
-    _check_shape(game, profile)
+    m, n = game.shape
+    if len(profile.p) != m or len(profile.q) != n:
+        raise DimensionMismatch(f"profile is {len(profile.p)}x{len(profile.q)}, game is {m}x{n}")
     (pn, pd), (qn, qd) = profile.integers
     row_loss, lden, col_payoff, pden = _against(game, profile)
     loss = sum(w * l for w, l in zip(pn, row_loss))  # over pd * lden
@@ -122,6 +107,13 @@ def is_equilibrium(game: BimatrixGame, profile: MixedProfile) -> EquilibriumRepo
         if c * qd > payoff:
             return EquilibriumReport(False, *values, Deviation("seeker", j, values[1], Fraction(c, pden)))
     return EquilibriumReport(True, *values, None)
+
+
+def expected_values(game: BimatrixGame, profile: MixedProfile) -> tuple[Fraction, Fraction]:
+    """(expected hider loss, expected seeker payoff) under the profile: the
+    values that `is_equilibrium` reports."""
+    report = is_equilibrium(game, profile)
+    return report.hider_loss, report.seeker_payoff
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +543,22 @@ def lemke_howson(game: BimatrixGame, label: int = 0, max_iter: int = 1_000_000) 
     report = is_equilibrium(game, profile)
     if not report.ok:
         raise InternalError(f"pivoting returned a non-equilibrium: {report.deviation}")
-    # the values of the closing check, for `_equilibrium` to hand on
+    # the values of the closing check, for `_closing_values` to hand on
     vars(profile)["_values"] = report.hider_loss, report.seeker_payoff
     return profile
 
 
+def _closing_values(profile: MixedProfile) -> tuple[Fraction, Fraction]:
+    """The hider loss and seeker payoff that the closing `is_equilibrium` of
+    `lemke_howson` found for a profile it returned, so that no caller sums
+    the game again."""
+    return vars(profile)["_values"]
+
+
 def _equilibrium(game: BimatrixGame, label: int):
-    """lemke_howson's profile with the hider loss and seeker payoff that its
-    closing `is_equilibrium` found, so that no caller sums the game again."""
+    """lemke_howson's profile with its closing values."""
     profile = lemke_howson(game, label=label)
-    return profile, *vars(profile)["_values"]
+    return profile, *_closing_values(profile)
 
 
 # ---------------------------------------------------------------------------

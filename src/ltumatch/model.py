@@ -350,6 +350,13 @@ def from_tax_schedule(workers, jobs, n, m, surplus, tau) -> LTUProblem:
 # Rationals are "p/q" strings or bare integers throughout.
 
 
+def _json_id(value, what: str) -> str:
+    """A type id as a file gives it: a string, or an integer that is not a bool."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise FormatError(f"{what} must be a string or an integer, got {value!r}")
+
+
 def _parse_types(raw, key):
     if key not in raw or not isinstance(raw[key], list):
         raise FormatError(f"missing or malformed {key!r} list")
@@ -357,7 +364,10 @@ def _parse_types(raw, key):
     for entry in raw[key]:
         if not isinstance(entry, dict) or "id" not in entry or "mass" not in entry:
             raise FormatError(f"each {key} entry needs 'id' and 'mass'")
-        ids.append(str(entry["id"]))
+        tid = _json_id(entry["id"], f"{key} 'id'")
+        if tid in ids:
+            raise FormatError(f"{key}: duplicate id {tid!r}")
+        ids.append(tid)
         masses.append(parse_rational(entry["mass"]))
     return ids, masses
 
@@ -371,8 +381,8 @@ def _pair_table(raw_entries, workers, jobs, fields):
         if not isinstance(entry, dict):
             raise FormatError("each pair entry must be an object")
         try:
-            x = windex[str(entry["x"])]
-            y = jindex[str(entry["y"])]
+            x = windex[_json_id(entry["x"], "pair 'x'")]
+            y = jindex[_json_id(entry["y"], "pair 'y'")]
         except KeyError as exc:
             raise FormatError(f"pair references unknown type: {exc}") from None
         if tables[0][x][y] is not None:
@@ -447,7 +457,7 @@ def validate_m2o_problem(raw: dict) -> ManyToOneProblem:
                 raise FormatError(f"arrangement missing field {key!r}")
         if not isinstance(entry["slots"], list):
             raise FormatError(f"arrangement slots must be a list, got {entry['slots']!r}")
-        slots = tuple(None if s is None else str(s) for s in entry["slots"])
+        slots = tuple(None if s is None else _json_id(s, "arrangement slot") for s in entry["slots"])
         lam = parse_rationals(entry["lambda"], "arrangement lambda")
         arrangements.append(Arrangement(slots, lam, parse_rational(entry["phi"])))
     return ManyToOneProblem(tuple(types), tuple(n), raw["N"], tuple(arrangements))

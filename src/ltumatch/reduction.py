@@ -290,17 +290,3 @@ def _solve_stable_m2o(problem: ManyToOneProblem, label: int):
         InternalError, "equilibrium mapped to an unstable arrangement outcome"
     )
     return outcome, profile, k
-
-
-__all__ = [
-    "to_game",
-    "outcome_to_equilibrium",
-    "equilibrium_to_outcome",
-    "solve_stable",
-    "make_subproblem",
-    "normalize_outputs",
-    "to_game_n",
-    "outcome_to_equilibrium_n",
-    "equilibrium_to_outcome_n",
-    "solve_stable_m2o",
-]

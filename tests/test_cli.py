@@ -175,6 +175,36 @@ def test_solve_label_out_of_range(capsys):
     assert "label" in err
 
 
+@pytest.mark.parametrize("flags", [["--all-labels", "--label", "1"], ["--label", "0", "--all-labels"]])
+def test_solve_label_and_all_labels_exclude_each_other(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", FIG, *flags])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, message",
+    [
+        ([None, [1, 2]], [True], "error: workers 'id' must be a string or an integer, got None"),
+        (["w", [1, 2]], [True], "error: workers 'id' must be a string or an integer, got [1, 2]"),
+        (["w"], [True], "error: jobs 'id' must be a string or an integer, got True"),
+        (["1", 1], ["j"], "error: workers: duplicate id '1'"),
+    ],
+    ids=["null", "list", "bool", "duplicate"],
+)
+def test_solve_refuses_ids_that_are_not_strings_or_integers(capsys, tmp_path, workers, jobs, message):
+    raw = {
+        "workers": [{"id": w, "mass": "1"} for w in workers],
+        "jobs": [{"id": j, "mass": "1"} for j in jobs],
+        "pairs": [{"x": w, "y": j, "lambda": "1/2", "phi": "1"} for w in workers for j in jobs],
+    }
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = _capture(capsys, ["solve", str(path)])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_verify_stable_outcome(capsys):
     code, out, _ = _capture(capsys, ["verify", FIG, BLACK])
     assert code == 0

@@ -292,3 +292,66 @@ def test_input_checks_raise_their_class(error, call):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error
+
+
+def _id_cases():
+    """Files whose type ids are not strings or integers, each with the field
+    its error must name."""
+    types = {"workers": [{"id": "w", "mass": "1"}], "jobs": [{"id": "j", "mass": "1"}]}
+    pair = {"x": "w", "y": "j", "lambda": "1/2", "phi": "1"}
+    m2o = {"workers": [{"id": "1", "mass": "1"}], "N": 1}
+    return [
+        ("null worker id", "workers 'id'",
+         lambda: validate_problem({**types, "workers": [{"id": None, "mass": "1"}], "pairs": [pair]})),
+        ("list worker id", "workers 'id'",
+         lambda: validate_problem({**types, "workers": [{"id": [1, 2], "mass": "1"}], "pairs": [pair]})),
+        ("bool job id", "jobs 'id'",
+         lambda: validate_problem({**types, "jobs": [{"id": True, "mass": "1"}], "pairs": [pair]})),
+        ("float job id", "jobs 'id'",
+         lambda: validate_problem({**types, "jobs": [{"id": 1.0, "mass": "1"}], "pairs": [pair]})),
+        ("bool pair x", "pair 'x'", lambda: validate_problem({**types, "pairs": [{**pair, "x": False}]})),
+        ("null pair y", "pair 'y'", lambda: validate_problem({**types, "pairs": [{**pair, "y": None}]})),
+        ("bool arrangement slot", "arrangement slot",
+         lambda: model.validate_m2o_problem(
+             {**m2o, "arrangements": [{"slots": [True], "lambda": ["1"], "phi": "1"}]})),
+        ("bool m2o worker id", "workers 'id'",
+         lambda: model.validate_m2o_problem({**m2o, "workers": [{"id": True, "mass": "1"}]})),
+    ]
+
+
+@pytest.mark.parametrize("field, call", [case[1:] for case in _id_cases()],
+                         ids=[case[0] for case in _id_cases()])
+def test_json_ids_are_strings_or_integers(field, call):
+    with pytest.raises(FormatError, match=f"^{field} must be a string or an integer, got "):
+        call()
+
+
+def test_json_ids_that_print_alike_are_duplicates():
+    """"1" and 1 name one type: the file is refused before any pair is read,
+    not with a pair reported missing."""
+    raw = {
+        "workers": [{"id": "1", "mass": "1"}, {"id": 1, "mass": "1"}],
+        "jobs": [{"id": "j", "mass": "1"}],
+        "pairs": [{"x": "1", "y": "j", "lambda": "1/2", "phi": "1"}],
+    }
+    with pytest.raises(FormatError, match=r"^workers: duplicate id '1'$"):
+        validate_problem(raw)
+    with pytest.raises(FormatError, match=r"^jobs: duplicate id '2'$"):
+        validate_problem({**raw, "workers": raw["workers"][:1],
+                          "jobs": [{"id": 2, "mass": "1"}, {"id": "2", "mass": "1"}]})
+    with pytest.raises(FormatError, match=r"^workers: duplicate id '1'$"):
+        model.validate_m2o_problem({"workers": raw["workers"], "N": 1, "arrangements": []})
+
+
+def test_json_integer_ids_name_their_string_form():
+    problem = validate_problem({
+        "workers": [{"id": 1, "mass": "1"}],
+        "jobs": [{"id": "2", "mass": "1"}],
+        "pairs": [{"x": "1", "y": 2, "lambda": "1/2", "phi": "1"}],
+    })
+    assert (problem.workers, problem.jobs) == (("1",), ("2",))
+    roommates = model.validate_m2o_problem({
+        "workers": [{"id": 7, "mass": "2"}], "N": 2,
+        "arrangements": [{"slots": [7, None], "lambda": ["1", "0"], "phi": "1"}],
+    })
+    assert roommates.arrangements[0].slots == ("7", None)
