@@ -48,6 +48,7 @@ ORACLE_BOX_MASKS = "tests/test_oracle_differential.py::test_boxes_hold_their_poi
 ORACLE_FULL_FORM = "tests/test_oracle_differential.py::test_free_variable_systems_agree_with_the_full_form"
 ORACLE_PRUNES = "tests/test_oracle_differential.py::test_prunes_are_active"
 GAME_ROWS = "tests/test_game_rows.py::"
+EDGES = "tests/test_integer_edges.py::"
 LH = (
     "tests/test_lh_differential.py::test_uneven2x2",
     "tests/test_lh_differential.py::test_seed11_random_corpus",
@@ -539,8 +540,8 @@ MUTANTS = (
     Mutant(
         "first elimination step not replayed on the inequality rows",
         "_simplex.py",
-        "for col, base, prev in steps:",
-        "for col, base, prev in steps[1:]:",
+        "for col, base, piv, prev in steps:",
+        "for col, base, piv, prev in steps[1:]:",
         ("tests/test_simplex_differential.py::test_support_enumeration_bos",),
     ),
     # phase 1 of the LP
@@ -608,6 +609,35 @@ MUTANTS = (
         "if tid in ids:",
         "if False:",
         ("tests/test_model.py::test_json_ids_that_print_alike_are_duplicates",),
+    ),
+    # the input checks, the backward map and the rendering, on integers
+    Mutant(
+        "lambda check with <= at its upper end",
+        "model.py",
+        "if not 0 < lam.numerator < lam.denominator:",
+        "if not 0 < lam.numerator <= lam.denominator:",
+        (EDGES + "test_problem_checks_agree_on_boundary_and_malformed_inputs",),
+    ),
+    Mutant(
+        "mass check accepting 0",
+        "model.py",
+        "if mass.numerator <= 0:",
+        "if mass.numerator < 0:",
+        (EDGES + "test_problem_checks_agree_on_boundary_and_malformed_inputs",),
+    ),
+    Mutant(
+        "weight read upside down in the backward map",
+        "reduction.py",
+        "Fraction(num * w.denominator * top, w.numerator * bottom)",
+        "Fraction(num * w.numerator * top, w.denominator * bottom)",
+        (EDGES + "test_edges_agree_with_the_fraction_versions_on_the_corpora",),
+    ),
+    Mutant(
+        "render pass skipping fmt inside lists",
+        "cli.py",
+        "return [fmt(v) if type(v) is Fraction else _shown(v, fmt) for v in value]",
+        "return [str(v) if type(v) is Fraction else _shown(v, fmt) for v in value]",
+        (EDGES + "test_render_is_byte_identical_on_every_transcript_payload",),
     ),
     Mutant(
         "--label accepted with --all-labels",

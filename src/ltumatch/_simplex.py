@@ -341,9 +341,12 @@ def _spread(rows, nvars):
 def _replay(steps, rows, nvars):
     """The integer rows spread, with every recorded elimination step replayed
     on them, each through `_pivot` with its pivot row as it stood: they read
-    as if pivoted all along."""
+    as if pivoted all along. A step holds the pivot row itself, which later
+    pivots replace in the tableau but never change, and its pivot element,
+    where `_pivot` left prev; pivoting it again puts prev back."""
     t = [None] + _spread(rows, nvars)
-    for col, base, prev in steps:
+    for col, base, piv, prev in steps:
+        base[col] = piv
         t[0] = base
         _pivot(t, prev, 0, col)
     return t[1:]
@@ -429,7 +432,7 @@ def _lp(system: LinearSystem, objective=None) -> SolveResult:
             r = [-v for v in r]
             negated.append(owner[rank])
         t[rank] = r
-        steps.append((x, r[:], prev))
+        steps.append((x, r, r[x], prev))
         prev = _pivot(t, prev, rank, x)
         basic.append(x)
         rank += 1

@@ -23,6 +23,7 @@ import json
 import signal
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
@@ -77,7 +78,17 @@ def _load_problem(path: str) -> LTUProblem:
 
 def _render(value, fmt) -> str:
     """Indented JSON text of a payload, with every rational shown by `fmt`."""
-    return json.dumps(value, indent=2, default=fmt)
+    return json.dumps(_shown(value, fmt), indent=2)
+
+
+def _shown(value, fmt):
+    """The payload with each value that JSON cannot hold, a rational, put
+    through `fmt`: what `json.dumps(value, default=fmt)` would encode."""
+    if isinstance(value, dict):
+        return {key: _shown(v, fmt) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [fmt(v) if type(v) is Fraction else _shown(v, fmt) for v in value]
+    return value if value is None or isinstance(value, (str, int, float)) else fmt(value)
 
 
 def _pairs(names, values, fmt) -> str:

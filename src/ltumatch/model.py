@@ -54,12 +54,21 @@ def _matrix(rows, nrows: int, ncols: int, what: str) -> Matrix:
     return out
 
 
+def _json_id(value, what: str) -> str:
+    """A type id as a file gives it: a string, or an integer that is not a bool."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise FormatError(f"{what} must be a string or an integer, got {value!r}")
+
+
 def _ids(values, what: str) -> tuple[str, ...]:
-    out = tuple(str(v) for v in values)
+    """Type ids under the file rule (`_json_id`), at least one, none twice."""
+    out = tuple(_json_id(v, f"each id of {what}") for v in values)
     if not out:
         raise DimensionMismatch(f"{what}: at least one type is required")
     if len(set(out)) != len(out):
-        raise FormatError(f"{what}: duplicate ids")
+        tid = next(t for k, t in enumerate(out) if t in out[:k])
+        raise FormatError(f"{what}: duplicate id {tid!r}")
     return out
 
 
@@ -82,12 +91,13 @@ class LTUProblem:
         object.__setattr__(self, "m", _vector(self.m, ny, "job masses"))
         object.__setattr__(self, "lam", _matrix(self.lam, nx, ny, "lambda"))
         object.__setattr__(self, "phi", _matrix(self.phi, nx, ny, "phi"))
+        # on the integers of each Fraction, whose denominator is positive
         for mass in self.n + self.m:
-            if mass <= 0:
+            if mass.numerator <= 0:
                 raise NonpositiveMass(f"mass {mass} must be positive")
         for row in self.lam:
             for lam in row:
-                if not (ZERO < lam < ONE):
+                if not 0 < lam.numerator < lam.denominator:
                     raise LambdaOutOfRange(f"lambda {lam} must lie strictly in (0, 1)")
 
     @property
@@ -114,7 +124,7 @@ class LTUProblem:
         """The game reduction needs every pair output strictly positive."""
         for x, row in enumerate(self.phi):
             for y, out in enumerate(row):
-                if out <= 0:
+                if out.numerator <= 0:
                     raise NonpositiveOutput(
                         f"phi[{self.workers[x]},{self.jobs[y]}] = {out} is not positive"
                     )
@@ -151,7 +161,7 @@ class Arrangement:
     phi: Fraction
 
     def __post_init__(self):
-        slots = tuple(None if s is None else str(s) for s in self.slots)
+        slots = tuple(None if s is None else _json_id(s, "arrangement slot") for s in self.slots)
         lam = _vector(self.lam, len(slots), "arrangement lambda")
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "lam", lam)
@@ -348,13 +358,6 @@ def from_tax_schedule(workers, jobs, n, m, surplus, tau) -> LTUProblem:
 # accepted in place of "pairs". Many-to-one files carry "workers", "N", and
 # "arrangements" ({"slots": ["1", null], "lambda": ["1","0"], "phi": "1/2"}).
 # Rationals are "p/q" strings or bare integers throughout.
-
-
-def _json_id(value, what: str) -> str:
-    """A type id as a file gives it: a string, or an integer that is not a bool."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return str(value)
-    raise FormatError(f"{what} must be a string or an integer, got {value!r}")
 
 
 def _parse_types(raw, key):

@@ -14,24 +14,22 @@ from .errors import FormatError
 
 def parse_rational(value) -> Fraction:
     """Parse a bare int or a "p" / "p/q" string into a Fraction in lowest terms."""
+    if isinstance(value, str):  # the form of files, so tested first
+        text = value.strip()
+        # int() also reads digit-group underscores and non-ASCII digits
+        if text.isascii() and "_" not in text:
+            num, slash, den = text.partition("/")
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"not a rational: {value!r}") from exc
+        raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, bool):
         raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        text = value.strip()
-        # int() also reads digit-group underscores and non-ASCII digits
-        if not text.isascii() or "_" in text:
-            raise FormatError(f"not a rational: {value!r}")
-        try:
-            if "/" in text:
-                num, _, den = text.partition("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {value!r}") from exc
     raise FormatError(
         f"not a rational: {value!r} (floats are rejected, write 'p/q' strings)"
     )

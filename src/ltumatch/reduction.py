@@ -101,9 +101,19 @@ def _backward(profile: MixedProfile, hider_loss, seeker_payoff, phi, mass, s):
     columns, with the hider loss l and seeker payoff pi of the profile."""
     if hider_loss == 0 or seeker_payoff == 0:
         raise ZeroValue("equilibrium values must be positive to invert the rescaling")
-    mu = tuple(p / (s * f * seeker_payoff) if p else ZERO for p, f in zip(profile.p, phi))
-    u = tuple(q / (s * k * hider_loss) if q else ZERO for q, k in zip(profile.q, mass))
-    return mu, u
+    (pn, pd), (qn, qd) = profile.integers
+    return _rescaled(pn, pd, phi, s, seeker_payoff), _rescaled(qn, qd, mass, s, hider_loss)
+
+
+def _rescaled(nums, den, weights, s, value) -> tuple[Fraction, ...]:
+    """(num / den) / (s w value) for each num over den and each weight w, as
+    one Fraction of integer products each: with w = a / b and value = c / d,
+    num b d / (den s a c)."""
+    top, bottom = value.denominator, den * s * value.numerator
+    return tuple(
+        Fraction(num * w.denominator * top, w.numerator * bottom) if num else ZERO
+        for num, w in zip(nums, weights)
+    )
 
 
 def _flat(matrix) -> tuple:

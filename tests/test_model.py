@@ -355,3 +355,46 @@ def test_json_integer_ids_name_their_string_form():
         "arrangements": [{"slots": [7, None], "lambda": ["1", "0"], "phi": "1"}],
     })
     assert roommates.arrangements[0].slots == ("7", None)
+
+
+# The library constructors follow the file rule for ids: a string, or an
+# integer that is not a bool, shown as its string.
+
+HALF_1x1 = ((F(1, 2),),)
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("each id of workers", lambda: LTUProblem((None,), ("j",), (1,), (1,), HALF_1x1, ((1,),))),
+        ("each id of jobs", lambda: LTUProblem(("w",), (True,), (1,), (1,), HALF_1x1, ((1,),))),
+        ("each id of workers", lambda: from_linear_constraints((1.0,), ("j",), (1,), (1,), ((1,),), ((1,),), ((1,),))),
+        ("each id of types", lambda: ManyToOneProblem((("a",),), (1,), 1, (Arrangement(("a",), (1,), 1),))),
+        ("arrangement slot", lambda: Arrangement((False,), (1,), 1)),
+    ],
+    ids=["null worker", "bool job", "float worker", "tuple type", "bool slot"],
+)
+def test_constructor_ids_are_strings_or_integers(what, call):
+    with pytest.raises(FormatError, match=f"^{what} must be a string or an integer, got "):
+        call()
+
+
+def test_constructor_integer_ids_name_their_string_form():
+    problem = LTUProblem((1, "2"), (3,), (1, 1), (1,), ((F(1, 2),), (F(1, 2),)), ((1,), (1,)))
+    assert (problem.workers, problem.jobs) == (("1", "2"), ("3",))
+    assert Arrangement((7, None), (1, 0), 1).slots == ("7", None)
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        ("workers: duplicate id '1'", lambda: LTUProblem(("1", 1), ("j",), (1, 1), (1,), HALF_1x1 * 2, ((1,),) * 2)),
+        ("jobs: duplicate id 'j'", lambda: LTUProblem(("w",), ("j", "k", "j"), (1,), (1, 1, 1),
+                                                      ((F(1, 2),) * 3,), ((1,) * 3,))),
+        ("types: duplicate id 'a'", lambda: ManyToOneProblem(("a", "a"), (1, 1), 1, (Arrangement(("a",), (1,), 1),))),
+    ],
+    ids=["workers", "jobs", "types"],
+)
+def test_constructor_duplicate_ids_are_named(message, call):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        call()
